@@ -37,11 +37,6 @@ int ParseFanout(const char* s, const char* origin) {
   return v;
 }
 
-int& WireSlot() {
-  static int wire = 0;  // 0 = not yet resolved; else the WireFormat value.
-  return wire;
-}
-
 double& ArrivalRateSlot() {
   static double rate = -1.0;  // < 0 = not yet resolved; 0 = unset.
   return rate;
@@ -55,14 +50,6 @@ double ParseArrivalRate(const char* s, const char* origin) {
     std::exit(2);
   }
   return v;
-}
-
-int ParseWire(const char* s, const char* origin) {
-  if (std::strcmp(s, "v2") == 0) return int(WireFormat::kV2);
-  if (std::strcmp(s, "v3") == 0) return int(WireFormat::kV3);
-  std::fprintf(stderr, "bench: bad %s wire format %s (want v2 or v3)\n",
-               origin, s);
-  std::exit(2);
 }
 
 /// State of the JSON emitter. Armed by InitBenchIO (--json / the
@@ -122,9 +109,6 @@ void FlushJson() {
   std::snprintf(fanout, sizeof(fanout), "%d", BenchFanout());
   json += ",\n  \"tree_fanout\": ";
   json += fanout;
-  json += ",\n  \"wire_format\": ";
-  AppendJsonString(&json,
-                   BenchWire() == WireFormat::kV2 ? "v2" : "v3");
   json += ",\n  \"tables\": [";
   for (size_t t = 0; t < e.tables.size(); ++t) {
     json += t == 0 ? "\n    {\"columns\": [" : ",\n    {\"columns\": [";
@@ -210,16 +194,6 @@ int BenchFanout() {
   return slot;
 }
 
-WireFormat BenchWire() {
-  int& slot = WireSlot();
-  if (slot == 0) {
-    const char* env = std::getenv("HYDER_BENCH_WIRE");
-    slot = env != nullptr ? ParseWire(env, "HYDER_BENCH_WIRE")
-                          : int(WireFormat::kV3);
-  }
-  return WireFormat(slot);
-}
-
 double BenchArrivalRate() {
   double& slot = ArrivalRateSlot();
   if (slot < 0) {
@@ -247,8 +221,6 @@ void InitBenchIO(int* argc, char** argv) {
       o.metrics_path = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--fanout=", 9) == 0) {
       FanoutSlot() = ParseFanout(argv[i] + 9, "--fanout");
-    } else if (std::strncmp(argv[i], "--wire-format=", 14) == 0) {
-      WireSlot() = ParseWire(argv[i] + 14, "--wire-format");
     } else if (std::strncmp(argv[i], "--arrival-rate=", 15) == 0) {
       ArrivalRateSlot() = ParseArrivalRate(argv[i] + 15, "--arrival-rate");
     } else {
@@ -418,7 +390,6 @@ SloReport RunOpenLoopExperiment(const ExperimentConfig& config,
   StripedLog log(config.log);
   ServerOptions options;
   options.pipeline = config.pipeline;
-  options.wire_format = BenchWire();
   options.max_inflight = config.inflight;
   options.resolver.intention_cache_capacity =
       config.inflight + config.pipeline.state_retention;
@@ -461,7 +432,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   StripedLog log(config.log);
   ServerOptions options;
   options.pipeline = config.pipeline;
-  options.wire_format = BenchWire();
   options.max_inflight = config.inflight + 16;
   options.resolver.intention_cache_capacity =
       config.inflight + config.pipeline.state_retention;

@@ -105,14 +105,6 @@ double BenchScale();
 /// header as "tree_fanout".
 int BenchFanout();
 
-/// The intention wire format the bench run *emits* (decoding always
-/// auto-detects). Set by `--wire-format=v2|v3` (stripped in InitBenchIO)
-/// or the HYDER_BENCH_WIRE env var; default v3 (the flat format).
-/// RunExperiment plumbs it into ServerOptions::wire_format, so every
-/// figure bench is A/B-able against the legacy sequential encoding.
-/// Recorded in the JSON header as "wire_format".
-WireFormat BenchWire();
-
 /// Machine-readable output. Call first in main(): strips `--json[=path]`
 /// from argv and arms the JSON emitter; the `HYDER_BENCH_JSON=<path>`
 /// environment variable arms it too. When armed, the tables printed via

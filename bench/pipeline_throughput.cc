@@ -26,7 +26,6 @@
 #include "meld/threaded_pipeline.h"
 #include "server/resolver.h"
 #include "txn/codec.h"
-#include "txn/flat_view.h"
 
 namespace hyder {
 namespace bench {
@@ -38,11 +37,10 @@ namespace {
 /// ephemeral version ids are a function of (t, d, group) (§3.4), and the
 /// logged intentions' snapshot references name them.
 uint64_t GenerateLog(StripedLog* log, uint64_t txns,
-                     const PipelineConfig& config, WireFormat wire) {
+                     const PipelineConfig& config) {
   ServerOptions opts;
   opts.max_inflight = 1 << 20;
   opts.pipeline = config;
-  opts.wire_format = wire;
   HyderServer server(log, opts);
   Rng rng(42);
   uint64_t submitted = 0;
@@ -111,7 +109,18 @@ PipelineConfig MeldConfig(int threads) {
   config.stage_queue_capacity = 512;
   config.group_meld = true;
   config.state_retention = 8192;
+  config.tree_fanout = BenchFanout();
   return config;
+}
+
+/// Aborts when the stages did not run the fanout the bench requested: a
+/// knob dropped between the flag and the pipeline shows up here.
+void CheckFanoutEcho(const PipelineStats& stats) {
+  if (stats.config_echo.tree_fanout != BenchFanout()) {
+    std::fprintf(stderr, "config echo: tree_fanout %lld, requested %d\n",
+                 (long long)stats.config_echo.tree_fanout, BenchFanout());
+    std::abort();
+  }
 }
 
 /// Replays the stream through a SequentialPipeline the way the server's
@@ -127,14 +136,10 @@ RunResult RunSequential(StripedLog* log,
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
-    std::vector<NodePtr> nodes;
     auto intent = DeserializeIntention(li.payload, li.seq, li.block_count,
-                                       &resolver, li.txn_id, &nodes);
+                                       &resolver, li.txn_id);
     HYDER_BENCH_CHECK_OK(intent);
-    resolver.CacheIntention(li.seq, std::move(nodes),
-                            (*intent)->flats.empty()
-                                ? nullptr
-                                : (*intent)->flats.front().second);
+    resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
     HYDER_BENCH_CHECK_OK(pipeline.Process(std::move(*intent)));
   }
   HYDER_BENCH_CHECK_OK(pipeline.Flush());
@@ -155,12 +160,8 @@ RunResult RunThreaded(StripedLog* log,
       config, DatabaseState{0, Ref::Null()}, &resolver,
       [&resolver](const NodePtr& n) { resolver.RegisterEphemeral(n); },
       /*on_decision=*/nullptr,
-      [&resolver](uint64_t seq, const IntentionPtr& intent,
-                  std::vector<NodePtr>&& nodes) {
-        resolver.CacheIntention(seq, std::move(nodes),
-                                intent->flats.empty()
-                                    ? nullptr
-                                    : intent->flats.front().second);
+      [&resolver](uint64_t seq, const IntentionPtr& intent) {
+        resolver.CacheIntention(seq, intent->flats.front().second);
       });
   pipeline.Start();
   Stopwatch wall;
@@ -187,6 +188,7 @@ RunResult RunThreaded(StripedLog* log,
 
 void Report(const std::string& engine, int threads, size_t intentions,
             const RunResult& r) {
+  CheckFanoutEcho(r.stats);
   const double locks_per =
       double(r.stats.fm_resolver_locks) / double(intentions);
   PrintRow("%s,%d,%zu,%.1f,%.0f,%.2f,%llu,%llu\n", engine.c_str(), threads,
@@ -205,16 +207,12 @@ std::vector<double> DecodeLatencies(StripedLog* log,
   us.reserve(stream.size());
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
-    std::vector<NodePtr> nodes;
     Stopwatch sw;
     auto intent = DeserializeIntention(li.payload, li.seq, li.block_count,
-                                       &resolver, li.txn_id, &nodes);
+                                       &resolver, li.txn_id);
     us.push_back(double(sw.ElapsedNanos()) / 1e3);
     HYDER_BENCH_CHECK_OK(intent);
-    resolver.CacheIntention(li.seq, std::move(nodes),
-                            (*intent)->flats.empty()
-                                ? nullptr
-                                : (*intent)->flats.front().second);
+    resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
   }
   return us;
 }
@@ -227,8 +225,7 @@ double Percentile(std::vector<double>* sorted, double p) {
 
 void Run() {
   PrintHeader("pipeline_throughput", "meld hot path (DESIGN.md)",
-              "threaded >= sequential; fm lock rate drops with t > 0; "
-              "v3 decode p50/p99 below v2");
+              "threaded >= sequential; fm lock rate drops with t > 0");
   const uint64_t txns = uint64_t(3000 * BenchScale());
   PrintColumns(
       "engine,threads,intentions,wall_ms,intentions_per_sec,"
@@ -236,10 +233,8 @@ void Run() {
   for (int t : {0, 2, 5}) {
     // One log per t: the replay engines must match the generation config
     // (see GenerateLog), so sequential-vs-threaded is compared per t.
-    // The emitted wire format is the run's --wire-format selection.
     StripedLog log(StripedLogOptions{});
-    const uint64_t appended =
-        GenerateLog(&log, txns, MeldConfig(t), BenchWire());
+    const uint64_t appended = GenerateLog(&log, txns, MeldConfig(t));
     std::vector<LogIntention> stream = ReadBack(&log);
     if (stream.size() != appended) {
       std::fprintf(stderr, "read-back lost intentions: %zu of %llu\n",
@@ -250,32 +245,27 @@ void Run() {
     Report("threaded", t, stream.size(), RunThreaded(&log, stream, t));
   }
 
-  // Decode-stage latency, v2 vs v3 on the same logical workload: the flat
-  // format's lazy materialization should show up directly as lower decode
-  // p50/p99 (nodes materialize later, in premeld/meld, and for premeld-
-  // killed intentions mostly never).
+  // Decode-stage latency: nodes materialize later, in premeld/meld, and
+  // for premeld-killed intentions mostly never, so decode is parse and
+  // validate plus the root.
   PrintColumns(
-      "wire,intentions,decode_p50_us,decode_p90_us,decode_p99_us,"
-      "decode_max_us,decode_total_ms");
-  for (WireFormat wire : {WireFormat::kV2, WireFormat::kV3}) {
-    StripedLog log(StripedLogOptions{});
-    const uint64_t appended = GenerateLog(&log, txns, MeldConfig(5), wire);
-    std::vector<LogIntention> stream = ReadBack(&log);
-    if (stream.size() != appended) {
-      std::fprintf(stderr, "read-back lost intentions: %zu of %llu\n",
-                   stream.size(), (unsigned long long)appended);
-      std::abort();
-    }
-    std::vector<double> us = DecodeLatencies(&log, stream);
-    double total = 0;
-    for (double v : us) total += v;
-    std::sort(us.begin(), us.end());
-    PrintRow("%s,%zu,%.3f,%.3f,%.3f,%.3f,%.2f\n",
-             wire == WireFormat::kV2 ? "v2" : "v3", stream.size(),
-             Percentile(&us, 0.50), Percentile(&us, 0.90),
-             Percentile(&us, 0.99), us.empty() ? 0 : us.back(),
-             total / 1e3);
+      "intentions,decode_p50_us,decode_p90_us,decode_p99_us,decode_max_us,"
+      "decode_total_ms");
+  StripedLog log(StripedLogOptions{});
+  const uint64_t appended = GenerateLog(&log, txns, MeldConfig(5));
+  std::vector<LogIntention> stream = ReadBack(&log);
+  if (stream.size() != appended) {
+    std::fprintf(stderr, "read-back lost intentions: %zu of %llu\n",
+                 stream.size(), (unsigned long long)appended);
+    std::abort();
   }
+  std::vector<double> us = DecodeLatencies(&log, stream);
+  double total = 0;
+  for (double v : us) total += v;
+  std::sort(us.begin(), us.end());
+  PrintRow("%zu,%.3f,%.3f,%.3f,%.3f,%.2f\n", stream.size(),
+           Percentile(&us, 0.50), Percentile(&us, 0.90),
+           Percentile(&us, 0.99), us.empty() ? 0 : us.back(), total / 1e3);
 }
 
 }  // namespace

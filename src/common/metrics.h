@@ -100,9 +100,9 @@ struct PipelineStats {
 
   /// Node-pool churn audit for premeld kills: wire node count of intentions
   /// premeld aborted, and how many of those nodes actually reached the
-  /// pool. With the flat (v3) wire format nodes materialize lazily, so
-  /// `materialized` stays far below `killed_nodes` — the allocations the
-  /// zero-copy layout saves on dead intentions; with v2 the two match.
+  /// pool. Nodes materialize lazily, so `materialized` stays far below
+  /// `killed_nodes` — the allocations the zero-copy layout saves on dead
+  /// intentions.
   uint64_t premeld_killed_nodes = 0;
   uint64_t premeld_killed_nodes_materialized = 0;
   uint64_t group_singletons = 0;  ///< Group intentions that degenerated to one.

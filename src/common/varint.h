@@ -42,37 +42,6 @@ inline const char* GetVarint64(const char* p, const char* limit,
   return nullptr;
 }
 
-/// --- Batched decode ------------------------------------------------------
-///
-/// Intention records cluster varints in quads (key, ssv, base_cv,
-/// payload_len; tombstones are key, base_cv, ssv), so the decoders pull
-/// four at a time. `GetVarint64x4` has the exact semantics of four chained
-/// `GetVarint64` calls — same values, same return pointer, nullptr on the
-/// first truncation/overflow — but the unrolled and SIMD implementations
-/// exploit that wire varints are overwhelmingly 1–2 bytes: the SIMD path
-/// lifts one 16-byte load into a continuation-bit mask and decodes all four
-/// from registers when they fit. Implementation is selected once at startup
-/// (SSE2/NEON when compiled in, portable scalar otherwise); the environment
-/// variable HYDER_VARINT_IMPL=scalar|unrolled|simd overrides for A/B runs.
-
-/// Decodes four consecutive varints from [p, limit) into out[0..3].
-/// Returns the byte past the fourth encoding, or nullptr if any of them is
-/// truncated or overflows (out contents are unspecified then).
-const char* GetVarint64x4(const char* p, const char* limit, uint64_t out[4]);
-
-/// The individual implementations, exposed for the micro benchmark and the
-/// equivalence test. All three are drop-in equivalents of GetVarint64x4.
-const char* GetVarint64x4Scalar(const char* p, const char* limit,
-                                uint64_t out[4]);
-const char* GetVarint64x4Unrolled(const char* p, const char* limit,
-                                  uint64_t out[4]);
-const char* GetVarint64x4Simd(const char* p, const char* limit,
-                              uint64_t out[4]);
-
-/// Name of the implementation GetVarint64x4 dispatches to ("scalar",
-/// "unrolled" or "simd"), for bench output and traces.
-const char* VarintImplName();
-
 /// ZigZag mapping so small negative deltas also encode compactly.
 inline uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);

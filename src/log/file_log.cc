@@ -118,7 +118,7 @@ Result<std::unique_ptr<FileLog>> FileLog::Open(const std::string& path,
       std::fclose(file);
       return Status::Internal("cannot read log header " + path);
     }
-    format_v2 = (raw & kV2Flag) != 0;
+    format_v2 = (raw & kCrcFlag) != 0;
   }
 
   const size_t header_size = format_v2 ? 8 : 4;
@@ -133,8 +133,8 @@ Result<std::unique_ptr<FileLog>> FileLog::Open(const std::string& path,
   while (tail <= complete_slots) {
     uint32_t raw = 0;
     if (!ReadLengthWord(file, slot, tail - 1, &raw)) break;
-    if (format_v2 && (raw & kV2Flag) == 0) break;  // Unwritten/foreign slot.
-    const uint32_t len = raw & ~kV2Flag;
+    if (format_v2 && (raw & kCrcFlag) == 0) break;  // Unwritten/foreign slot.
+    const uint32_t len = raw & ~kCrcFlag;
     if (len == 0 || len > options.block_size) break;
     tail++;
   }
@@ -151,7 +151,7 @@ Result<std::unique_ptr<FileLog>> FileLog::Open(const std::string& path,
         std::fread(head, 1, 8, file) != 8) {
       tail--;
     } else {
-      const uint32_t len = DecodeFixed32(head) & ~kV2Flag;
+      const uint32_t len = DecodeFixed32(head) & ~kCrcFlag;
       const uint32_t stored_crc = DecodeFixed32(head + 4);
       payload.resize(len);
       if (std::fread(payload.data(), 1, len, file) != len ||
@@ -195,7 +195,7 @@ Result<uint64_t> FileLog::Append(std::string block) {
   std::string slot;
   slot.reserve(SlotSize());
   if (format_v2_) {
-    PutFixed32(&slot, static_cast<uint32_t>(block.size()) | kV2Flag);
+    PutFixed32(&slot, static_cast<uint32_t>(block.size()) | kCrcFlag);
     PutFixed32(&slot, Crc32c(block));
   } else {
     PutFixed32(&slot, static_cast<uint32_t>(block.size()));
@@ -242,12 +242,12 @@ Result<std::string> FileLog::Read(uint64_t position) {
     return Status::Internal("log read I/O failed (header)");
   }
   const uint32_t raw = DecodeFixed32(header);
-  if (format_v2_ && (raw & kV2Flag) == 0) {
+  if (format_v2_ && (raw & kCrcFlag) == 0) {
     stats_.errors++;
     return Status::DataLoss("slot format bit lost at position " +
                             std::to_string(position));
   }
-  const uint32_t len = raw & ~kV2Flag;
+  const uint32_t len = raw & ~kCrcFlag;
   if (len == 0 || len > options_.block_size) {
     stats_.errors++;
     return Status::DataLoss("bad slot length at position " +

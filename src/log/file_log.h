@@ -18,7 +18,7 @@ namespace hyder {
 /// the paper prescribes for SSD-backed logs (§1: "the log should be stored
 /// on solid state disks").
 ///
-/// Slot layout (v2, current): [u32 len|kV2Flag][u32 crc32c(payload)][payload]
+/// Slot layout (v2, current): [u32 len|kCrcFlag][u32 crc32c(payload)][payload]
 /// [zero padding]. The high bit of the length word marks the v2 format; the
 /// CRC covers the payload, so a slot whose stored bytes decayed surfaces as
 /// `DataLoss` on read instead of feeding garbage to meld. Files written by
@@ -54,7 +54,7 @@ class FileLog : public SharedLog {
   };
 
   /// High bit of the slot length word: set for the CRC'd v2 slot layout.
-  static constexpr uint32_t kV2Flag = 0x80000000u;
+  static constexpr uint32_t kCrcFlag = 0x80000000u;
 
   /// Opens or creates the log at `path`, recovering the tail.
   static Result<std::unique_ptr<FileLog>> Open(const std::string& path,

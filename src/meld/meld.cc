@@ -32,12 +32,11 @@ class Melder {
            (n->owner() == ctx_.out_tag || intent_.Inside(*n));
   }
 
-  /// Wire-v3 intentions arrive with lazy intra-member edges (flat_view.h):
+  /// Decoded intentions arrive with lazy intra-member edges (flat_view.h):
   /// materialize them canonically through the intention's flat views before
-  /// the Inside test, so the walk sees exactly the tree a v2 decode would
-  /// have built — and only the nodes the walk actually reaches get built.
-  /// Edges into anything outside the member set stay lazy; Inside() treats
-  /// them as "base wins", matching v2 semantics.
+  /// the Inside test, so only the nodes the walk actually reaches get
+  /// built. Edges into anything outside the member set stay lazy; Inside()
+  /// treats them as "base wins".
   void NormalizeIntentEdge(Ref* e) const {
     if (intent_.flats.empty() || e->node || !e->vn.IsLogged()) return;
     if (NodePtr n = intent_.ResolveFlat(e->vn)) e->node = std::move(n);

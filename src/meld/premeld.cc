@@ -6,9 +6,9 @@ namespace hyder {
 
 namespace {
 
-/// Nodes of `intent` that exist in the pool. Flat intentions materialize
-/// lazily, so the count is whatever the views have produced so far; eager
-/// (v2) intentions materialized everything at decode.
+/// Nodes of `intent` that exist in the pool: whatever its views have
+/// materialized so far. An intention built in memory rather than decoded
+/// has no views, and all of its nodes exist.
 uint64_t MaterializedNodes(const Intention& intent) {
   if (intent.flats.empty()) return intent.node_count;
   uint64_t n = 0;

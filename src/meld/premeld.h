@@ -20,9 +20,8 @@ struct PremeldOutcome {
   bool skipped = false;
   /// When premeld found the conflict (the intention dies here): the wire
   /// node count of the killed intention, and how many of those nodes were
-  /// actually materialized into the pool. With the flat (v3) format the
-  /// second number is typically far below the first — the churn the
-  /// zero-copy layout avoids; with v2 the two are equal by construction.
+  /// actually materialized into the pool. The second number is typically
+  /// far below the first — the churn the zero-copy layout avoids.
   uint64_t killed_nodes = 0;
   uint64_t killed_nodes_materialized = 0;
 };

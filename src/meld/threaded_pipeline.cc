@@ -85,14 +85,13 @@ Result<IntentionPtr> ThreadedPipeline::DecodeRaw(const RawIntention& raw,
   }
   TraceSpan span(TraceStage::kDecode, raw.seq);
   CpuStopwatch cpu;
-  std::vector<NodePtr> nodes;
   HYDER_ASSIGN_OR_RETURN(
       IntentionPtr intent,
       DeserializeIntention(raw.payload, raw.seq, raw.block_count, resolver_,
-                           raw.txn_id, &nodes));
+                           raw.txn_id));
   stats->deserialize.cpu_nanos += cpu.ElapsedNanos();
   stats->deserialize.nodes_visited += intent->node_count;
-  if (on_decode_) on_decode_(raw.seq, intent, std::move(nodes));
+  if (on_decode_) on_decode_(raw.seq, intent);
   return intent;
 }
 

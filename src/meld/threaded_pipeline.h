@@ -54,10 +54,9 @@ class ThreadedPipeline {
  public:
   using DecisionCallback = std::function<void(const MeldDecision&)>;
   /// Invoked (from whichever thread decoded) for every intention decoded by
-  /// the pipeline, with the freshly materialized node array — the server's
-  /// hook to populate its intention cache (resolver CacheIntention).
-  using DecodeSink = std::function<void(
-      uint64_t seq, const IntentionPtr&, std::vector<NodePtr>&& nodes)>;
+  /// the pipeline — the server's hook to populate its intention cache with
+  /// the intention's view (resolver CacheIntention).
+  using DecodeSink = std::function<void(uint64_t seq, const IntentionPtr&)>;
 
   ThreadedPipeline(const PipelineConfig& config, DatabaseState initial,
                    NodeResolver* resolver,

@@ -48,7 +48,7 @@ class WideMelder {
            (n->owner() == ctx_.out_tag || intent_.Inside(*n));
   }
 
-  /// Wire-v3 member edges arrive lazy; materialize them canonically
+  /// Decoded member edges arrive lazy; materialize them canonically
   /// through the intention's flat views before the Inside test (see the
   /// binary Melder's NormalizeIntentEdge).
   void NormalizeIntentEdge(Ref* e) const {

@@ -84,7 +84,9 @@ NodePtr ServerResolver::TryResolveCached(VersionId vn) {
     CountedLock lock(shard.mu);
     auto it = shard.intentions.find(vn.intention_seq());
     if (it != shard.intentions.end()) {
-      NodePtr n = CachedNode(it->second, vn.node_index());
+      // NodeAt takes no locks and never calls back into this resolver, so
+      // the lazy materialization is safe under the shard lock.
+      NodePtr n = it->second.view->NodeAt(vn.node_index());
       if (n == nullptr) return nullptr;
       TouchLocked(shard, vn.intention_seq());
       return n;
@@ -92,18 +94,6 @@ NodePtr ServerResolver::TryResolveCached(VersionId vn) {
   }
   // No refetch here; the pinned checkpoint base is still cache-speed.
   return LookupPinned(vn);
-}
-
-NodePtr ServerResolver::CachedNode(const CachedIntention& entry,
-                                   uint32_t index) const {
-  if (entry.flat != nullptr) {
-    // NodeAt takes no locks and never calls back into this resolver, so
-    // the lazy materialization is safe under the caller's shard lock.
-    if (index >= entry.flat->node_count()) return nullptr;
-    return entry.flat->NodeAt(index);
-  }
-  if (index >= entry.nodes.size()) return nullptr;
-  return entry.nodes[index];
 }
 
 NodePtr ServerResolver::LookupPinned(VersionId vn) const {
@@ -129,7 +119,7 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
     auto it = shard.intentions.find(seq);
     if (it != shard.intentions.end()) {
       TouchLocked(shard, seq);
-      NodePtr n = CachedNode(it->second, vn.node_index());
+      NodePtr n = it->second.view->NodeAt(vn.node_index());
       if (n == nullptr) return out_of_range();
       return n;
     }
@@ -149,8 +139,7 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
       CountedLock lock(shard.mu);
       auto [it, inserted] = shard.intentions.try_emplace(seq);
       if (inserted) {
-        it->second.nodes = std::move(decoded->nodes);
-        it->second.flat = std::move(decoded->flat);
+        it->second.view = std::move(*decoded);
         shard.lru.push_front(seq);
         it->second.lru_pos = shard.lru.begin();
         // Eviction never removes the most recently used entry, so `it`
@@ -161,7 +150,7 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
         // was down; first insert wins and this decode is discarded.
         TouchLocked(shard, seq);
       }
-      NodePtr n = CachedNode(it->second, vn.node_index());
+      NodePtr n = it->second.view->NodeAt(vn.node_index());
       if (n == nullptr) return out_of_range();
       return n;
     }
@@ -176,7 +165,7 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
   return miss;
 }
 
-Result<ServerResolver::DecodedIntention> ServerResolver::RefetchIntention(
+Result<std::shared_ptr<FlatIntentionView>> ServerResolver::RefetchIntention(
     uint64_t seq, const DirectoryEntry& dir) {
   // Refetch from the log: the paper's "random access to the log" path
   // (§1) taken when data is not in this server's partial cached copy.
@@ -201,17 +190,15 @@ Result<ServerResolver::DecodedIntention> ServerResolver::RefetchIntention(
   for (std::string& c : chunks) payload.append(c);
   // No shard lock is held here, so the decode gets this resolver and
   // pre-materializes external references cache-only (TryResolveCached may
-  // take any shard's lock, including the caller's). A flat (v3) payload
+  // take any shard's lock, including the caller's). The decode
   // materializes nothing beyond the root: the cache holds the view, and
   // nodes appear only if something actually dereferences them.
-  DecodedIntention out;
   HYDER_ASSIGN_OR_RETURN(
       IntentionPtr intent,
       DeserializeIntention(payload, seq,
                            static_cast<uint32_t>(chunks.size()), this,
-                           dir.txn_id, &out.nodes));
-  if (!intent->flats.empty()) out.flat = intent->flats.front().second;
-  return out;
+                           dir.txn_id));
+  return intent->flats.front().second;
 }
 
 void ServerResolver::TouchLocked(Shard& shard, uint64_t seq) {
@@ -237,14 +224,13 @@ void ServerResolver::RecordIntentionBlocks(uint64_t seq,
   shard.directory[seq] = DirectoryEntry{std::move(positions), txn_id};
 }
 
-void ServerResolver::CacheIntention(uint64_t seq, std::vector<NodePtr> nodes,
-                                    std::shared_ptr<FlatIntentionView> flat) {
+void ServerResolver::CacheIntention(uint64_t seq,
+                                    std::shared_ptr<FlatIntentionView> view) {
   Shard& shard = ShardFor(seq);
   CountedLock lock(shard.mu);
   if (shard.intentions.count(seq) != 0) return;
   CachedIntention entry;
-  entry.nodes = std::move(nodes);
-  entry.flat = std::move(flat);
+  entry.view = std::move(view);
   shard.lru.push_front(seq);
   entry.lru_pos = shard.lru.begin();
   shard.intentions.emplace(seq, std::move(entry));

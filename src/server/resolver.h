@@ -77,14 +77,12 @@ class ServerResolver : public NodeResolver {
   void RecordIntentionBlocks(uint64_t seq, std::vector<uint64_t> positions,
                              uint64_t txn_id);
 
-  /// Caches a freshly deserialized intention's node array (index = node
-  /// index within the intention). Thread-safe: with parallel decode the
-  /// premeld workers call this concurrently. For flat (wire v3) intentions
-  /// pass the view instead of (or alongside) the node array: cached lookups
-  /// then materialize lazily through `FlatIntentionView::NodeAt`, which
+  /// Caches a freshly deserialized intention's view. Cached lookups
+  /// materialize nodes lazily through `FlatIntentionView::NodeAt`, which
   /// takes no locks, so it is served directly under the shard lock.
-  void CacheIntention(uint64_t seq, std::vector<NodePtr> nodes,
-                      std::shared_ptr<FlatIntentionView> flat = nullptr);
+  /// Thread-safe: with parallel decode the premeld workers call this
+  /// concurrently.
+  void CacheIntention(uint64_t seq, std::shared_ptr<FlatIntentionView> view);
 
   /// Registers an ephemeral node (meld allocator registrar hook).
   void RegisterEphemeral(const NodePtr& n);
@@ -130,11 +128,9 @@ class ServerResolver : public NodeResolver {
 
  private:
   struct CachedIntention {
-    /// Eagerly materialized nodes (v2 decode). Empty when `flat` is set.
-    std::vector<NodePtr> nodes;
-    /// Flat (v3) view: nodes materialize on first lookup, so a cached
-    /// intention that is never dereferenced costs no pool allocations.
-    std::shared_ptr<FlatIntentionView> flat;
+    /// Nodes materialize on first lookup, so a cached intention that is
+    /// never dereferenced costs no pool allocations.
+    std::shared_ptr<FlatIntentionView> view;
     std::list<uint64_t>::iterator lru_pos;
   };
   struct DirectoryEntry {
@@ -166,22 +162,13 @@ class ServerResolver : public NodeResolver {
 
   Result<NodePtr> ResolveLogged(VersionId vn);
   NodePtr LookupPinned(VersionId vn) const EXCLUDES(pinned_mu_);
-  /// What a refetch decoded: either an eager node array (v2 payload) or a
-  /// flat view (v3 payload) whose nodes materialize on demand.
-  struct DecodedIntention {
-    std::vector<NodePtr> nodes;
-    std::shared_ptr<FlatIntentionView> flat;
-  };
   /// The random log read path (§1): fetches `seq`'s blocks and decodes
-  /// them. Runs with **no shard lock held**, so the decode gets `this` as
-  /// its resolver and pre-materializes external references cache-only
-  /// (TryResolveCached) — the wiring the old decode-under-the-lock path
-  /// had to forgo to stay deadlock-free.
-  Result<DecodedIntention> RefetchIntention(uint64_t seq,
-                                            const DirectoryEntry& dir);
-  /// Node `index` of a cached entry: through the flat view when present
-  /// (lock-free, lazy), else the eager array. Null when out of range.
-  NodePtr CachedNode(const CachedIntention& entry, uint32_t index) const;
+  /// them into a view. Runs with **no shard lock held**, so the decode gets
+  /// `this` as its resolver and pre-materializes external references
+  /// cache-only (TryResolveCached) — the wiring the old
+  /// decode-under-the-lock path had to forgo to stay deadlock-free.
+  Result<std::shared_ptr<FlatIntentionView>> RefetchIntention(
+      uint64_t seq, const DirectoryEntry& dir);
   void TouchLocked(Shard& shard, uint64_t seq) REQUIRES(shard.mu);
   void EvictLocked(Shard& shard) REQUIRES(shard.mu);
 

@@ -105,8 +105,7 @@ Result<HyderServer::Submitted> HyderServer::Submit(Transaction&& txn) {
   TraceInstant(TraceStage::kSubmit, txn.txn_id());
   HYDER_ASSIGN_OR_RETURN(
       std::vector<std::string> blocks,
-      SerializeIntention(txn.builder_, txn.txn_id(), log_->block_size(),
-                         options_.wire_format));
+      SerializeIntention(txn.builder_, txn.txn_id(), log_->block_size()));
   Stopwatch append_watch;
   {
     TraceSpan append_span(TraceStage::kAppend, txn.txn_id());
@@ -203,7 +202,6 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
       HYDER_RETURN_IF_ERROR(
           options_.pipeline.stage_probe(PipelineStage::kDecode, done->seq));
     }
-    std::vector<NodePtr> nodes;
     CpuStopwatch ds_cpu;
     IntentionPtr intent;
     {
@@ -211,17 +209,13 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
       HYDER_ASSIGN_OR_RETURN(
           intent,
           DeserializeIntention(done->payload, done->seq, done->block_count,
-                               &resolver_, done->txn_id, &nodes));
+                               &resolver_, done->txn_id));
       pipeline_.mutable_stats()->deserialize.cpu_nanos +=
           ds_cpu.ElapsedNanos();
       pipeline_.mutable_stats()->deserialize.nodes_visited +=
           intent->node_count;
-      // A flat (v3) intention decodes to a view instead of a node array:
-      // cache the view, and cached lookups materialize nodes on demand.
-      resolver_.CacheIntention(done->seq, std::move(nodes),
-                               intent->flats.empty()
-                                   ? nullptr
-                                   : intent->flats.front().second);
+      // Cached lookups materialize nodes through the view on demand.
+      resolver_.CacheIntention(done->seq, intent->flats.front().second);
     }
 
     HYDER_ASSIGN_OR_RETURN(std::vector<MeldDecision> decisions,

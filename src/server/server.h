@@ -24,10 +24,6 @@ struct ServerOptions {
   PipelineConfig pipeline;
   ResolverOptions resolver;
   IsolationLevel default_isolation = IsolationLevel::kSerializable;
-  /// Payload encoding this server emits for its own intentions (decoding is
-  /// always auto-detected, so servers with different settings interoperate
-  /// on one log — the v2/v3 migration story).
-  WireFormat wire_format = WireFormat::kV3;
   /// Admission control: maximum transactions appended but not yet decided
   /// (§5.2 — "the executer stops processing transactions if the number of
   /// transactions awaiting their outcome exceeds a configurable threshold").

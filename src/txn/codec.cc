@@ -53,9 +53,8 @@ Result<EdgeEncoding> EncodeEdge(
   return enc;
 }
 
-/// `offsets`, when set, receives each record's starting byte offset inside
-/// `out` in post-order — the wire-v3 offset table. v2 and v3 share the
-/// record bytes; only the framing differs.
+/// `offsets` receives each record's starting byte offset inside `out` in
+/// post-order: the payload's trailing offset table.
 Status SerializeNodes(const NodePtr& n, uint64_t workspace_tag,
                       std::unordered_map<const Node*, uint32_t>& index,
                       std::string* out, std::vector<uint32_t>* offsets) {
@@ -73,9 +72,7 @@ Status SerializeNodes(const NodePtr& n, uint64_t workspace_tag,
       EdgeEncoding right,
       EncodeEdge(n->right().GetLocal(), workspace_tag, index));
 
-  if (offsets != nullptr) {
-    offsets->push_back(static_cast<uint32_t>(out->size()));
-  }
+  offsets->push_back(static_cast<uint32_t>(out->size()));
   uint8_t flags = 0;
   if (n->altered()) flags |= kWireAltered;
   if (n->read_dependent()) flags |= kWireRead;
@@ -119,9 +116,7 @@ Status SerializeWidePages(const NodePtr& n, uint64_t workspace_tag,
                                              offsets));
   }
 
-  if (offsets != nullptr) {
-    offsets->push_back(static_cast<uint32_t>(out->size()));
-  }
+  offsets->push_back(static_cast<uint32_t>(out->size()));
   uint8_t pf = 0;
   if (n->subtree_read()) pf |= kWirePageSubtreeRead;
   out->push_back(static_cast<char>(pf));
@@ -181,8 +176,7 @@ Result<BlockHeader> DecodeBlockHeader(std::string_view block) {
 }
 
 Result<std::vector<std::string>> SerializeIntention(
-    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size,
-    WireFormat wire) {
+    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size) {
   if (block_size <= kBlockHeaderSize + 16) {
     return Status::InvalidArgument("block size too small");
   }
@@ -192,16 +186,12 @@ Result<std::vector<std::string>> SerializeIntention(
   const NodePtr& root = builder.root().node;
   const bool wide = root != nullptr && root->is_wide() &&
                     root->owner() == builder.workspace_tag();
-  const bool flat = wire == WireFormat::kV3;
+  // Format prefix (magic + version), then the header fields.
   std::string payload;
-  if (flat) {
-    // Flat framing: magic (unreachable as a canonical v2 varint prefix,
-    // see wire_format.h) + format version, then the v2 header fields.
-    payload.reserve(kWireFlatPrefixBytes);
-    payload.push_back(static_cast<char>(kWireFlatMagic0));
-    payload.push_back(static_cast<char>(kWireFlatMagic1));
-    payload.push_back(static_cast<char>(kWireFlatVersion));
-  }
+  payload.reserve(kWireFlatPrefixBytes);
+  payload.push_back(static_cast<char>(kWireFlatMagic0));
+  payload.push_back(static_cast<char>(kWireFlatMagic1));
+  payload.push_back(static_cast<char>(kWireFlatVersion));
   PutVarint64(&payload, builder.snapshot_seq());
   uint8_t iso = static_cast<uint8_t>(builder.isolation());
   if (iso & kWireWideLayout) {
@@ -222,22 +212,17 @@ Result<std::vector<std::string>> SerializeIntention(
   std::unordered_map<const Node*, uint32_t> index;
   if (wide) {
     HYDER_RETURN_IF_ERROR(SerializeWidePages(root, builder.workspace_tag(),
-                                             index, &nodes,
-                                             flat ? &offsets : nullptr));
+                                             index, &nodes, &offsets));
   } else {
     HYDER_RETURN_IF_ERROR(SerializeNodes(root, builder.workspace_tag(), index,
-                                         &nodes, flat ? &offsets : nullptr));
+                                         &nodes, &offsets));
   }
   PutVarint64(&payload, index.size());
-  if (flat) {
-    // Node-region length plus the trailing fixed32 offset table: what lets
-    // FlatIntentionView address record i without decoding records 0..i-1.
-    PutVarint64(&payload, nodes.size());
-    payload.append(nodes);
-    for (uint32_t off : offsets) PutFixed32(&payload, off);
-  } else {
-    payload.append(nodes);
-  }
+  // Node-region length plus the trailing fixed32 offset table: what lets
+  // FlatIntentionView address record i without decoding records 0..i-1.
+  PutVarint64(&payload, nodes.size());
+  payload.append(nodes);
+  for (uint32_t off : offsets) PutFixed32(&payload, off);
 
   const size_t capacity = block_size - kBlockHeaderSize;
   const uint32_t total =
@@ -263,18 +248,10 @@ Result<std::vector<std::string>> SerializeIntention(
   return blocks;
 }
 
-namespace {
-
-/// The wire-v3 decode path: parse (and fully validate) the payload into a
-/// FlatIntentionView, materialize only the root, and leave every other
-/// node to lazy, canonical materialization through the view. The root's
-/// external references still get the cache-only pre-materialization the v2
-/// path performs on every node — the root is the only node the meld thread
-/// is guaranteed to touch.
-Result<IntentionPtr> DeserializeFlatIntention(
-    std::string_view payload, uint64_t seq, uint32_t block_count,
-    NodeResolver* ephemeral_resolver, uint64_t txn_id,
-    std::vector<NodePtr>* nodes_out) {
+Result<IntentionPtr> DeserializeIntention(std::string_view payload,
+                                          uint64_t seq, uint32_t block_count,
+                                          NodeResolver* ephemeral_resolver,
+                                          uint64_t txn_id) {
   HYDER_ASSIGN_OR_RETURN(
       std::shared_ptr<FlatIntentionView> view,
       FlatIntentionView::Parse(std::string(payload), seq));
@@ -289,15 +266,14 @@ Result<IntentionPtr> DeserializeFlatIntention(
   intent->isolation = view->isolation();
   intent->tombstones = view->tombstones();
   intent->node_count = view->node_count();
-  if (nodes_out != nullptr) nodes_out->clear();
   if (view->node_count() > 0 && ephemeral_resolver == nullptr) {
     // No resolver: the caller has no machinery to resolve a lazy reference
-    // later, so deliver the fully materialized tree the v2 contract
-    // promised (codec-level tools and tests walk it with a null resolver).
-    // Post-order: children precede parents, so every intra-intention edge
-    // memoizes against an already-built node. Resolver-equipped callers
-    // (the server poll/refetch paths, the premeld decode workers) skip
-    // this: their nodes materialize lazily through the view.
+    // later, so deliver the fully materialized tree (codec-level tools and
+    // tests walk it with a null resolver). Post-order: children precede
+    // parents, so every intra-intention edge memoizes against an
+    // already-built node. Resolver-equipped callers (the server poll and
+    // refetch paths, the premeld decode workers) skip this: their nodes
+    // materialize lazily through the view.
     for (uint32_t i = 0; i < view->node_count(); ++i) {
       NodePtr n = view->NodeAt(i);
       for (int c = 0; c < n->child_count(); ++c) {
@@ -308,18 +284,21 @@ Result<IntentionPtr> DeserializeFlatIntention(
           slot.Memoize(view->NodeAt(edge.vn.node_index()));
         }
       }
-      if (nodes_out != nullptr) nodes_out->push_back(std::move(n));
     }
   }
   if (view->node_count() > 0) {
     NodePtr root = view->Root();
     if (ephemeral_resolver != nullptr) {
+      // The root is the only node the meld thread is guaranteed to touch,
+      // so its external references are pre-materialized here, on the
+      // decode thread. Cache-only: a reference's identity is its version
+      // id whether or not the node pointer is populated, so meld decisions
+      // are unaffected. Intra-intention ids miss here (this intention is
+      // not cached yet) and resolve through the view on first touch.
       for (int i = 0; i < root->child_count(); ++i) {
         const ChildSlot& slot = root->child_at(i);
         const Ref edge = slot.GetLocal();
         if (!edge.IsLazy()) continue;
-        // Cache-only; intra-intention ids miss here (this intention is not
-        // cached yet) and resolve through the view on first touch instead.
         NodePtr resolved = ephemeral_resolver->TryResolveCached(edge.vn);
         if (resolved != nullptr) slot.Memoize(resolved);
       }
@@ -327,242 +306,6 @@ Result<IntentionPtr> DeserializeFlatIntention(
     intent->root = Ref::To(root);
   }
   intent->flats.emplace_back(seq, std::move(view));
-  return intent;
-}
-
-}  // namespace
-
-Result<IntentionPtr> DeserializeIntention(std::string_view payload,
-                                          uint64_t seq, uint32_t block_count,
-                                          NodeResolver* ephemeral_resolver,
-                                          uint64_t txn_id,
-                                          std::vector<NodePtr>* nodes_out) {
-  if (FlatIntentionView::LooksFlat(payload)) {
-    return DeserializeFlatIntention(payload, seq, block_count,
-                                    ephemeral_resolver, txn_id, nodes_out);
-  }
-  auto intent = std::make_shared<Intention>();
-  intent->seq = seq;
-  intent->seq_first = seq;
-  intent->txn_id = txn_id;
-  intent->block_count = block_count;
-  intent->inside = {seq};
-  intent->members = {{seq, txn_id}};
-
-  const char* p = payload.data();
-  const char* limit = payload.data() + payload.size();
-  uint64_t v = 0;
-  if ((p = GetVarint64(p, limit, &v)) == nullptr) {
-    return Status::Corruption("truncated intention header");
-  }
-  intent->snapshot_seq = v;
-  if (p >= limit) return Status::Corruption("truncated isolation byte");
-  const uint8_t iso_byte = static_cast<uint8_t>(*p++);
-  const bool wide = (iso_byte & kWireWideLayout) != 0;
-  intent->isolation = static_cast<IsolationLevel>(iso_byte & ~kWireWideLayout);
-  uint64_t fanout = 0;
-  if (wide) {
-    if ((p = GetVarint64(p, limit, &fanout)) == nullptr) {
-      return Status::Corruption("truncated wide page capacity");
-    }
-    if (fanout < 3 || fanout > 64) {
-      return Status::Corruption("wide page capacity out of range");
-    }
-  }
-  uint64_t tomb_count = 0;
-  if ((p = GetVarint64(p, limit, &tomb_count)) == nullptr) {
-    return Status::Corruption("truncated tombstone count");
-  }
-  for (uint64_t i = 0; i < tomb_count; ++i) {
-    Tombstone t;
-    uint64_t key = 0, cv = 0, ssv = 0;
-    if ((p = GetVarint64(p, limit, &key)) == nullptr ||
-        (p = GetVarint64(p, limit, &cv)) == nullptr ||
-        (p = GetVarint64(p, limit, &ssv)) == nullptr) {
-      return Status::Corruption("truncated tombstone");
-    }
-    t.key = key;
-    t.base_cv = VersionId::FromRaw(cv);
-    t.ssv = VersionId::FromRaw(ssv);
-    intent->tombstones.push_back(t);
-  }
-  uint64_t node_count = 0;
-  if ((p = GetVarint64(p, limit, &node_count)) == nullptr) {
-    return Status::Corruption("truncated node count");
-  }
-  if (node_count >= (1u << VersionId::kIndexBits)) {
-    return Status::Corruption("intention too large for the version id space");
-  }
-  intent->node_count = static_cast<uint32_t>(node_count);
-
-  std::vector<NodePtr> nodes;
-  nodes.reserve(node_count);
-  for (uint64_t i = 0; wide && i < node_count; ++i) {
-    if (p >= limit) return Status::Corruption("truncated page record");
-    const uint8_t pf = static_cast<uint8_t>(*p++);
-    uint64_t page_ssv = 0, slot_count = 0;
-    if ((p = GetVarint64(p, limit, &page_ssv)) == nullptr ||
-        (p = GetVarint64(p, limit, &slot_count)) == nullptr) {
-      return Status::Corruption("truncated page fields");
-    }
-    if (slot_count == 0 || slot_count > fanout) {
-      return Status::Corruption("wide page slot count out of range");
-    }
-    NodePtr n = MakeWideNode(static_cast<int>(fanout));
-    WideExt& e = *n->wide();
-    n->set_vn(VersionId::Logged(seq, static_cast<uint32_t>(i)));
-    n->set_owner(seq);
-    n->set_ssv(VersionId::FromRaw(page_ssv));
-    uint8_t nf = (pf & kWirePageSubtreeRead) ? kFlagSubtreeRead : 0;
-    e.set_count(static_cast<int>(slot_count));
-    for (uint64_t s = 0; s < slot_count; ++s) {
-      if (p >= limit) return Status::Corruption("truncated slot record");
-      const uint8_t sf = static_cast<uint8_t>(*p++);
-      // The slot's four leading varints decode as one batch (common/varint).
-      uint64_t quad[4];
-      if ((p = GetVarint64x4(p, limit, quad)) == nullptr) {
-        return Status::Corruption("truncated slot fields");
-      }
-      const uint64_t key = quad[0], ssv = quad[1], base_cv = quad[2],
-                     payload_len = quad[3];
-      if (payload_len > size_t(limit - p)) {
-        return Status::Corruption("truncated slot payload");
-      }
-      WideSlot& sl = e.slot(static_cast<int>(s));
-      sl.key = key;
-      sl.set_payload(std::string_view(p, payload_len));
-      p += payload_len;
-      sl.meta.ssv = VersionId::FromRaw(ssv);
-      sl.meta.base_cv = VersionId::FromRaw(base_cv);
-      uint8_t slf = 0;
-      if (sf & kWireSlotAltered) slf |= kFlagAltered;
-      if (sf & kWireSlotRead) slf |= kFlagRead;
-      sl.meta.flags = slf;
-      // Slot content version mirrors the binary rule: an altered slot's
-      // payload was created by this very page.
-      sl.meta.cv = (slf & kFlagAltered) ? n->vn() : sl.meta.base_cv;
-      if (slf & kFlagAltered) nf |= kFlagSubtreeHasWrites;
-    }
-    for (uint64_t ci = 0; ci <= slot_count; ++ci) {
-      if (p >= limit) return Status::Corruption("truncated child tag");
-      const uint8_t tag = static_cast<uint8_t>(*p++);
-      if (tag & kWireGapRead) e.set_gap_read(static_cast<int>(ci), true);
-      if (!(tag & kWireChildPresent)) continue;
-      uint64_t ev = 0;
-      if ((p = GetVarint64(p, limit, &ev)) == nullptr) {
-        return Status::Corruption("truncated child reference");
-      }
-      ChildSlot& slot = e.child(static_cast<int>(ci));
-      if (tag & kWireChildInternal) {
-        if (ev >= i) {
-          return Status::Corruption("child index violates post-order");
-        }
-        if (nodes[ev]->subtree_has_writes()) nf |= kFlagSubtreeHasWrites;
-        slot.Reset(Ref::To(nodes[ev]));
-      } else {
-        VersionId target = VersionId::FromRaw(ev);
-        if (target.IsNull()) {
-          return Status::Corruption("null external child reference");
-        }
-        // Cache-only pre-materialization; see the binary branch below for
-        // why this cannot affect meld decisions.
-        if (ephemeral_resolver != nullptr) {
-          NodePtr resolved = ephemeral_resolver->TryResolveCached(target);
-          if (resolved != nullptr) {
-            slot.Reset(Ref(std::move(resolved), target));
-            continue;
-          }
-        }
-        slot.Reset(Ref::Lazy(target));
-      }
-    }
-    n->set_flags(nf);
-    nodes.push_back(std::move(n));
-  }
-  for (uint64_t i = 0; !wide && i < node_count; ++i) {
-    if (p >= limit) return Status::Corruption("truncated node record");
-    const uint8_t flags = static_cast<uint8_t>(*p++);
-    // The record's four leading varints decode as one batch (common/varint).
-    uint64_t quad[4];
-    if ((p = GetVarint64x4(p, limit, quad)) == nullptr) {
-      return Status::Corruption("truncated node fields");
-    }
-    const uint64_t key = quad[0], ssv = quad[1], base_cv = quad[2],
-                   payload_len = quad[3];
-    if (payload_len > size_t(limit - p)) {
-      return Status::Corruption("truncated node payload");
-    }
-    NodePtr n = MakeNode(key, std::string_view(p, payload_len));
-    p += payload_len;
-    n->set_vn(VersionId::Logged(seq, static_cast<uint32_t>(i)));
-    n->set_owner(seq);
-    n->set_ssv(VersionId::FromRaw(ssv));
-    n->set_base_cv(VersionId::FromRaw(base_cv));
-    n->set_color((flags & kWireRed) ? Color::kRed : Color::kBlack);
-    uint8_t nf = 0;
-    if (flags & kWireAltered) nf |= kFlagAltered | kFlagSubtreeHasWrites;
-    if (flags & kWireRead) nf |= kFlagRead;
-    if (flags & kWireSubtreeRead) nf |= kFlagSubtreeRead;
-    n->set_flags(nf);
-    // Content version: an altered node's payload was created by this very
-    // node; otherwise it inherits the observed content version.
-    n->set_cv(n->altered() ? n->vn() : n->base_cv());
-
-    for (int side = 0; side < 2; ++side) {
-      const bool present =
-          flags & (side == 0 ? kWireLeftPresent : kWireRightPresent);
-      if (!present) continue;
-      const bool internal =
-          flags & (side == 0 ? kWireLeftInternal : kWireRightInternal);
-      uint64_t ev = 0;
-      if ((p = GetVarint64(p, limit, &ev)) == nullptr) {
-        return Status::Corruption("truncated child reference");
-      }
-      ChildSlot& slot = side == 0 ? n->left() : n->right();
-      if (internal) {
-        if (ev >= i) {
-          return Status::Corruption("child index violates post-order");
-        }
-        // Propagate the write bit up the intention (post-order guarantees
-        // children are finalized first).
-        if (nodes[ev]->subtree_has_writes()) {
-          n->set_flags(n->flags() | kFlagSubtreeHasWrites);
-        }
-        slot.Reset(Ref::To(nodes[ev]));
-      } else {
-        VersionId target = VersionId::FromRaw(ev);
-        if (target.IsNull()) {
-          return Status::Corruption("null external child reference");
-        }
-        // External references may stay lazy. The deserialization stage runs
-        // ahead of final meld (Fig. 2), so an intention may reference
-        // ephemeral nodes this server has not yet generated; they resolve
-        // on first dereference, by which time the in-order meld has
-        // produced them. (A reference to an ephemeral that has been
-        // *retired* surfaces SnapshotTooOld at that point.) But resolution
-        // is *attempted* here, cache-only: pre-materializing on the decode
-        // thread moves the resolver lock off the meld thread's first-touch
-        // path, and a reference's identity is its version id whether or not
-        // the node pointer is populated, so meld decisions are unaffected.
-        if (ephemeral_resolver != nullptr) {
-          NodePtr resolved = ephemeral_resolver->TryResolveCached(target);
-          if (resolved != nullptr) {
-            slot.Reset(Ref(std::move(resolved), target));
-            continue;
-          }
-        }
-        slot.Reset(Ref::Lazy(target));
-      }
-    }
-    nodes.push_back(std::move(n));
-  }
-  if (!nodes.empty()) {
-    intent->root = Ref::To(nodes.back());
-  }
-  if (p != limit) {
-    return Status::Corruption("trailing bytes after intention");
-  }
-  if (nodes_out != nullptr) *nodes_out = std::move(nodes);
   return intent;
 }
 

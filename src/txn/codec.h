@@ -29,24 +29,15 @@ namespace hyder {
 /// 20-byte header {txn_id, block_index, block_count, chunk_len}; blocks of
 /// one intention need not be contiguous in the log (§5.1).
 ///
-/// Wire v3 ("flat", DESIGN.md "Intention wire format v3") keeps the exact
-/// per-record byte layout but frames it for in-place reading: a magic
-/// prefix, the node region's byte length, and a trailing fixed32 offset
-/// table addressing every record. Deserializing a v3 payload builds a
-/// FlatIntentionView and materializes only the root node; everything else
-/// materializes lazily on first touch (txn/flat_view.h). The decoder
-/// auto-detects the version, so v2 payloads in existing logs and
-/// checkpoints stay readable.
+/// The payload is framed for in-place reading (DESIGN.md "Intention wire
+/// format"): a magic + version prefix, the header, the node region's byte
+/// length, the records, and a trailing fixed32 offset table addressing
+/// every record. Deserializing builds a FlatIntentionView and materializes
+/// only the root node; everything else materializes lazily on first touch
+/// (txn/flat_view.h).
 
 /// Fixed per-block header size.
 constexpr size_t kBlockHeaderSize = 20;
-
-/// Payload encoding SerializeIntention emits. Decoding is always
-/// auto-detected from the payload bytes.
-enum class WireFormat : uint8_t {
-  kV2 = 2,  ///< Seed format: sequential records, eager materialization.
-  kV3 = 3,  ///< Flat format: offset table, lazy (zero-copy) materialization.
-};
 
 struct BlockHeader {
   uint64_t txn_id = 0;
@@ -61,24 +52,22 @@ Result<BlockHeader> DecodeBlockHeader(std::string_view block);
 /// Serializes the transaction accumulated in `builder` into intention
 /// blocks of at most `block_size` bytes. Fails if the workspace contains a
 /// foreign provisional node (a bug) or if a single node exceeds a block.
-/// `wire` selects the payload encoding; servers in one cluster must agree
-/// only on what they *emit* per intention, not globally — every decoder
-/// reads both.
 Result<std::vector<std::string>> SerializeIntention(
-    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size,
-    WireFormat wire = WireFormat::kV3);
+    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size);
 
 /// Parses a reassembled intention payload. `seq` is the deterministic
 /// log-order sequence assigned by the assembler; node `i` receives
-/// `VersionId::Logged(seq, i)` and owner tag `seq`. External ephemeral
-/// references are resolved immediately through `ephemeral_resolver`
-/// (ephemeral nodes cannot be refetched from the log); external logged
-/// references are left lazy.
+/// `VersionId::Logged(seq, i)` and owner tag `seq`. The intention carries
+/// the payload's view in `flats`. With a resolver, only the root is
+/// materialized, and its external references are pre-materialized
+/// cache-only through `ephemeral_resolver`; other nodes materialize on
+/// first touch. Without one, every node is materialized and every
+/// intra-intention edge memoized, so the tree can be walked with a null
+/// resolver. A payload without the format prefix is DataLoss.
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
                                           uint64_t seq, uint32_t block_count,
                                           NodeResolver* ephemeral_resolver,
-                                          uint64_t txn_id = 0,
-                                          std::vector<NodePtr>* nodes_out = nullptr);
+                                          uint64_t txn_id = 0);
 
 /// Reassembles intention payloads from the block stream, assigning each
 /// completed intention its sequence number in completion order — the order

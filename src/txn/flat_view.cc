@@ -14,12 +14,6 @@ FlatIntentionView::~FlatIntentionView() {
   }
 }
 
-bool FlatIntentionView::LooksFlat(std::string_view payload) {
-  return payload.size() >= 2 &&
-         static_cast<uint8_t>(payload[0]) == kWireFlatMagic0 &&
-         static_cast<uint8_t>(payload[1]) == kWireFlatMagic1;
-}
-
 Result<std::shared_ptr<FlatIntentionView>> FlatIntentionView::Parse(
     std::string payload, uint64_t seq) {
   std::shared_ptr<FlatIntentionView> view(new FlatIntentionView());
@@ -32,9 +26,9 @@ Result<std::shared_ptr<FlatIntentionView>> FlatIntentionView::Parse(
 /// One full validation pass over the adopted payload. Everything NodeAt
 /// later relies on — field bounds, offset monotonicity, child indices —
 /// is checked here, so materialization is infallible offset arithmetic.
-/// Record-level checks mirror the v2 decoder's (same Corruption messages);
-/// violations of the flat framing itself (magic, region length, offset
-/// table) are DataLoss: structurally the bytes cannot be a v3 intention.
+/// Damage inside a record is Corruption; damage to the framing itself
+/// (prefix, region length, offset table) is DataLoss: structurally the
+/// bytes cannot be an intention.
 Status FlatIntentionView::ParseBody() {
   const char* p = payload_.data();
   const char* limit = p + payload_.size();
@@ -120,22 +114,23 @@ Status FlatIntentionView::ParseBody() {
   }
 
   // Per-record validation pass, also building the subtree-writes bitset
-  // (bit i = record i altered, or any internal child's bit set — what the
-  // v2 decoder propagates eagerly through materialized children).
+  // (bit i = record i altered, or any internal child's bit set).
   subtree_writes_.assign((size_t(node_count_) + 63) / 64, 0);
   for (uint32_t i = 0; i < node_count_; ++i) {
     const char* rp = nullptr;
     const char* rend = nullptr;
     RecordExtent(i, &rp, &rend);
     bool writes = false;
-    uint64_t quad[4];
+    uint64_t key = 0, ssv = 0, base_cv = 0, payload_len = 0;
     if (!wide_) {
       if (rp >= rend) return Status::Corruption("truncated node record");
       const uint8_t flags = static_cast<uint8_t>(*rp++);
-      if ((rp = GetVarint64x4(rp, rend, quad)) == nullptr) {
+      if ((rp = GetVarint64(rp, rend, &key)) == nullptr ||
+          (rp = GetVarint64(rp, rend, &ssv)) == nullptr ||
+          (rp = GetVarint64(rp, rend, &base_cv)) == nullptr ||
+          (rp = GetVarint64(rp, rend, &payload_len)) == nullptr) {
         return Status::Corruption("truncated node fields");
       }
-      const uint64_t payload_len = quad[3];
       if (payload_len > size_t(rend - rp)) {
         return Status::Corruption("truncated node payload");
       }
@@ -174,10 +169,12 @@ Status FlatIntentionView::ParseBody() {
       for (uint64_t s = 0; s < slot_count; ++s) {
         if (rp >= rend) return Status::Corruption("truncated slot record");
         const uint8_t sf = static_cast<uint8_t>(*rp++);
-        if ((rp = GetVarint64x4(rp, rend, quad)) == nullptr) {
+        if ((rp = GetVarint64(rp, rend, &key)) == nullptr ||
+            (rp = GetVarint64(rp, rend, &ssv)) == nullptr ||
+            (rp = GetVarint64(rp, rend, &base_cv)) == nullptr ||
+            (rp = GetVarint64(rp, rend, &payload_len)) == nullptr) {
           return Status::Corruption("truncated slot fields");
         }
-        const uint64_t payload_len = quad[3];
         if (payload_len > size_t(rend - rp)) {
           return Status::Corruption("truncated slot payload");
         }
@@ -222,25 +219,27 @@ void FlatIntentionView::RecordExtent(uint32_t index, const char** start,
              : region_ + region_len_;
 }
 
-/// Materializes binary record `index`. Field semantics are identical to
-/// the v2 decoder's node branch, except that child edges — internal and
+/// Materializes binary record `index`. Child edges — internal and
 /// external alike — come out lazy: an internal child carries
-/// Logged(seq, child_index), the id it would have fully materialized, so
-/// reference identity (and hence every meld decision) is unchanged.
-NodePtr FlatIntentionView::BuildBinary(uint32_t index) const {
+/// Logged(seq, child_index), the id the child materializes under, so
+/// reference identity (and hence every meld decision) does not depend on
+/// what has been materialized.
+NodePtr FlatIntentionView::DecodeBinaryRecord(uint32_t index) const {
   const char* p = nullptr;
   const char* end = nullptr;
   RecordExtent(index, &p, &end);
   const uint8_t flags = static_cast<uint8_t>(*p++);
-  uint64_t quad[4];
-  p = GetVarint64x4(p, end, quad);
-  const uint64_t payload_len = quad[3];
-  NodePtr n = MakeNode(quad[0], std::string_view(p, payload_len));
+  uint64_t key = 0, ssv = 0, base_cv = 0, payload_len = 0;
+  p = GetVarint64(p, end, &key);
+  p = GetVarint64(p, end, &ssv);
+  p = GetVarint64(p, end, &base_cv);
+  p = GetVarint64(p, end, &payload_len);
+  NodePtr n = MakeNode(key, std::string_view(p, payload_len));
   p += payload_len;
   n->set_vn(VersionId::Logged(seq_, index));
   n->set_owner(seq_);
-  n->set_ssv(VersionId::FromRaw(quad[1]));
-  n->set_base_cv(VersionId::FromRaw(quad[2]));
+  n->set_ssv(VersionId::FromRaw(ssv));
+  n->set_base_cv(VersionId::FromRaw(base_cv));
   n->set_color((flags & kWireRed) ? Color::kRed : Color::kBlack);
   uint8_t nf = 0;
   if (flags & kWireAltered) nf |= kFlagAltered;
@@ -266,8 +265,9 @@ NodePtr FlatIntentionView::BuildBinary(uint32_t index) const {
   return n;
 }
 
-/// Materializes wide record `index`; the wide analog of BuildBinary.
-NodePtr FlatIntentionView::BuildWide(uint32_t index) const {
+/// Materializes wide record `index`; the wide analog of
+/// DecodeBinaryRecord.
+NodePtr FlatIntentionView::DecodeWideRecord(uint32_t index) const {
   const char* p = nullptr;
   const char* end = nullptr;
   RecordExtent(index, &p, &end);
@@ -283,17 +283,19 @@ NodePtr FlatIntentionView::BuildWide(uint32_t index) const {
   uint8_t nf = (pf & kWirePageSubtreeRead) ? kFlagSubtreeRead : 0;
   if (SubtreeHasWrites(index)) nf |= kFlagSubtreeHasWrites;
   e.set_count(static_cast<int>(slot_count));
-  uint64_t quad[4];
   for (uint64_t s = 0; s < slot_count; ++s) {
     const uint8_t sf = static_cast<uint8_t>(*p++);
-    p = GetVarint64x4(p, end, quad);
-    const uint64_t payload_len = quad[3];
+    uint64_t key = 0, ssv = 0, base_cv = 0, payload_len = 0;
+    p = GetVarint64(p, end, &key);
+    p = GetVarint64(p, end, &ssv);
+    p = GetVarint64(p, end, &base_cv);
+    p = GetVarint64(p, end, &payload_len);
     WideSlot& sl = e.slot(static_cast<int>(s));
-    sl.key = quad[0];
+    sl.key = key;
     sl.set_payload(std::string_view(p, payload_len));
     p += payload_len;
-    sl.meta.ssv = VersionId::FromRaw(quad[1]);
-    sl.meta.base_cv = VersionId::FromRaw(quad[2]);
+    sl.meta.ssv = VersionId::FromRaw(ssv);
+    sl.meta.base_cv = VersionId::FromRaw(base_cv);
     uint8_t slf = 0;
     if (sf & kWireSlotAltered) slf |= kFlagAltered;
     if (sf & kWireSlotRead) slf |= kFlagRead;
@@ -321,7 +323,8 @@ NodePtr FlatIntentionView::NodeAt(uint32_t index) const {
   if (Node* hit = slots_[index].load(std::memory_order_acquire)) {
     return NodePtr::Share(hit);
   }
-  NodePtr built = wide_ ? BuildWide(index) : BuildBinary(index);
+  NodePtr built =
+      wide_ ? DecodeWideRecord(index) : DecodeBinaryRecord(index);
   Node* raw = built.get();
   Node* expected = nullptr;
   NodeRef(raw);  // The slot's own strong reference.

@@ -13,22 +13,22 @@
 
 namespace hyder {
 
-/// In-place view of a wire-v3 ("flat") intention payload.
+/// In-place view of an intention payload.
 ///
-/// A v3 payload carries the same post-order node records as v2 plus a
-/// trailing fixed32 offset table, so any record is addressable by index
-/// without walking its predecessors (see DESIGN.md "Intention wire format
-/// v3"). The view validates the whole payload once in `Parse` — header,
-/// tombstones, offset monotonicity, every record's field bounds — and from
-/// then on materializes nodes on demand: `NodeAt(i)` decodes record `i`
-/// into a pool node the first time it is asked for and CAS-publishes it, so
-/// every caller observes one canonical Node per version id. Child edges of
-/// a materialized node come out *lazy* (carrying the same
-/// `VersionId::Logged(seq, child)` identity a fully decoded intention would
-/// have), which is the zero-copy property: walking the conflict zone of an
-/// intention materializes only the nodes the walk actually visits, and an
-/// intention killed by premeld typically materializes its root and little
-/// else instead of `node_count` pool nodes.
+/// The payload carries the post-order node records plus a trailing fixed32
+/// offset table, so any record is addressable by index without walking its
+/// predecessors (see DESIGN.md "Intention wire format"). The view
+/// validates the whole payload once in `Parse` — header, tombstones,
+/// offset monotonicity, every record's field bounds — and from then on
+/// materializes nodes on demand: `NodeAt(i)` decodes record `i` into a pool
+/// node the first time it is asked for and CAS-publishes it, so every
+/// caller observes one canonical Node per version id. Child edges of a
+/// materialized node come out *lazy*, carrying their
+/// `VersionId::Logged(seq, child)` identity, which is the zero-copy
+/// property: walking the conflict zone of an intention materializes only
+/// the nodes the walk actually visits, and an intention killed by premeld
+/// typically materializes its root and little else instead of
+/// `node_count` pool nodes.
 ///
 /// Thread-safety: all const methods are safe under concurrent callers
 /// (decode thread, premeld workers, final meld, executors). `NodeAt` takes
@@ -41,17 +41,12 @@ class FlatIntentionView {
   FlatIntentionView(const FlatIntentionView&) = delete;
   FlatIntentionView& operator=(const FlatIntentionView&) = delete;
 
-  /// Validates and adopts a complete v3 payload (including the magic
+  /// Validates and adopts a complete payload (including the format
   /// prefix). `seq` is the log-assigned intention sequence; node `i`
-  /// receives `VersionId::Logged(seq, i)` exactly as in a v2 decode.
-  /// Corrupt input yields a typed DataLoss/Corruption status, never a view
-  /// whose NodeAt can fail.
+  /// receives `VersionId::Logged(seq, i)`. Corrupt input yields a typed
+  /// DataLoss/Corruption status, never a view whose NodeAt can fail.
   static Result<std::shared_ptr<FlatIntentionView>> Parse(std::string payload,
                                                           uint64_t seq);
-
-  /// True when `payload` starts with the v3 magic (cannot collide with a
-  /// canonical v2 varint header; see wire_format.h).
-  static bool LooksFlat(std::string_view payload);
 
   uint64_t seq() const { return seq_; }
   uint64_t snapshot_seq() const { return snapshot_seq_; }
@@ -85,8 +80,8 @@ class FlatIntentionView {
   Status ParseBody();
   /// Byte extent [start, end) of record `index` inside the node region.
   void RecordExtent(uint32_t index, const char** start, const char** end) const;
-  NodePtr BuildBinary(uint32_t index) const;
-  NodePtr BuildWide(uint32_t index) const;
+  NodePtr DecodeBinaryRecord(uint32_t index) const;
+  NodePtr DecodeWideRecord(uint32_t index) const;
   bool SubtreeHasWrites(uint32_t index) const {
     return (subtree_writes_[index >> 6] >> (index & 63)) & 1u;
   }
@@ -105,8 +100,8 @@ class FlatIntentionView {
   size_t region_len_ = 0;
   const char* offsets_ = nullptr;  ///< node_count_ fixed32 entries.
   /// Bit i: some node in record i's intention subtree is altered — the
-  /// kFlagSubtreeHasWrites a v2 decode propagates eagerly, precomputed here
-  /// because lazy materialization visits parents before children.
+  /// node's kFlagSubtreeHasWrites, precomputed here because lazy
+  /// materialization visits parents before children.
   std::vector<uint64_t> subtree_writes_;
   /// slots_[i] holds one strong reference to record i's node once
   /// materialized (released in the destructor).

@@ -93,13 +93,13 @@ struct Intention {
   /// and to publish per-sequence states.
   std::vector<std::pair<uint64_t, uint64_t>> members;
 
-  /// Flat (wire v3) payload views backing this intention's member
-  /// sequences: one entry for a freshly decoded v3 intention, the union of
-  /// both members' entries for a group output, empty for v2 payloads. A v3
-  /// decode materializes only the root into the node pool; every other node
-  /// stays a lazy intra-intention edge until the meld walk (or a state
-  /// reader) touches it, resolved canonically through the view — see
-  /// `ResolveFlat` and txn/flat_view.h.
+  /// Payload views backing this intention's member sequences: one entry
+  /// for a freshly decoded intention, the union of both members' entries
+  /// for a group output, empty for an intention built in memory. A decode
+  /// materializes only the root into the node pool; every other node stays
+  /// a lazy intra-intention edge until the meld walk (or a state reader)
+  /// touches it, resolved canonically through the view — see `ResolveFlat`
+  /// and txn/flat_view.h.
   std::vector<std::pair<uint64_t, std::shared_ptr<FlatIntentionView>>> flats;
 
   bool Inside(const Node& n) const {

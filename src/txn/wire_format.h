@@ -6,7 +6,7 @@
 
 /// Wire-format constants shared by the block serializer (codec.cc) and the
 /// flat-payload view (flat_view.cc). Layout documentation lives in
-/// DESIGN.md ("Intention wire format" / "Intention wire format v3");
+/// DESIGN.md ("Intention wire format");
 /// hyder-check's codec-symmetry rule audits that every constant here is
 /// referenced on both the serialize and the deserialize side.
 
@@ -25,9 +25,9 @@ enum WireFlags : uint8_t {
 };
 
 /// High bit of the isolation byte marks a wide-layout intention. Isolation
-/// levels use the low 7 bits, so binary intentions keep the seed format
-/// byte-for-byte; wide intentions follow the isolation byte with a varint
-/// page capacity and replace the node records with page records.
+/// levels use the low 7 bits; wide intentions follow the isolation byte
+/// with a varint page capacity and replace the node records with page
+/// records.
 constexpr uint8_t kWireWideLayout = 0x80;
 
 /// Per-page flag byte of a wide page record.
@@ -49,16 +49,13 @@ enum WireChildTag : uint8_t {
   kWireGapRead = 1u << 2,
 };
 
-/// Flat (wire v3) magic prefix. A v2 payload opens with the canonical
-/// varint of snapshot_seq, and a canonical LEB128 encoding can never place
-/// 0x00 after a continuation byte (the remaining value after a >>7 shift is
-/// at least 1), so the two-byte sequence {0x80, 0x00} is unreachable in v2
-/// and dispatches unambiguously. The third byte versions the flat family.
+/// Format prefix of every intention payload: two magic bytes, then the
+/// format version. A payload that does not start with it is DataLoss.
 constexpr uint8_t kWireFlatMagic0 = 0x80;
 constexpr uint8_t kWireFlatMagic1 = 0x00;
 constexpr uint8_t kWireFlatVersion = 3;
 
-/// Bytes of the flat magic prefix (magic0, magic1, version).
+/// Bytes of the format prefix (magic0, magic1, version).
 constexpr size_t kWireFlatPrefixBytes = 3;
 
 }  // namespace hyder

@@ -1,15 +1,16 @@
-// Wire-v3 ("flat") intention format: round-trip equivalence against the
-// legacy v2 decoder, lazy-materialization accounting, and a corruption
-// corpus — every truncation and every bit flip of a valid payload must
-// yield a typed DataLoss/Corruption status (or decode to a different but
-// well-formed intention), never undefined behavior. This suite carries the
-// `recovery` ctest label so the CI sanitizer job (ASan/UBSan) replays the
-// corpus with bounds and UB checking on.
+// Intention wire format: round trip against the serializing builder's own
+// workspace, lazy-materialization accounting, and a corruption corpus —
+// every truncation and every bit flip of a valid payload must yield a typed
+// DataLoss/Corruption status (or decode to a different but well-formed
+// intention), never undefined behavior. This suite carries the `recovery`
+// ctest label so the CI sanitizer job (ASan/UBSan) replays the corpus with
+// bounds and UB checking on.
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "txn/codec.h"
 #include "txn/flat_view.h"
 #include "txn/intention_builder.h"
+#include "txn/wire_format.h"
 
 namespace hyder {
 namespace {
@@ -30,12 +32,11 @@ struct Assembled {
   uint64_t txn_id = 0;
 };
 
-/// Serializes `b` with `wire` and reassembles the blocks into the payload a
-/// server's poll loop would hand to DeserializeIntention.
-Assembled Assemble(const IntentionBuilder& b, uint64_t txn_id,
-                   WireFormat wire) {
+/// Serializes `b` and reassembles the blocks into the payload a server's
+/// poll loop would hand to DeserializeIntention.
+Assembled Assemble(const IntentionBuilder& b, uint64_t txn_id) {
   Assembled out;
-  auto blocks = SerializeIntention(b, txn_id, kBlock, wire);
+  auto blocks = SerializeIntention(b, txn_id, kBlock);
   EXPECT_TRUE(blocks.ok()) << blocks.status().ToString();
   IntentionAssembler assembler;
   std::optional<IntentionAssembler::Completed> done;
@@ -66,57 +67,156 @@ IntentionBuilder MixedBuilder(int fanout, int keys) {
   return b;
 }
 
+/// Serializes, reassembles and decodes `b` as intention `seq` with no
+/// resolver, so every node of the result is materialized.
+IntentionPtr Decode(const IntentionBuilder& b, uint64_t seq) {
+  Assembled a = Assemble(b, 40 + seq);
+  auto r =
+      DeserializeIntention(a.payload, seq, a.block_count, nullptr, a.txn_id);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? *r : nullptr;
+}
+
+/// Resolves logged ids through the views of decoded intentions: the
+/// snapshot a later intention references externally.
+class ViewResolver : public NodeResolver {
+ public:
+  void Add(IntentionPtr intent) { intents_.push_back(std::move(intent)); }
+  Result<NodePtr> Resolve(VersionId vn) override {
+    for (const IntentionPtr& i : intents_) {
+      if (NodePtr n = i->ResolveFlat(vn)) return n;
+    }
+    return Status::NotFound("not in a decoded intention: " + vn.ToString());
+  }
+
+ private:
+  std::vector<IntentionPtr> intents_;
+};
+
+/// The builder's workspace nodes in post-order, the order the serializer
+/// numbers its records in.
+void WorkspacePostOrder(const NodePtr& n, uint64_t tag,
+                        std::vector<NodePtr>* out) {
+  if (!n || n->owner() != tag) return;
+  for (int c = 0; c < n->child_count(); ++c) {
+    WorkspacePostOrder(n->child_at(c).GetLocal().node, tag, out);
+  }
+  out->push_back(n);
+}
+
+/// Everything the wire carries for one node of either layout.
+void ExpectSameRecord(const Node& want, const Node& got) {
+  ASSERT_EQ(got.is_wide(), want.is_wide());
+  EXPECT_EQ(got.ssv(), want.ssv());
+  EXPECT_EQ(got.subtree_read(), want.subtree_read());
+  if (!want.is_wide()) {
+    EXPECT_EQ(got.key(), want.key());
+    EXPECT_EQ(got.payload(), want.payload());
+    EXPECT_EQ(got.color(), want.color());
+    EXPECT_EQ(got.altered(), want.altered());
+    EXPECT_EQ(got.read_dependent(), want.read_dependent());
+    EXPECT_EQ(got.base_cv(), want.base_cv());
+    return;
+  }
+  const WideExt& w = *want.wide();
+  const WideExt& g = *got.wide();
+  ASSERT_EQ(g.count(), w.count());
+  for (int s = 0; s < w.count(); ++s) {
+    EXPECT_EQ(g.slot(s).key, w.slot(s).key) << "slot " << s;
+    EXPECT_EQ(g.slot(s).payload(), w.slot(s).payload()) << "slot " << s;
+    EXPECT_EQ(g.slot(s).altered(), w.slot(s).altered()) << "slot " << s;
+    EXPECT_EQ(g.slot(s).read_dependent(), w.slot(s).read_dependent())
+        << "slot " << s;
+    EXPECT_EQ(g.slot(s).meta.ssv, w.slot(s).meta.ssv) << "slot " << s;
+    EXPECT_EQ(g.slot(s).meta.base_cv, w.slot(s).meta.base_cv)
+        << "slot " << s;
+  }
+  for (int c = 0; c <= w.count(); ++c) {
+    EXPECT_EQ(g.gap_read(c), w.gap_read(c)) << "gap " << c;
+  }
+}
+
 class FlatFormatTest : public ::testing::TestWithParam<int> {};
 
-// The same builder serialized as v2 and v3 must decode to semantically
-// identical intentions: same header, same tombstones, same node content at
-// every logged index, same in-order items.
-TEST_P(FlatFormatTest, RoundTripMatchesV2) {
+// An intention written against a decoded snapshot (so its nodes carry
+// ssv/base_cv provenance and external references) decodes to exactly the
+// builder's workspace: same header and tombstones, the same record and
+// child references at every post-order index, the same in-order items.
+TEST_P(FlatFormatTest, RoundTripMatchesWorkspace) {
   const int fanout = GetParam();
-  IntentionBuilder b = MixedBuilder(fanout, 24);
-  Assembled v2 = Assemble(b, 42, WireFormat::kV2);
-  Assembled v3 = Assemble(b, 42, WireFormat::kV3);
-  ASSERT_FALSE(FlatIntentionView::LooksFlat(v2.payload));
-  ASSERT_TRUE(FlatIntentionView::LooksFlat(v3.payload));
+  // Two decoded generations form the snapshot. The second rewrites key 3,
+  // so its path copies carry a content version (base_cv) older than their
+  // own id: the records below then have ssv != base_cv.
+  ViewResolver snapshot;
+  IntentionPtr g1 = Decode(MixedBuilder(fanout, 24), 1);
+  ASSERT_TRUE(g1 != nullptr);
+  snapshot.Add(g1);
+  IntentionBuilder b2(kWorkspaceTagBit | 8, 1, g1->root,
+                      IsolationLevel::kSerializable, &snapshot, fanout);
+  ASSERT_TRUE(b2.Put(3, "second").ok());
+  IntentionPtr g2 = Decode(b2, 2);
+  ASSERT_TRUE(g2 != nullptr);
+  snapshot.Add(g2);
 
-  std::vector<NodePtr> nodes2, nodes3;
-  auto i2 = DeserializeIntention(v2.payload, 1, v2.block_count, nullptr,
-                                 v2.txn_id, &nodes2);
-  auto i3 = DeserializeIntention(v3.payload, 1, v3.block_count, nullptr,
-                                 v3.txn_id, &nodes3);
-  ASSERT_TRUE(i2.ok()) << i2.status().ToString();
-  ASSERT_TRUE(i3.ok()) << i3.status().ToString();
+  IntentionBuilder b(kWorkspaceTagBit | 9, 2, g2->root,
+                     IsolationLevel::kSerializable, &snapshot, fanout);
+  ASSERT_TRUE(b.Put(3, "updated").ok());
+  ASSERT_TRUE(b.Put(100, "inserted").ok());
+  ASSERT_TRUE(b.Get(7).ok());
+  ASSERT_TRUE(b.Get(50).ok());  // A miss: a structural read.
+  ASSERT_TRUE(b.Scan(14, 17).ok());
+  ASSERT_TRUE(b.Delete(11).ok());
+  Assembled a = Assemble(b, 43);
+  const uint64_t seq = 3;
+  auto decoded =
+      DeserializeIntention(a.payload, seq, a.block_count, nullptr, a.txn_id);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const Intention& in = **decoded;
 
-  EXPECT_EQ((*i2)->seq, (*i3)->seq);
-  EXPECT_EQ((*i2)->snapshot_seq, (*i3)->snapshot_seq);
-  EXPECT_EQ((*i2)->isolation, (*i3)->isolation);
-  EXPECT_EQ((*i2)->node_count, (*i3)->node_count);
-  ASSERT_EQ((*i2)->tombstones.size(), (*i3)->tombstones.size());
-  for (size_t t = 0; t < (*i2)->tombstones.size(); ++t) {
-    EXPECT_EQ((*i2)->tombstones[t].key, (*i3)->tombstones[t].key);
-    EXPECT_EQ((*i2)->tombstones[t].base_cv, (*i3)->tombstones[t].base_cv);
-    EXPECT_EQ((*i2)->tombstones[t].ssv, (*i3)->tombstones[t].ssv);
+  EXPECT_EQ(in.seq, seq);
+  EXPECT_EQ(in.txn_id, a.txn_id);
+  EXPECT_EQ(in.block_count, a.block_count);
+  EXPECT_EQ(in.snapshot_seq, b.snapshot_seq());
+  EXPECT_EQ(in.isolation, b.isolation());
+  ASSERT_EQ(in.tombstones.size(), b.tombstones().size());
+  ASSERT_FALSE(in.tombstones.empty());
+  for (size_t t = 0; t < in.tombstones.size(); ++t) {
+    EXPECT_EQ(in.tombstones[t].key, b.tombstones()[t].key);
+    EXPECT_EQ(in.tombstones[t].base_cv, b.tombstones()[t].base_cv);
+    EXPECT_EQ(in.tombstones[t].ssv, b.tombstones()[t].ssv);
   }
 
-  // Node-by-node: identical version ids and content in post-order.
-  ASSERT_EQ(nodes2.size(), nodes3.size());
-  for (size_t i = 0; i < nodes2.size(); ++i) {
-    EXPECT_EQ(nodes2[i]->vn(), nodes3[i]->vn()) << i;
-    EXPECT_EQ(nodes2[i]->is_wide(), nodes3[i]->is_wide()) << i;
-    if (!nodes2[i]->is_wide()) {
-      EXPECT_EQ(nodes2[i]->key(), nodes3[i]->key()) << i;
-      EXPECT_EQ(nodes2[i]->payload(), nodes3[i]->payload()) << i;
-      EXPECT_EQ(nodes2[i]->color(), nodes3[i]->color()) << i;
+  // Node by node in post-order. A child edge inside the workspace must
+  // come back as the child's logged id; any other edge keeps its id.
+  std::vector<NodePtr> ws;
+  WorkspacePostOrder(b.root().node, b.workspace_tag(), &ws);
+  ASSERT_EQ(in.node_count, ws.size());
+  std::unordered_map<const Node*, uint32_t> index;
+  for (uint32_t i = 0; i < ws.size(); ++i) index[ws[i].get()] = i;
+  const FlatIntentionView& view = *in.flats.front().second;
+  for (uint32_t i = 0; i < ws.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    NodePtr got = view.NodeAt(i);
+    ASSERT_TRUE(got != nullptr);
+    EXPECT_EQ(got->vn(), VersionId::Logged(seq, i));
+    ExpectSameRecord(*ws[i], *got);
+    ASSERT_EQ(got->child_count(), ws[i]->child_count());
+    for (int c = 0; c < ws[i]->child_count(); ++c) {
+      const Ref want = ws[i]->child_at(c).GetLocal();
+      auto it = index.find(want.node.get());
+      const VersionId want_vn =
+          it != index.end() ? VersionId::Logged(seq, it->second) : want.vn;
+      EXPECT_EQ(got->child_at(c).GetLocal().vn, want_vn) << "child " << c;
     }
   }
+  EXPECT_EQ(in.root.node.get(), view.Root().get());
 
-  // Whole-tree: identical in-order contents.
-  std::vector<std::pair<Key, std::string>> items2, items3;
-  ASSERT_TRUE(TreeCollect(nullptr, (*i2)->root, &items2).ok());
-  ASSERT_TRUE(TreeCollect(nullptr, (*i3)->root, &items3).ok());
-  EXPECT_EQ(items2, items3);
-
-  auto check = ValidateTree(nullptr, (*i3)->root);
+  // Whole tree, through the snapshot: identical in-order contents.
+  std::vector<std::pair<Key, std::string>> want_items, got_items;
+  ASSERT_TRUE(TreeCollect(&snapshot, b.root(), &want_items).ok());
+  ASSERT_TRUE(TreeCollect(&snapshot, in.root, &got_items).ok());
+  EXPECT_EQ(got_items, want_items);
+  auto check = ValidateTree(&snapshot, in.root);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 }
 
@@ -124,7 +224,7 @@ TEST_P(FlatFormatTest, RoundTripMatchesV2) {
 // nothing until asked, and NodeAt is canonical: one Node per index.
 TEST_P(FlatFormatTest, LazyMaterializationIsCanonical) {
   IntentionBuilder b = MixedBuilder(GetParam(), 24);
-  Assembled v3 = Assemble(b, 43, WireFormat::kV3);
+  Assembled v3 = Assemble(b, 43);
   auto view = FlatIntentionView::Parse(v3.payload, 1);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ((*view)->materialized(), 0u);
@@ -151,8 +251,7 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, FlatFormatTest,
 /// damage — never a crash, hang, or untyped error.
 void ExpectTypedOrValid(const std::string& payload, uint32_t block_count,
                         const char* what) {
-  std::vector<NodePtr> nodes;
-  auto r = DeserializeIntention(payload, 1, block_count, nullptr, 9, &nodes);
+  auto r = DeserializeIntention(payload, 1, block_count, nullptr, 9);
   if (r.ok()) return;  // Flip produced a different but valid intention.
   EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss())
       << what << ": " << r.status().ToString();
@@ -160,12 +259,11 @@ void ExpectTypedOrValid(const std::string& payload, uint32_t block_count,
 
 TEST(FlatFormatCorpusTest, EveryTruncationIsTypedDataLoss) {
   IntentionBuilder b = MixedBuilder(2, 20);
-  Assembled v3 = Assemble(b, 44, WireFormat::kV3);
+  Assembled v3 = Assemble(b, 44);
   for (size_t len = 0; len < v3.payload.size(); ++len) {
     std::string cut = v3.payload.substr(0, len);
-    std::vector<NodePtr> nodes;
-    auto r = DeserializeIntention(cut, 1, v3.block_count, nullptr, 9, &nodes);
-    // A strict prefix can never satisfy the v3 framing (total-length and
+    auto r = DeserializeIntention(cut, 1, v3.block_count, nullptr, 9);
+    // A strict prefix can never satisfy the framing (total-length and
     // offset-table checks), so unlike bit flips every truncation must fail.
     ASSERT_FALSE(r.ok()) << "len " << len;
     EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss())
@@ -175,7 +273,7 @@ TEST(FlatFormatCorpusTest, EveryTruncationIsTypedDataLoss) {
 
 TEST(FlatFormatCorpusTest, EveryBitFlipIsTypedOrValid) {
   IntentionBuilder b = MixedBuilder(2, 20);
-  Assembled v3 = Assemble(b, 45, WireFormat::kV3);
+  Assembled v3 = Assemble(b, 45);
   for (size_t byte = 0; byte < v3.payload.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = v3.payload;
@@ -188,7 +286,7 @@ TEST(FlatFormatCorpusTest, EveryBitFlipIsTypedOrValid) {
 
 TEST(FlatFormatCorpusTest, WideEveryBitFlipIsTypedOrValid) {
   IntentionBuilder b = MixedBuilder(16, 20);
-  Assembled v3 = Assemble(b, 46, WireFormat::kV3);
+  Assembled v3 = Assemble(b, 46);
   for (size_t byte = 0; byte < v3.payload.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = v3.payload;
@@ -200,20 +298,22 @@ TEST(FlatFormatCorpusTest, WideEveryBitFlipIsTypedOrValid) {
 
 TEST(FlatFormatCorpusTest, TrailingGarbageRejected) {
   IntentionBuilder b = MixedBuilder(2, 10);
-  Assembled v3 = Assemble(b, 47, WireFormat::kV3);
-  std::vector<NodePtr> nodes;
+  Assembled v3 = Assemble(b, 47);
   auto r = DeserializeIntention(v3.payload + "extra", 1, v3.block_count,
-                                nullptr, 9, &nodes);
+                                nullptr, 9);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss());
 }
 
-TEST(FlatFormatCorpusTest, ParseRejectsV2Payloads) {
+// The format prefix is a format check: the same bytes without it are not
+// an intention.
+TEST(FlatFormatCorpusTest, MissingPrefixIsDataLoss) {
   IntentionBuilder b = MixedBuilder(2, 10);
-  Assembled v2 = Assemble(b, 48, WireFormat::kV2);
-  auto view = FlatIntentionView::Parse(v2.payload, 1);
-  ASSERT_FALSE(view.ok());
-  EXPECT_TRUE(view.status().IsCorruption() || view.status().IsDataLoss());
+  Assembled a = Assemble(b, 48);
+  auto r = DeserializeIntention(a.payload.substr(kWireFlatPrefixBytes), 1,
+                                a.block_count, nullptr, 9);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
 }
 
 }  // namespace

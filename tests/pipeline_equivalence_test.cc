@@ -34,15 +34,14 @@ struct Workload {
   explicit Workload(const PipelineConfig& config) : server(config) {}
 };
 
-void Build(const PipelineConfig& config, uint64_t seed, WireFormat wire,
-           Workload* w) {
+void Build(const PipelineConfig& config, uint64_t seed, Workload* w) {
   IntentionBuilder g(kWorkspaceTagBit | 1, 0, Ref::Null(),
                      IsolationLevel::kSerializable, nullptr,
                      config.tree_fanout);
   for (Key k = 0; k < 40; ++k) {
     ASSERT_TRUE(g.Put(k, "g" + std::to_string(k)).ok());
   }
-  auto genesis = SerializeIntention(g, 1, kBlockSize, wire);
+  auto genesis = SerializeIntention(g, 1, kBlockSize);
   ASSERT_TRUE(genesis.ok());
   w->blocks.push_back(*genesis);
   auto d0 = w->server.FeedBlocks(*genesis);
@@ -77,7 +76,7 @@ void Build(const PipelineConfig& config, uint64_t seed, WireFormat wire,
         ASSERT_TRUE(b.Delete(k).ok());
       }
     }
-    auto blocks = SerializeIntention(b, 100 + i, kBlockSize, wire);
+    auto blocks = SerializeIntention(b, 100 + i, kBlockSize);
     ASSERT_TRUE(blocks.ok());
     w->blocks.push_back(*blocks);
     auto d = w->server.FeedBlocks(*blocks);
@@ -97,11 +96,11 @@ void Build(const PipelineConfig& config, uint64_t seed, WireFormat wire,
 }
 
 class PipelineEquivalenceTest
-    : public ::testing::TestWithParam<
-          std::tuple<uint64_t, int, bool, int, WireFormat>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int, bool, int>> {
+};
 
 TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
-  auto [seed, threads, group, fanout, wire] = GetParam();
+  auto [seed, threads, group, fanout] = GetParam();
   PipelineConfig config;
   config.premeld_threads = threads;
   config.premeld_distance = 3;
@@ -110,7 +109,7 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
   config.tree_fanout = fanout;
 
   Workload w(config);
-  Build(config, seed, wire, &w);
+  Build(config, seed, &w);
 
   MapRegistry registry;
   Mutex mu;
@@ -122,10 +121,7 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
         MutexLock lock(mu);
         decisions.push_back(d);
       },
-      [&registry](uint64_t, const IntentionPtr& intent,
-                  std::vector<NodePtr>&& nodes) {
-        for (const NodePtr& n : nodes) registry.Register(n);
-        // Flat (v3) payloads decode to views, not node arrays.
+      [&registry](uint64_t, const IntentionPtr& intent) {
         registry.RegisterIntention(intent);
       });
   pipeline.Start();
@@ -200,97 +196,34 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(uint64_t(101), uint64_t(202),
                                          uint64_t(303)),
                        ::testing::Values(1, 2, 5),
-                       ::testing::Bool(), ::testing::Values(2),
-                       ::testing::Values(WireFormat::kV2, WireFormat::kV3)));
+                       ::testing::Bool(), ::testing::Values(2)));
 
 // The wide-layout sweep of the same oracle: 3 seeds x fanout {16, 64} x
-// group on/off x wire {v2, v3} (fanout 2 — the binary baseline — is the
-// suite above).
+// group on/off (fanout 2 — the binary baseline — is the suite above).
 INSTANTIATE_TEST_SUITE_P(
     WideFanouts, PipelineEquivalenceTest,
     ::testing::Combine(::testing::Values(uint64_t(101), uint64_t(202),
                                          uint64_t(303)),
                        ::testing::Values(5), ::testing::Bool(),
-                       ::testing::Values(16, 64),
-                       ::testing::Values(WireFormat::kV2, WireFormat::kV3)));
-
-// Cross-format determinism: replaying the *same* logical workload encoded
-// as legacy v2 and as flat v3 must yield bit-identical decisions and root
-// identities at every sequence — the wire format is representation only.
-class CrossWireEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool, int>> {};
-
-TEST_P(CrossWireEquivalenceTest, V2AndV3DecisionsAndRootsIdentical) {
-  auto [seed, group, fanout] = GetParam();
-  PipelineConfig config;
-  config.premeld_threads = 2;
-  config.premeld_distance = 3;
-  config.group_meld = group;
-  config.tree_fanout = fanout;
-
-  Workload v2(config);
-  Build(config, seed, WireFormat::kV2, &v2);
-  Workload v3(config);
-  Build(config, seed, WireFormat::kV3, &v3);
-
-  ASSERT_EQ(v2.decisions.size(), v3.decisions.size());
-  for (size_t i = 0; i < v2.decisions.size(); ++i) {
-    EXPECT_EQ(v2.decisions[i].seq, v3.decisions[i].seq) << i;
-    EXPECT_EQ(v2.decisions[i].txn_id, v3.decisions[i].txn_id) << i;
-    EXPECT_EQ(v2.decisions[i].committed, v3.decisions[i].committed)
-        << "seq " << v2.decisions[i].seq << ": " << v2.decisions[i].reason()
-        << " vs " << v3.decisions[i].reason();
-    // The wire format is representation only: abort provenance is derived
-    // from intention contents and meld decisions, never log positions, so
-    // it too must be bit-identical across v2 and v3.
-    EXPECT_TRUE(v2.decisions[i].abort == v3.decisions[i].abort)
-        << "seq " << v2.decisions[i].seq << ": " << v2.decisions[i].reason()
-        << " vs " << v3.decisions[i].reason();
-  }
-  ASSERT_EQ(v2.roots.size(), v3.roots.size());
-  for (uint64_t seq = 0; seq < v2.roots.size(); ++seq) {
-    EXPECT_EQ(v2.roots[seq], v3.roots[seq]) << "seq " << seq;
-  }
-  std::string diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&v2.server.registry(),
-                                    v2.server.Latest().root,
-                                    &v3.server.registry(),
-                                    v3.server.Latest().root, &diff))
-      << diff;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fanouts, CrossWireEquivalenceTest,
-    ::testing::Combine(::testing::Values(uint64_t(404), uint64_t(505)),
-                       ::testing::Bool(), ::testing::Values(2, 16, 64)));
+                       ::testing::Values(16, 64)));
 
 // The zero-copy payoff, measured: intentions killed by premeld carry
-// nodes that a v2 decode materializes eagerly (materialized == killed)
-// but a v3 decode mostly never builds — only the records the conflict
-// walk actually visited exist as pool nodes when the kill happens.
+// nodes that a lazy decode mostly never builds — only the records the
+// conflict walk actually visited exist as pool nodes when the kill happens.
 TEST(PremeldChurnTest, LazyDecodeMaterializesFewerKilledNodes) {
   PipelineConfig config;
   config.premeld_threads = 5;
   config.premeld_distance = 3;
   config.tree_fanout = 2;
 
-  PipelineStats by_wire[2];
-  int i = 0;
-  for (WireFormat wire : {WireFormat::kV2, WireFormat::kV3}) {
-    Workload w(config);
-    Build(config, 909, wire, &w);
-    by_wire[i++] = w.server.pipeline().stats();
-  }
-  const PipelineStats& v2 = by_wire[0];
-  const PipelineStats& v3 = by_wire[1];
+  Workload w(config);
+  Build(config, 909, &w);
+  const PipelineStats stats = w.server.pipeline().stats();
 
-  // The deep-snapshot mix must actually manufacture premeld kills, and
-  // the kill set is decision-determined, so it matches across formats.
-  ASSERT_GT(v2.premeld_killed_nodes, 0u);
-  EXPECT_EQ(v2.premeld_killed_nodes, v3.premeld_killed_nodes);
-  // v2 decode materializes every killed node; v3 skips most of them.
-  EXPECT_EQ(v2.premeld_killed_nodes_materialized, v2.premeld_killed_nodes);
-  EXPECT_LT(v3.premeld_killed_nodes_materialized, v3.premeld_killed_nodes);
+  // The deep-snapshot mix must actually manufacture premeld kills.
+  ASSERT_GT(stats.premeld_killed_nodes, 0u);
+  EXPECT_LT(stats.premeld_killed_nodes_materialized,
+            stats.premeld_killed_nodes);
 }
 
 }  // namespace

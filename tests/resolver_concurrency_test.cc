@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "log/striped_log.h"
 #include "txn/codec.h"
+#include "txn/flat_view.h"
 #include "txn/intention_builder.h"
 
 namespace hyder {
@@ -27,7 +28,7 @@ class PopulatedLog {
   // Not the constructor: gtest's fatal assertions need a void function.
   void Populate() {
     expected_.resize(kIntentions + 1);
-    nodes_.resize(kIntentions + 1);
+    views_.resize(kIntentions + 1);
     positions_.resize(kIntentions + 1);
     txn_ids_.resize(kIntentions + 1);
     IntentionAssembler assembler;
@@ -49,15 +50,16 @@ class PopulatedLog {
         auto fed = assembler.AddBlock(block);
         ASSERT_TRUE(fed.ok());
         if (!fed->completed.has_value()) continue;
-        std::vector<NodePtr> nodes;
         auto intent = DeserializeIntention(
             fed->completed->payload, seq, fed->completed->block_count,
-            nullptr, 1000 + seq, &nodes);
+            nullptr, 1000 + seq);
         ASSERT_TRUE(intent.ok());
-        for (const NodePtr& n : nodes) {
+        const auto& view = (*intent)->flats.front().second;
+        for (uint32_t i = 0; i < view->node_count(); ++i) {
+          NodePtr n = view->NodeAt(i);
           expected_[seq].emplace_back(n->key(), std::string(n->payload()));
         }
-        nodes_[seq] = std::move(nodes);
+        views_[seq] = view;
       }
       txn_ids_[seq] = 1000 + seq;
       ASSERT_FALSE(expected_[seq].empty());
@@ -79,12 +81,14 @@ class PopulatedLog {
 
   StripedLog& log() { return log_; }
   size_t node_count(uint64_t seq) const { return expected_[seq].size(); }
-  std::vector<NodePtr> nodes_copy(uint64_t seq) const { return nodes_[seq]; }
+  std::shared_ptr<FlatIntentionView> view(uint64_t seq) const {
+    return views_[seq];
+  }
 
  private:
   StripedLog log_;
   std::vector<std::vector<std::pair<Key, std::string>>> expected_;
-  std::vector<std::vector<NodePtr>> nodes_;
+  std::vector<std::shared_ptr<FlatIntentionView>> views_;
   std::vector<std::vector<uint64_t>> positions_;
   std::vector<uint64_t> txn_ids_;
 };
@@ -119,13 +123,13 @@ TEST(ResolverConcurrencyTest, ParallelResolveCacheEvictRefetch) {
       }
     });
   }
-  // Writer: re-caches decoded node arrays (the parallel-decode sink path);
+  // Writer: re-caches decoded views (the parallel-decode sink path);
   // duplicates must be ignored and the capacity bound maintained.
   threads.emplace_back([&] {
     Rng rng(7);
     for (int i = 0; i < 200; ++i) {
       const uint64_t seq = 1 + rng.Uniform(PopulatedLog::kIntentions);
-      resolver.CacheIntention(seq, data.nodes_copy(seq));
+      resolver.CacheIntention(seq, data.view(seq));
     }
   });
   // Ephemeral registrar + sweeper, concurrent with the logged traffic.

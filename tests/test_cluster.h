@@ -50,27 +50,13 @@ class MapRegistry : public NodeResolver {
     nodes_[n->vn()] = n;
   }
 
-  /// Registers every node of a freshly deserialized intention (reachable
-  /// from the root through same-owner edges). Flat (wire v3) intentions
-  /// register their views instead: nodes materialize through the view on
-  /// first resolve, preserving keep-everything semantics lazily.
+  /// Registers a freshly deserialized intention's views: its nodes
+  /// materialize through them on first resolve, preserving keep-everything
+  /// semantics lazily.
   void RegisterIntention(const IntentionPtr& intent) {
-    {
-      MutexLock lock(mu_);
-      BumpResolverLockCount();
-      for (const auto& [seq, view] : intent->flats) flats_[seq] = view;
-    }
-    if (intent->root.IsNull()) return;
-    std::vector<NodePtr> stack = {intent->root.node};
-    while (!stack.empty()) {
-      NodePtr n = stack.back();
-      stack.pop_back();
-      Register(n);
-      for (int i = 0; i < n->child_count(); ++i) {
-        Ref e = n->child_at(i).GetLocal();
-        if (e.node && e.node->owner() == intent->seq) stack.push_back(e.node);
-      }
-    }
+    MutexLock lock(mu_);
+    BumpResolverLockCount();
+    for (const auto& [seq, view] : intent->flats) flats_[seq] = view;
   }
 
   size_t size() const {

@@ -20,7 +20,7 @@ constexpr size_t kBlockSize = 1024;
 /// Drives the threaded pipeline with a prepared block stream and collects
 /// its decisions and final state. Block assembly hands the pipeline *raw*
 /// payloads (FeedRaw): deserialization happens in the premeld workers, and
-/// the decode sink registers the materialized nodes — the same wiring a
+/// the decode sink registers each decoded intention — the same wiring a
 /// server uses to populate its intention cache off the poll thread.
 class ThreadedHarness {
  public:
@@ -32,11 +32,8 @@ class ThreadedHarness {
               MutexLock lock(mu_);
               decisions_.push_back(d);
             },
-            [this](uint64_t, const IntentionPtr& intent,
-                   std::vector<NodePtr>&& nodes) {
-              for (const NodePtr& n : nodes) registry_.Register(n);
-              // Flat (v3) intentions decode to views, not node arrays:
-              // register those too so logged references resolve lazily.
+            [this](uint64_t, const IntentionPtr& intent) {
+              // Register the view so logged references resolve lazily.
               registry_.RegisterIntention(intent);
             }) {
     pipeline_.Start();
