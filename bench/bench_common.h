@@ -74,7 +74,14 @@ struct ExperimentResult {
   double read_txn_us = 0;
 };
 
-/// Runs one experiment end to end. Prints nothing.
+/// Aborts, naming the knob, when a PipelineConfig knob the stages report
+/// in `stats.config_echo` differs from `requested` or was never stamped
+/// (-1): a knob dropped between a bench flag and the worker that consumes
+/// it shows up here instead of as a silently mislabeled row.
+void CheckConfigEcho(const PipelineConfig& requested,
+                     const PipelineStats& stats);
+
+/// Runs one experiment end to end and checks its config echo; prints nothing.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 /// Runs one *open-loop* experiment: seeds the database, then drives the
@@ -83,7 +90,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 /// from intended starts (coordinated-omission-safe) and land in the
 /// registry histogram "slo.decision_latency_us[.<label>]", so a
 /// --metrics-json run hands tools/slo_report.py everything it needs.
-/// Prints nothing.
+/// Checks the config echo like RunExperiment. Prints nothing.
 SloReport RunOpenLoopExperiment(const ExperimentConfig& config,
                                 double rate_tps, uint64_t arrivals,
                                 const std::string& label);

@@ -102,18 +102,17 @@ BENCHMARK(BM_MeldConflictZone)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Node allocation through the slab arena (or the malloc baseline when the
-// bench was built with -DHYDER_DISABLE_NODE_POOL=ON). The counters prove
-// the memory-management contract: in steady state a pooled build carves no
-// new slab slots (carved_per_op ~ 0, everything is recycled through the
-// thread cache) and payloads at or under kNodeInlinePayloadCap perform zero
-// heap allocations (heap_payload_per_op == 0); the 2x-cap payload costs
-// exactly one heap allocation per node in either build.
+// Node allocation through the slot pool. The counters prove the
+// memory-management contract: in steady state the pool carves no new slab
+// slots (carved_per_op == 0, everything is recycled through the thread
+// cache) and payloads at or under kNodeInlinePayloadCap perform zero heap
+// allocations (heap_payload_per_op == 0); the 2x-cap payload costs exactly
+// one heap allocation per node.
 void BM_NodeAlloc(benchmark::State& state) {
   const size_t payload_len = state.range(0);
   const std::string payload(payload_len, 'x');
   {
-    // Warm the arena: fault in slabs and fill the thread cache so the
+    // Warm the pool: fault in slabs and fill the thread cache so the
     // timed region measures steady-state recycling, not cold carving.
     std::vector<NodePtr> warm;
     warm.reserve(4096);
@@ -161,8 +160,7 @@ BENCHMARK(BM_NodeChurnBatch);
 // The meld operator's per-node copy primitive: descend to a random key in
 // a 100K-node tree and CloneForWrite every node on the path under a meld
 // context (deterministic ephemeral ids). This is the dominant allocation
-// site of final meld; the pooled-vs-malloc delta here is what the tentpole
-// refactor buys end to end.
+// site of final meld.
 void BM_MeldClonePath(benchmark::State& state) {
   Ref base = BuildTree(100000, 1);
   Rng rng(23);
@@ -219,11 +217,7 @@ int main(int argc, char** argv) {
   hyder::bench::PrintHeader(
       "micro_benchmarks", "§6 primitives",
       "component microbenchmarks: COW tree ops, intention codec, meld "
-      "conflict zones, and slab-arena node allocation"
-#ifdef HYDER_DISABLE_NODE_POOL
-      " (HYDER_DISABLE_NODE_POOL baseline: per-node malloc)"
-#endif
-  );
+      "conflict zones, and slab-arena node allocation");
   hyder::bench::RecordColumns({"name", "iterations", "real_time", "cpu_time",
                                "time_unit", "counters"});
   benchmark::Initialize(&argc, &argv[0]);

@@ -113,16 +113,6 @@ PipelineConfig MeldConfig(int threads) {
   return config;
 }
 
-/// Aborts when the stages did not run the fanout the bench requested: a
-/// knob dropped between the flag and the pipeline shows up here.
-void CheckFanoutEcho(const PipelineStats& stats) {
-  if (stats.config_echo.tree_fanout != BenchFanout()) {
-    std::fprintf(stderr, "config echo: tree_fanout %lld, requested %d\n",
-                 (long long)stats.config_echo.tree_fanout, BenchFanout());
-    std::abort();
-  }
-}
-
 /// Replays the stream through a SequentialPipeline the way the server's
 /// poll loop does: decode on the feed thread, then Process.
 RunResult RunSequential(StripedLog* log,
@@ -188,7 +178,7 @@ RunResult RunThreaded(StripedLog* log,
 
 void Report(const std::string& engine, int threads, size_t intentions,
             const RunResult& r) {
-  CheckFanoutEcho(r.stats);
+  CheckConfigEcho(MeldConfig(threads), r.stats);
   const double locks_per =
       double(r.stats.fm_resolver_locks) / double(intentions);
   PrintRow("%s,%d,%zu,%.1f,%.0f,%.2f,%llu,%llu\n", engine.c_str(), threads,

@@ -24,7 +24,7 @@ std::string Key(const std::string& prefix, const char* field) {
 static_assert(sizeof(MeldWork) == 6 * sizeof(uint64_t),
               "MeldWork field added: update ToString/EmitTo/operator+= "
               "and this count");
-static_assert(sizeof(ArenaStats) == 12 * sizeof(uint64_t),
+static_assert(sizeof(ArenaStats) == 11 * sizeof(uint64_t),
               "ArenaStats field added: update ToString/EmitTo and this "
               "count");
 static_assert(sizeof(ConfigEcho) == 6 * sizeof(int64_t),
@@ -65,14 +65,13 @@ std::string ArenaStats::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "live=%llu allocated=%llu recycled=%llu slabs=%llu "
-                "slab_kb=%llu released=%llu carved=%llu free_shared=%llu "
+                "slab_kb=%llu carved=%llu free_shared=%llu "
                 "heap_payloads=%llu wide_live=%llu wide_allocated=%llu",
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(allocated),
                 static_cast<unsigned long long>(recycled),
                 static_cast<unsigned long long>(slabs),
                 static_cast<unsigned long long>(slab_bytes / 1024),
-                static_cast<unsigned long long>(slabs_released),
                 static_cast<unsigned long long>(carved),
                 static_cast<unsigned long long>(free_shared),
                 static_cast<unsigned long long>(payload_heap_allocs -
@@ -89,7 +88,6 @@ void ArenaStats::EmitTo(const std::string& prefix,
   emit(Key(prefix, "recycled"), double(recycled));
   emit(Key(prefix, "slabs"), double(slabs));
   emit(Key(prefix, "slab_bytes"), double(slab_bytes));
-  emit(Key(prefix, "slabs_released"), double(slabs_released));
   emit(Key(prefix, "carved"), double(carved));
   emit(Key(prefix, "free_shared"), double(free_shared));
   emit(Key(prefix, "payload_heap_allocs"), double(payload_heap_allocs));

@@ -55,7 +55,6 @@ struct ArenaStats {
                           ///< bound: batched refills carve ahead of demand).
   uint64_t slabs = 0;          ///< Slabs obtained from the OS.
   uint64_t slab_bytes = 0;     ///< Bytes held in slabs.
-  uint64_t slabs_released = 0;  ///< Slabs returned to the OS by trimming.
   uint64_t carved = 0;         ///< Slots ever carved fresh from a slab.
   uint64_t free_shared = 0;    ///< Slots in the shared free list.
   uint64_t payload_heap_allocs = 0;  ///< Payloads that overflowed inline.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tree/node_pool.h"
-
 namespace hyder {
 
 TruncationCoordinator::TruncationCoordinator(SharedLog* log) : log_(log) {
@@ -14,7 +12,6 @@ TruncationCoordinator::TruncationCoordinator(SharedLog* log) : log_(log) {
         emit("low_water", double(log_->LowWaterMark()));
         emit("last_blocks_reclaimed", double(last_.blocks_reclaimed));
         emit("last_states_retired", double(last_.states_retired));
-        emit("last_slabs_released", double(last_.slabs_released));
       });
 }
 
@@ -90,9 +87,6 @@ Result<TruncationReport> TruncationCoordinator::TruncateToCheckpoint(
   report.low_water = log_->LowWaterMark();
   report.blocks_reclaimed = report.low_water - before;
   report.states_retired = states_retired;
-  // The retired prefix's nodes just dropped their last references (retired
-  // states + replaced pins); whole slabs come back to the OS.
-  report.slabs_released = TrimNodeArena();
   rounds_++;
   last_ = report;
   return report;

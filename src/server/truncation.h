@@ -14,7 +14,6 @@ struct TruncationReport {
   uint64_t low_water = 0;             ///< New first readable log position.
   uint64_t blocks_reclaimed = 0;      ///< Log blocks discarded this round.
   uint64_t states_retired = 0;  ///< Retained states retired, summed over servers.
-  uint64_t slabs_released = 0;  ///< Arena slabs returned to the OS.
 };
 
 /// Cluster-wide checkpoint-anchored log truncation (DESIGN.md "Log
@@ -28,9 +27,9 @@ struct TruncationReport {
 /// (lazy references below S resolve from the pinned map once the log
 /// prefix is gone; see ServerResolver::ReplacePinnedBase for the soundness
 /// argument). Only then does the coordinator advance the log's low-water
-/// mark — to `first_block`, not `resume_position`, so the checkpoint's own
-/// blocks stay readable for future catch-up — and trim now-free arena
-/// slabs.
+/// mark — to `min(first_block, resume_position)`, so the checkpoint's own
+/// blocks and every position a bootstrapping server replays from stay
+/// readable for future catch-up.
 ///
 /// Failure atomicity: pinning is purely additive (a pin without a
 /// truncation changes no behaviour), so a crash between any two steps

@@ -81,21 +81,4 @@ uint64_t CowBtreeSizer::BinaryIntentionBytes(
   return bytes;
 }
 
-int WideSlabClassIndex(int fanout) {
-  for (int i = 0; i < kWideSlabClassCount; ++i) {
-    if (fanout <= kWideSlabClassCaps[i]) return i;
-  }
-  // Out-of-range fanouts clamp to the largest class; the tree layer
-  // validates the configured fanout before any extent is requested.
-  return kWideSlabClassCount - 1;
-}
-
-int WideSlabClassCap(int fanout) {
-  return kWideSlabClassCaps[WideSlabClassIndex(fanout)];
-}
-
-size_t WideSlabClassBytes(int class_index) {
-  return WideExtentBytes(kWideSlabClassCaps[class_index]);
-}
-
 }  // namespace hyder

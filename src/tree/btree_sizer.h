@@ -56,23 +56,6 @@ class CowBtreeSizer {
   uint64_t entries_per_leaf_;
 };
 
-/// Wide-node slab-class selection (the runtime counterpart of the sizing
-/// model above, shared with tree/node_pool): requested fanouts round up to
-/// one of these slot capacities, so every wide extent comes from one of
-/// `kWideSlabClassCount` fixed-slot-size arenas regardless of the fanout
-/// mix a process runs with.
-inline constexpr int kWideSlabClassCaps[] = {16, 32, 64};
-inline constexpr int kWideSlabClassCount = 3;
-
-/// The class index for a requested fanout. Fanouts must be in
-/// [3, kWideSlabClassCaps[last]]; 2 is the binary layout, not a wide class.
-int WideSlabClassIndex(int fanout);
-/// The slot capacity of that class (the rounded-up fanout).
-int WideSlabClassCap(int fanout);
-/// Extent bytes of one block in class `class_index` — the arena's slot
-/// size (WideExtentBytes of the class capacity).
-size_t WideSlabClassBytes(int class_index);
-
 }  // namespace hyder
 
 #endif  // HYDER2_TREE_BTREE_SIZER_H_

@@ -8,6 +8,11 @@
 
 namespace hyder {
 
+// DESIGN.md "Memory management" documents these sizes: the pool's slot
+// stride and the per-slot cost of a wide extent.
+static_assert(sizeof(Node) == 144, "Node slot size changed");
+static_assert(sizeof(WideSlot) == 80, "WideSlot size changed");
+
 NodePtr MakeNode(Key key, std::string_view payload) {
   return NodePtr::Adopt(new (AllocateNodeSlot()) Node(key, payload));
 }
@@ -40,47 +45,55 @@ void NodeUnref(Node* n) {
   }
 }
 
-// --- Wide extension ---------------------------------------------------------
+// --- Payload store ----------------------------------------------------------
 
-void WideSlot::set_payload(std::string_view p) {
+void PayloadStore::Set(std::string_view p) {
   const uint32_t size = static_cast<uint32_t>(p.size());
   if (size <= kNodeInlinePayloadCap) {
-    char* old_heap = heap_cap_ != 0 ? pay_.heap : nullptr;
+    char* old_heap = heap_cap_ != 0 ? buf_.heap : nullptr;
     // Copy before freeing: `p` may alias the old heap buffer.
-    if (size != 0) std::memmove(pay_.inline_buf, p.data(), size);
+    if (size != 0) std::memmove(buf_.inline_buf, p.data(), size);
     if (old_heap != nullptr) {
       delete[] old_heap;
       CountPayloadHeapFree();
       heap_cap_ = 0;
     }
   } else if (heap_cap_ >= size) {
-    std::memmove(pay_.heap, p.data(), size);
+    std::memmove(buf_.heap, p.data(), size);
   } else {
     char* buf = new char[size];
     CountPayloadHeapAlloc();
     std::memcpy(buf, p.data(), size);
-    if (heap_cap_ != 0) {
-      delete[] pay_.heap;
-      CountPayloadHeapFree();
-    }
-    pay_.heap = buf;
+    FreeHeap();
+    buf_.heap = buf;
     heap_cap_ = size;
   }
   size_ = size;
 }
 
-void WideSlot::MoveFrom(WideSlot& o) {
-  if (heap_cap_ != 0) {
-    delete[] pay_.heap;
-    CountPayloadHeapFree();
-  }
-  key = o.key;
-  meta = o.meta;
-  pay_ = o.pay_;
+void PayloadStore::StealFrom(PayloadStore& o) {
+  FreeHeap();
+  buf_ = o.buf_;
   size_ = o.size_;
   heap_cap_ = o.heap_cap_;
   o.size_ = 0;
   o.heap_cap_ = 0;
+}
+
+void PayloadStore::FreeHeap() {
+  if (heap_cap_ != 0) {
+    delete[] buf_.heap;
+    CountPayloadHeapFree();
+    heap_cap_ = 0;
+  }
+}
+
+// --- Wide extension ---------------------------------------------------------
+
+void WideSlot::MoveFrom(WideSlot& o) {
+  key = o.key;
+  meta = o.meta;
+  payload_.StealFrom(o.payload_);
 }
 
 void WideSlot::CopyFrom(const WideSlot& o) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -245,31 +244,49 @@ struct WideSlotMeta {
   uint8_t flags = 0;
 };
 
+/// The payload bytes of a Node or a WideSlot: stored inline when at most
+/// `kNodeInlinePayloadCap` bytes, in a heap buffer otherwise (counted in
+/// ArenaStats). The invariant is that the payload lives inline exactly
+/// when it fits the inline cap, so `view()` branches on the size alone.
+class PayloadStore {
+ public:
+  PayloadStore() = default;
+  ~PayloadStore() { FreeHeap(); }
+
+  PayloadStore(const PayloadStore&) = delete;
+  PayloadStore& operator=(const PayloadStore&) = delete;
+
+  /// Invalidated by `Set` and `StealFrom`.
+  std::string_view view() const {
+    return size_ <= kNodeInlinePayloadCap
+               ? std::string_view(buf_.inline_buf, size_)
+               : std::string_view(buf_.heap, size_);
+  }
+  /// Copies `p` in, reusing an existing heap buffer when it is large
+  /// enough. `p` may alias the current bytes.
+  void Set(std::string_view p);
+  /// Takes `o`'s bytes, heap buffer included; `o` is left empty.
+  void StealFrom(PayloadStore& o);
+
+ private:
+  void FreeHeap();
+
+  union Buffer {
+    char inline_buf[kNodeInlinePayloadCap];
+    char* heap;
+  } buf_;
+  uint32_t size_ = 0;
+  uint32_t heap_cap_ = 0;  ///< Capacity of `buf_.heap`; 0 when inline.
+};
+
 /// One key slot of a wide node: key, payload and per-slot meld metadata.
-/// Payload storage mirrors Node's inline/heap scheme (kNodeInlinePayloadCap
-/// bytes inline in the slot, heap fallback beyond).
 class WideSlot {
  public:
-  WideSlot() = default;
-  ~WideSlot() {
-    if (heap_cap_ != 0) {
-      delete[] pay_.heap;
-      CountPayloadHeapFree();
-    }
-  }
-
-  WideSlot(const WideSlot&) = delete;
-  WideSlot& operator=(const WideSlot&) = delete;
-
   Key key = 0;
   WideSlotMeta meta;
 
-  std::string_view payload() const {
-    return size_ <= kNodeInlinePayloadCap
-               ? std::string_view(pay_.inline_buf, size_)
-               : std::string_view(pay_.heap, size_);
-  }
-  void set_payload(std::string_view p);
+  std::string_view payload() const { return payload_.view(); }
+  void set_payload(std::string_view p) { payload_.Set(p); }
 
   bool altered() const { return meta.flags & kFlagAltered; }
   bool read_dependent() const { return meta.flags & kFlagRead; }
@@ -284,22 +301,17 @@ class WideSlot {
   void Clear();
 
  private:
-  union Payload {
-    char inline_buf[kNodeInlinePayloadCap];
-    char* heap;
-  } pay_;
-  uint32_t size_ = 0;
-  uint32_t heap_cap_ = 0;
+  PayloadStore payload_;
 };
 
 /// The wide extension of a Node: up to `cap` sorted key slots plus `cap`+1
-/// child edges, allocated as one size-classed extent from the node arena
-/// (see node_pool.h / btree_sizer.h). Child `i` roots the subtree of keys
-/// strictly between slot `i-1` and slot `i` (classic B-tree intervals);
-/// `count` live slots occupy indices [0, count) and children [0, count]
-/// are meaningful. Per-gap read flags record range-scan / miss structural
-/// dependencies at sub-page granularity — the wide-layout analog of
-/// kFlagSubtreeRead on an absent binary subtree.
+/// child edges, allocated as one exact-size extent (see node_pool.h).
+/// Child `i` roots the subtree of keys strictly between slot `i-1` and
+/// slot `i` (classic B-tree intervals); `count` live slots occupy indices
+/// [0, count) and children [0, count] are meaningful. Per-gap read flags
+/// record range-scan / miss structural dependencies at sub-page
+/// granularity — the wide-layout analog of kFlagSubtreeRead on an absent
+/// binary subtree.
 class WideExt {
  public:
   int cap() const { return cap_; }
@@ -346,15 +358,13 @@ class WideExt {
   uint8_t* gap_read_ = nullptr;     ///< `cap`+1 bytes.
 };
 
-/// Allocates and constructs a wide extension with `fanout` key slots from
-/// the size-classed extent arena (btree_sizer picks the class).
+/// Allocates and constructs a wide extension with `fanout` key slots.
 WideExt* CreateWideExt(int fanout);
-/// Destroys slots/children and returns the extent to its arena class.
+/// Destroys slots/children and frees the extent.
 void DestroyWideExt(WideExt* ext);
 
 /// Bytes of the one-block extent backing a WideExt of `cap` slots (header
-/// plus the three trailing arrays). btree_sizer rounds capacities up to a
-/// slab class and sizes the class arenas with this.
+/// plus the three trailing arrays).
 size_t WideExtentBytes(int cap);
 
 /// One immutable version of one key's node in the multi-versioned tree.
@@ -373,9 +383,7 @@ size_t WideExtentBytes(int cap);
 ///                conflict checks independent of meld-thread configuration.
 class Node {
  public:
-  Node(Key key, std::string_view payload) : key_(key) {
-    SetPayload(payload);
-  }
+  Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
 
   /// Wide-layout node: key slots and per-slot metadata live in `ext`; the
   /// node-level `key_`/payload/color fields are unused. Node-level `vn`,
@@ -384,10 +392,6 @@ class Node {
   explicit Node(WideExt* ext) : key_(0), wide_(ext) {}
 
   ~Node() {
-    if (heap_cap_ != 0) {
-      delete[] pay_.heap;
-      CountPayloadHeapFree();
-    }
     if (wide_ != nullptr) DestroyWideExt(wide_);
   }
 
@@ -396,15 +400,9 @@ class Node {
 
   Key key() const { return key_; }
 
-  /// The payload bytes. Stored inline in the node slot when the payload
-  /// is at most `kNodeInlinePayloadCap` bytes; in a heap buffer otherwise.
-  /// The view is invalidated by `set_payload`.
-  std::string_view payload() const {
-    return payload_size_ <= kNodeInlinePayloadCap
-               ? std::string_view(pay_.inline_buf, payload_size_)
-               : std::string_view(pay_.heap, payload_size_);
-  }
-  void set_payload(std::string_view p) { SetPayload(p); }
+  /// The payload bytes (see PayloadStore); invalidated by `set_payload`.
+  std::string_view payload() const { return payload_.view(); }
+  void set_payload(std::string_view p) { payload_.Set(p); }
 
   /// Changes the key. Only legal during the two-children deletion
   /// relocation, on a private (unpublished) clone whose metadata is being
@@ -493,36 +491,6 @@ class Node {
   friend void NodeRef(Node*);
   friend void NodeUnref(Node*);
 
-  /// Copies `p` into the inline buffer or the heap fallback, reusing an
-  /// existing heap buffer when it is large enough. The invariant is that
-  /// the payload lives inline exactly when it fits the inline cap.
-  void SetPayload(std::string_view p) {
-    const uint32_t size = static_cast<uint32_t>(p.size());
-    if (size <= kNodeInlinePayloadCap) {
-      char* old_heap = heap_cap_ != 0 ? pay_.heap : nullptr;
-      // Copy before freeing: `p` may alias the old heap buffer.
-      if (size != 0) std::memmove(pay_.inline_buf, p.data(), size);
-      if (old_heap != nullptr) {
-        delete[] old_heap;
-        CountPayloadHeapFree();
-        heap_cap_ = 0;
-      }
-    } else if (heap_cap_ >= size) {
-      std::memmove(pay_.heap, p.data(), size);
-    } else {
-      char* buf = new char[size];
-      CountPayloadHeapAlloc();
-      std::memcpy(buf, p.data(), size);
-      if (heap_cap_ != 0) {
-        delete[] pay_.heap;
-        CountPayloadHeapFree();
-      }
-      pay_.heap = buf;
-      heap_cap_ = size;
-    }
-    payload_size_ = size;
-  }
-
   std::atomic<uint32_t> refs_{1};
   Color color_ = Color::kRed;
   uint8_t flags_ = 0;
@@ -532,14 +500,7 @@ class Node {
   VersionId base_cv_{};
   VersionId cv_{};
   uint64_t owner_ = 0;
-  /// Payload storage: `inline_buf` when `payload_size_` fits the inline
-  /// cap, otherwise a heap buffer of capacity `heap_cap_`.
-  union Payload {
-    char inline_buf[kNodeInlinePayloadCap];
-    char* heap;
-  } pay_;
-  uint32_t payload_size_ = 0;
-  uint32_t heap_cap_ = 0;
+  PayloadStore payload_;
   /// Non-null for wide-layout nodes; owned (freed with the node).
   WideExt* wide_ = nullptr;
   /// OLC version word; see OlcReadBegin.

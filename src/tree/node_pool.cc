@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <new>
+#include <vector>
 
-#include "common/arena.h"
 #include "common/registry.h"
-#include "tree/btree_sizer.h"
+#include "common/thread_annotations.h"
 #include "tree/node.h"
 
 namespace hyder {
@@ -21,19 +21,71 @@ std::atomic<uint64_t> g_payload_heap_frees{0};
 std::atomic<uint64_t> g_wide_live{0};
 std::atomic<uint64_t> g_wide_allocated{0};
 
-#ifndef HYDER_DISABLE_NODE_POOL
-
 /// Slots move between the shared pool and thread caches in batches of
 /// this size; a cache holds at most two batches before draining one.
 constexpr size_t kBatch = 64;
 constexpr size_t kCacheCap = 2 * kBatch;
+/// Node slots per slab obtained from the OS.
+constexpr size_t kSlotsPerSlab = 1024;
 
-/// The arena is deliberately leaked: thread caches drain on thread exit,
+/// The shared pool: carves slabs of `kSlotsPerSlab` Node-sized slots and
+/// recycles freed slots through one free list. Every operation takes the
+/// mutex, so callers move slots in batches. Slabs are never returned:
+/// the pool lives for the whole process.
+class SlotPool {
+ public:
+  /// Fills `out[0..want)` with slots — recycled ones first, then slots
+  /// carved from the current (or a fresh) slab.
+  void AllocateBatch(void** out, size_t want) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    size_t got = 0;
+    while (got < want && !free_.empty()) {
+      out[got++] = free_.back();
+      free_.pop_back();
+    }
+    while (got < want) {
+      if (bump_left_ == 0) {
+        slabs_.push_back(::operator new(sizeof(Node) * kSlotsPerSlab,
+                                        std::align_val_t(alignof(Node))));
+        bump_ = static_cast<char*>(slabs_.back());
+        bump_left_ = kSlotsPerSlab;
+      }
+      out[got++] = bump_;
+      bump_ += sizeof(Node);
+      --bump_left_;
+      ++carved_;
+    }
+  }
+
+  /// Returns `count` slots to the shared free list.
+  void DeallocateBatch(void** slots, size_t count) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    free_.insert(free_.end(), slots, slots + count);
+  }
+
+  /// Fills the slab fields of `s`.
+  void AddStats(ArenaStats* s) const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    s->slabs = slabs_.size();
+    s->slab_bytes = uint64_t(slabs_.size()) * sizeof(Node) * kSlotsPerSlab;
+    s->carved = carved_;
+    s->free_shared = free_.size();
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::vector<void*> slabs_ GUARDED_BY(mu_);
+  std::vector<void*> free_ GUARDED_BY(mu_);
+  char* bump_ GUARDED_BY(mu_) = nullptr;
+  size_t bump_left_ GUARDED_BY(mu_) = 0;
+  uint64_t carved_ GUARDED_BY(mu_) = 0;
+};
+
+/// The pool is deliberately leaked: thread caches drain on thread exit,
 /// which can run after static destructors on the main thread.
-SlotArena& Arena() {
-  static SlotArena* arena = new SlotArena(SlotArena::Options{
-      sizeof(Node), alignof(Node), /*slots_per_slab=*/1024});
-  return *arena;
+SlotPool& Pool() {
+  static SlotPool* pool = new SlotPool();
+  return *pool;
 }
 
 struct ThreadCache {
@@ -44,41 +96,51 @@ struct ThreadCache {
 
   void Drain() {
     if (n > 0) {
-      Arena().DeallocateBatch(slots, n);
+      Pool().DeallocateBatch(slots, n);
       n = 0;
     }
   }
 };
 
 ThreadCache& Cache() {
-  // Touch the arena first so it outlives every cache's destructor.
-  Arena();
+  // Touch the pool first so it outlives every cache's destructor.
+  Pool();
   thread_local ThreadCache cache;
   return cache;
 }
 
-#endif  // HYDER_DISABLE_NODE_POOL
-
-#ifndef HYDER_DISABLE_NODE_POOL
-/// Per-class extent arenas for wide nodes. Extents are rarer and larger
-/// than node slots (one per wide node vs. one per key in the binary
-/// layout), so they go straight to the shared arenas — no thread cache.
-/// Also deliberately leaked, for the same static-destruction-order reason
-/// as the node arena.
-SlotArena& WideArena(int class_index) {
-  static SlotArena* arenas[kWideSlabClassCount];
-  static const bool init = [] {
-    for (int i = 0; i < kWideSlabClassCount; ++i) {
-      arenas[i] = new SlotArena(SlotArena::Options{
-          WideSlabClassBytes(i), alignof(std::max_align_t),
-          /*slots_per_slab=*/128});
+/// Freed wide extents, kept per fanout for the next page of that fanout.
+/// Each extent is its own exact-size `operator new` block, so sanitizer
+/// builds bounds-check it; recycling only skips malloc/free, which pays
+/// where pages die on another thread than the one that built them (the
+/// threaded pipeline). Leaked like the node pool.
+class ExtentFreeLists {
+ public:
+  void* Pop(int fanout) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (size_t(fanout) >= free_.size() || free_[fanout].empty()) {
+      return nullptr;
     }
-    return true;
-  }();
-  (void)init;
-  return *arenas[class_index];
+    void* extent = free_[fanout].back();
+    free_[fanout].pop_back();
+    return extent;
+  }
+
+  void Push(void* extent, int fanout) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (size_t(fanout) >= free_.size()) free_.resize(fanout + 1);
+    free_[fanout].push_back(extent);
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<std::vector<void*>> free_ GUARDED_BY(mu_);  ///< By fanout.
+};
+
+ExtentFreeLists& FreeExtents() {
+  static ExtentFreeLists* lists = new ExtentFreeLists();
+  return *lists;
 }
-#endif  // HYDER_DISABLE_NODE_POOL
 
 }  // namespace
 
@@ -86,51 +148,28 @@ void* AllocateNodeSlot() {
   // relaxed: monotonic arena stats counter; no ordering dependency.
   g_allocated.fetch_add(1, std::memory_order_relaxed);
   g_live.fetch_add(1, std::memory_order_relaxed);
-#ifdef HYDER_DISABLE_NODE_POOL
-  return ::operator new(sizeof(Node), std::align_val_t(alignof(Node)));
-#else
   ThreadCache& cache = Cache();
   if (cache.n == 0) {
-    cache.n = Arena().AllocateBatch(cache.slots, kBatch);
+    Pool().AllocateBatch(cache.slots, kBatch);
+    cache.n = kBatch;
   }
   return cache.slots[--cache.n];
-#endif
 }
 
 void ReleaseNodeSlot(void* slot) {
   // relaxed: monotonic arena stats counter; no ordering dependency.
   g_live.fetch_sub(1, std::memory_order_relaxed);
-#ifdef HYDER_DISABLE_NODE_POOL
-  ::operator delete(slot, std::align_val_t(alignof(Node)));
-#else
   ThreadCache& cache = Cache();
   if (cache.n == kCacheCap) {
     // Keep one batch locally; return the other so a free-heavy thread
     // feeds an allocation-heavy one.
-    Arena().DeallocateBatch(cache.slots + kBatch, kBatch);
+    Pool().DeallocateBatch(cache.slots + kBatch, kBatch);
     cache.n = kBatch;
   }
   cache.slots[cache.n++] = slot;
-#endif
 }
 
-void DrainNodeArenaThreadCache() {
-#ifndef HYDER_DISABLE_NODE_POOL
-  Cache().Drain();
-#endif
-}
-
-size_t TrimNodeArena() {
-#ifndef HYDER_DISABLE_NODE_POOL
-  // The calling thread's cached slots would pin their slabs; other
-  // threads' caches hold at most kCacheCap slots each, an acceptable
-  // remainder for a best-effort reclaim.
-  Cache().Drain();
-  return Arena().TrimFreeSlabs();
-#else
-  return 0;
-#endif
-}
+void DrainNodeArenaThreadCache() { Cache().Drain(); }
 
 ArenaStats NodeArenaStats() {
   ArenaStats s;
@@ -142,19 +181,10 @@ ArenaStats NodeArenaStats() {
   s.payload_heap_frees = g_payload_heap_frees.load(std::memory_order_relaxed);
   s.wide_live = g_wide_live.load(std::memory_order_relaxed);
   s.wide_allocated = g_wide_allocated.load(std::memory_order_relaxed);
-#ifndef HYDER_DISABLE_NODE_POOL
-  SlotArena::Stats a = Arena().stats();
-  s.slabs = a.slabs;
-  s.slab_bytes = a.slab_bytes;
-  s.slabs_released = a.slabs_released;
-  s.carved = a.carved;
-  s.free_shared = a.free_slots;
+  Pool().AddStats(&s);
   // Batched refills carve slots ahead of demand, so early on `carved` can
   // exceed `allocated`; saturate to keep this a (tight) lower bound.
-  s.recycled = s.allocated > a.carved ? s.allocated - a.carved : 0;
-#else
-  s.carved = s.allocated;  // Every allocation is a fresh malloc.
-#endif
+  s.recycled = s.allocated > s.carved ? s.allocated - s.carved : 0;
   return s;
 }
 
@@ -192,25 +222,14 @@ void* AllocateWideExtent(int fanout) {
   // relaxed: monotonic arena stats counter; no ordering dependency.
   g_wide_allocated.fetch_add(1, std::memory_order_relaxed);
   g_wide_live.fetch_add(1, std::memory_order_relaxed);
-#ifdef HYDER_DISABLE_NODE_POOL
-  return ::operator new(WideSlabClassBytes(WideSlabClassIndex(fanout)),
-                        std::align_val_t(alignof(std::max_align_t)));
-#else
-  void* block = nullptr;
-  WideArena(WideSlabClassIndex(fanout)).AllocateBatch(&block, 1);
-  return block;
-#endif
+  void* extent = FreeExtents().Pop(fanout);
+  return extent != nullptr ? extent : ::operator new(WideExtentBytes(fanout));
 }
 
 void ReleaseWideExtent(void* extent, int fanout) {
   // relaxed: monotonic arena stats counter; no ordering dependency.
   g_wide_live.fetch_sub(1, std::memory_order_relaxed);
-#ifdef HYDER_DISABLE_NODE_POOL
-  (void)fanout;
-  ::operator delete(extent, std::align_val_t(alignof(std::max_align_t)));
-#else
-  WideArena(WideSlabClassIndex(fanout)).DeallocateBatch(&extent, 1);
-#endif
+  FreeExtents().Push(extent, fanout);
 }
 
 // relaxed: monotonic-pair counter read for leak tests at quiesce points.

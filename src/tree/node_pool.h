@@ -1,21 +1,17 @@
 #ifndef HYDER2_TREE_NODE_POOL_H_
 #define HYDER2_TREE_NODE_POOL_H_
 
-// Slab-backed allocation of tree nodes (§5.3: node churn, not I/O, bounds
+// Pooled allocation of tree nodes (§5.3: node churn, not I/O, bounds
 // throughput once the log is fast). Every Node in the system — COW
 // clones, meld ephemerals, deserialized intention nodes, checkpoint
-// loads — lives in a fixed-size slot of a process-lifetime SlotArena.
-// Each thread keeps a small cache of free slots and refills/drains it
-// against the shared pool in batches, so the steady-state hot path
+// loads — lives in a fixed-size slot carved from a process-lifetime slab
+// pool. Each thread keeps a small cache of free slots and refills/drains
+// it against the shared pool in batches, so the steady-state hot path
 // (allocate a node, drop a node) performs no locking and no malloc.
 //
 // Pooling is memory management only: node identity is `vn`, never the
 // address, so recycling a slot cannot affect meld determinism, conflict
 // decisions, or checkpoint bytes.
-//
-// Build with -DHYDER_DISABLE_NODE_POOL (CMake option of the same name)
-// to fall back to one `operator new` per node — the baseline the
-// microbenchmarks compare against.
 
 #include <cstddef>
 
@@ -43,22 +39,14 @@ ArenaStats NodeArenaStats();
 /// main thread before reconciling stats.
 void DrainNodeArenaThreadCache();
 
-/// Drains the calling thread's cache, then returns to the OS every slab
-/// whose slots are all free; reports the number released. Called at
-/// reclaim points — after log truncation retires a state prefix, the
-/// retired nodes come back as whole slabs. Best-effort: slots cached by
-/// *other* threads pin their slabs until those threads drain.
-size_t TrimNodeArena();
-
-/// Payload heap-fallback accounting (called by Node).
+/// Payload heap-fallback accounting (called by PayloadStore).
 void CountPayloadHeapAlloc();
 void CountPayloadHeapFree();
 
-/// Wide-node extent allocation: one block per wide node holding its slot,
-/// child and gap-flag arrays. Blocks come from per-class SlotArenas whose
-/// capacities btree_sizer rounds requested fanouts up to (WideSlabClassCap),
-/// so processes mixing fanouts share a handful of arenas instead of one
-/// per fanout. Counted in ArenaStats (`wide_live` / `wide_allocated`).
+/// Wide-node extent allocation: one exact-size `operator new` block per
+/// wide node holding its slot, child and gap-flag arrays
+/// (`WideExtentBytes(fanout)`), recycled per fanout once freed. Counted
+/// in ArenaStats (`wide_live` / `wide_allocated`).
 void* AllocateWideExtent(int fanout);
 void ReleaseWideExtent(void* extent, int fanout);
 

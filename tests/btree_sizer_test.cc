@@ -46,44 +46,6 @@ TEST(BtreeSizerTest, PaperClaim_BinaryIntentionsSmallerThanBtree) {
       << "binary-tree COW intentions must be smaller than B-tree ones";
 }
 
-TEST(BtreeSizerTest, WideSlabClassesPinned) {
-  // The slab classes are a cross-process contract: node_pool sizes its
-  // extent arenas from them and every server in a cluster must agree on the
-  // capacity a fanout rounds up to. Pin the table and the rounding rule.
-  ASSERT_EQ(kWideSlabClassCount, 3);
-  EXPECT_EQ(kWideSlabClassCaps[0], 16);
-  EXPECT_EQ(kWideSlabClassCaps[1], 32);
-  EXPECT_EQ(kWideSlabClassCaps[2], 64);
-  for (int f = 3; f <= 16; ++f) {
-    EXPECT_EQ(WideSlabClassIndex(f), 0) << "fanout " << f;
-    EXPECT_EQ(WideSlabClassCap(f), 16) << "fanout " << f;
-  }
-  for (int f = 17; f <= 32; ++f) {
-    EXPECT_EQ(WideSlabClassIndex(f), 1) << "fanout " << f;
-    EXPECT_EQ(WideSlabClassCap(f), 32) << "fanout " << f;
-  }
-  for (int f = 33; f <= 64; ++f) {
-    EXPECT_EQ(WideSlabClassIndex(f), 2) << "fanout " << f;
-    EXPECT_EQ(WideSlabClassCap(f), 64) << "fanout " << f;
-  }
-}
-
-TEST(BtreeSizerTest, WideSlabClassBytesMatchExtentLayout) {
-  for (int c = 0; c < kWideSlabClassCount; ++c) {
-    EXPECT_EQ(WideSlabClassBytes(c), WideExtentBytes(kWideSlabClassCaps[c]));
-  }
-  // Strictly ordered, so the class picker can scan caps in order.
-  EXPECT_LT(WideSlabClassBytes(0), WideSlabClassBytes(1));
-  EXPECT_LT(WideSlabClassBytes(1), WideSlabClassBytes(2));
-  // Each class extent must at least cover the slot and child arrays it
-  // advertises (cap slots, cap+1 children).
-  for (int c = 0; c < kWideSlabClassCount; ++c) {
-    const size_t cap = size_t(kWideSlabClassCaps[c]);
-    EXPECT_GE(WideSlabClassBytes(c),
-              sizeof(WideSlot) * cap + sizeof(ChildSlot) * (cap + 1));
-  }
-}
-
 TEST(BtreeSizerTest, BinarySizeMatchesPaperBlockBudget) {
   // The paper reports ~2 blocks of 8K per 8R2W intention; our encoding of a
   // 2-write path-copy set should be in that ballpark.
