@@ -68,30 +68,5 @@ int main(int argc, char** argv) {
   std::printf(
       "# the real serializer's measured bytes for the default 8R2W SR "
       "transaction are reported by fig15 (intention node counts)\n");
-
-  // Measured A/B of the *runtime* layouts: the same 8R2W workload melded
-  // end to end with the binary red-black tree (fanout 2) and with wide
-  // pages. A fanout-F path is log_F(db) pages instead of ~2*log_2(db)
-  // nodes, so meld visits and clones far fewer nodes per transaction —
-  // the motivation for the wide layout's slot-granularity metadata.
-  std::printf("# measured: end-to-end meld work per layout (real pipeline)\n");
-  PrintColumns(
-      "layout,fanout,fm_nodes_per_txn,fm_ephemeral_per_txn,"
-      "total_ephemeral_per_txn,abort_rate,nodes_vs_binary");
-  double binary_nodes = 0;
-  for (int fanout : {2, 16, 64}) {
-    ExperimentConfig config = DefaultWriteOnlyConfig();
-    config.pipeline.tree_fanout = fanout;  // Explicit sweep; ignores --fanout.
-    config.inflight = 500;
-    config.pipeline.state_retention = config.inflight + 256;
-    config.intentions = uint64_t(800 * BenchScale());
-    config.warmup = config.inflight / 2 + 200;
-    ExperimentResult r = RunExperiment(config);
-    if (fanout == 2) binary_nodes = r.fm_nodes_per_txn;
-    PrintRow("%s,%d,%.1f,%.1f,%.1f,%.3f,%.2fx\n",
-             fanout == 2 ? "binary" : "wide", fanout, r.fm_nodes_per_txn,
-             r.fm_ephemeral_per_txn, r.total_ephemeral_per_txn, r.abort_rate,
-             binary_nodes > 0 ? r.fm_nodes_per_txn / binary_nodes : 0.0);
-  }
   return 0;
 }

@@ -22,21 +22,6 @@ double BenchScale() {
 
 namespace {
 
-int& FanoutSlot() {
-  static int fanout = 0;  // 0 = not yet resolved.
-  return fanout;
-}
-
-int ParseFanout(const char* s, const char* origin) {
-  int v = std::atoi(s);
-  if (v != 2 && (v < 3 || v > 64)) {
-    std::fprintf(stderr, "bench: bad %s fanout %s (want 2 or 3..64)\n",
-                 origin, s);
-    std::exit(2);
-  }
-  return v;
-}
-
 double& ArrivalRateSlot() {
   static double rate = -1.0;  // < 0 = not yet resolved; 0 = unset.
   return rate;
@@ -105,10 +90,6 @@ void FlushJson() {
   std::snprintf(scale, sizeof(scale), "%g", BenchScale());
   json += ",\n  \"scale\": ";
   json += scale;
-  char fanout[32];
-  std::snprintf(fanout, sizeof(fanout), "%d", BenchFanout());
-  json += ",\n  \"tree_fanout\": ";
-  json += fanout;
   json += ",\n  \"tables\": [";
   for (size_t t = 0; t < e.tables.size(); ++t) {
     json += t == 0 ? "\n    {\"columns\": [" : ",\n    {\"columns\": [";
@@ -185,15 +166,6 @@ std::vector<std::string> SplitCsv(const std::string& line) {
 
 }  // namespace
 
-int BenchFanout() {
-  int& slot = FanoutSlot();
-  if (slot == 0) {
-    const char* env = std::getenv("HYDER_BENCH_FANOUT");
-    slot = env != nullptr ? ParseFanout(env, "HYDER_BENCH_FANOUT") : 2;
-  }
-  return slot;
-}
-
 double BenchArrivalRate() {
   double& slot = ArrivalRateSlot();
   if (slot < 0) {
@@ -219,8 +191,6 @@ void InitBenchIO(int* argc, char** argv) {
       o.trace_path = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--metrics-json=", 15) == 0) {
       o.metrics_path = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--fanout=", 9) == 0) {
-      FanoutSlot() = ParseFanout(argv[i] + 9, "--fanout");
     } else if (std::strncmp(argv[i], "--arrival-rate=", 15) == 0) {
       ArrivalRateSlot() = ParseArrivalRate(argv[i] + 15, "--arrival-rate");
     } else {
@@ -334,9 +304,6 @@ ExperimentConfig DefaultWriteOnlyConfig() {
   config.intentions = uint64_t(1500 * BenchScale());
   config.warmup = 400;
   config.pipeline.state_retention = config.inflight + 256;
-  // The --fanout flag / HYDER_BENCH_FANOUT select the tree layout for the
-  // whole run (2 = the paper's binary red-black tree, 3..64 = wide pages).
-  config.pipeline.tree_fanout = BenchFanout();
   config.log.block_size = 8192;
   config.log.storage_units = 6;
   return config;
@@ -392,7 +359,6 @@ void CheckConfigEcho(const PipelineConfig& requested,
     int64_t requested;
     int64_t echoed;
   } knobs[] = {
-      {"tree_fanout", requested.tree_fanout, echo.tree_fanout},
       {"premeld_threads", requested.premeld_threads, echo.premeld_threads},
       {"premeld_distance", requested.premeld_distance,
        echo.premeld_distance},

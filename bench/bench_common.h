@@ -9,9 +9,11 @@
 // conflict-zone lengths, abort rates) are *measured exactly* from real
 // executions of the real algorithms. Throughput is derived with the
 // paper's own performance model — "the slowest pipeline stage determines
-// transaction throughput" (§1) — from measured per-stage CPU service
-// times, because the evaluation host has a single core (see DESIGN.md,
-// "Substitutions"). Set HYDER_BENCH_SCALE to scale run lengths.
+// transaction throughput" (§1) — from per-stage CPU service times measured
+// on the sequential engine, which runs each stage to completion on one
+// thread so no stage's time is inflated by another competing for cores
+// (see DESIGN.md, "Substitutions"). Wall-clock engine comparisons live in
+// pipeline_throughput. Set HYDER_BENCH_SCALE to scale run lengths.
 
 #include <cstdio>
 #include <memory>
@@ -103,14 +105,6 @@ double BenchArrivalRate();
 
 /// HYDER_BENCH_SCALE (default 1.0) multiplies run lengths.
 double BenchScale();
-
-/// The tree fanout the bench run uses (2 = binary baseline, [3, 64] =
-/// wide pages). Set by `--fanout=N` (stripped in InitBenchIO) or the
-/// HYDER_BENCH_FANOUT env var; DefaultWriteOnlyConfig plumbs it into
-/// PipelineConfig::tree_fanout, so every figure bench is A/B-able
-/// against the binary layout without code changes. Recorded in the JSON
-/// header as "tree_fanout".
-int BenchFanout();
 
 /// Machine-readable output. Call first in main(): strips `--json[=path]`
 /// from argv and arms the JSON emitter; the `HYDER_BENCH_JSON=<path>`

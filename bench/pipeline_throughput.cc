@@ -109,7 +109,6 @@ PipelineConfig MeldConfig(int threads) {
   config.stage_queue_capacity = 512;
   config.group_meld = true;
   config.state_retention = 8192;
-  config.tree_fanout = BenchFanout();
   return config;
 }
 

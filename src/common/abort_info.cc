@@ -80,10 +80,6 @@ std::string AbortInfo::ToString() const {
   switch (key_kind) {
     case AbortKeyKind::kUserKey:
       s += " on key " + std::to_string(key);
-      if (slot >= 0) s += " (slot " + std::to_string(slot) + ")";
-      break;
-    case AbortKeyKind::kPageId:
-      s += " under page " + std::to_string(key);
       break;
     case AbortKeyKind::kNone:
       break;

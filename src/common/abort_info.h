@@ -56,9 +56,7 @@ inline constexpr int kAbortStageCount = 5;
 /// What AbortInfo::key identifies, if anything.
 enum class AbortKeyKind : uint8_t {
   kNone = 0,
-  kUserKey = 1,  ///< A user key (binary layout, or a wide-node slot's key).
-  kPageId = 2,   ///< A wide-layout page version id (structural conflicts
-                 ///< detected at page granularity carry no single user key).
+  kUserKey = 1,  ///< A user key.
 };
 
 /// Structured provenance of one abort. Plain data, no allocation: built on
@@ -72,9 +70,7 @@ struct AbortInfo {
   AbortCause conflict = AbortCause::kNone;
   AbortStage stage = AbortStage::kNone;
   AbortKeyKind key_kind = AbortKeyKind::kNone;
-  /// Wide-layout slot index within the conflicting page; -1 otherwise.
-  int32_t slot = -1;
-  /// Conflicting user key or page id, per `key_kind`.
+  /// Conflicting user key, per `key_kind`.
   uint64_t key = 0;
   /// Upper bound of the conflict zone the meld ran against: the newest
   /// intention sequence that could have been the conflicting writer. Exact
@@ -92,8 +88,7 @@ struct AbortInfo {
   friend bool operator==(const AbortInfo& a, const AbortInfo& b) {
     return a.cause == b.cause && a.conflict == b.conflict &&
            a.stage == b.stage && a.key_kind == b.key_kind &&
-           a.slot == b.slot && a.key == b.key &&
-           a.blamed_seq == b.blamed_seq;
+           a.key == b.key && a.blamed_seq == b.blamed_seq;
   }
   friend bool operator!=(const AbortInfo& a, const AbortInfo& b) {
     return !(a == b);

@@ -24,10 +24,10 @@ std::string Key(const std::string& prefix, const char* field) {
 static_assert(sizeof(MeldWork) == 6 * sizeof(uint64_t),
               "MeldWork field added: update ToString/EmitTo/operator+= "
               "and this count");
-static_assert(sizeof(ArenaStats) == 11 * sizeof(uint64_t),
+static_assert(sizeof(ArenaStats) == 9 * sizeof(uint64_t),
               "ArenaStats field added: update ToString/EmitTo and this "
               "count");
-static_assert(sizeof(ConfigEcho) == 6 * sizeof(int64_t),
+static_assert(sizeof(ConfigEcho) == 5 * sizeof(int64_t),
               "ConfigEcho field added: update Observe/ToString/EmitTo and "
               "this count");
 static_assert(
@@ -66,7 +66,7 @@ std::string ArenaStats::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "live=%llu allocated=%llu recycled=%llu slabs=%llu "
                 "slab_kb=%llu carved=%llu free_shared=%llu "
-                "heap_payloads=%llu wide_live=%llu wide_allocated=%llu",
+                "heap_payloads=%llu",
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(allocated),
                 static_cast<unsigned long long>(recycled),
@@ -75,9 +75,7 @@ std::string ArenaStats::ToString() const {
                 static_cast<unsigned long long>(carved),
                 static_cast<unsigned long long>(free_shared),
                 static_cast<unsigned long long>(payload_heap_allocs -
-                                                payload_heap_frees),
-                static_cast<unsigned long long>(wide_live),
-                static_cast<unsigned long long>(wide_allocated));
+                                                payload_heap_frees));
   return buf;
 }
 
@@ -92,8 +90,6 @@ void ArenaStats::EmitTo(const std::string& prefix,
   emit(Key(prefix, "free_shared"), double(free_shared));
   emit(Key(prefix, "payload_heap_allocs"), double(payload_heap_allocs));
   emit(Key(prefix, "payload_heap_frees"), double(payload_heap_frees));
-  emit(Key(prefix, "wide_live"), double(wide_live));
-  emit(Key(prefix, "wide_allocated"), double(wide_allocated));
 }
 
 void ConfigEcho::Observe(const ConfigEcho& o) {
@@ -103,20 +99,18 @@ void ConfigEcho::Observe(const ConfigEcho& o) {
   state_retention = std::max(state_retention, o.state_retention);
   disable_graft_fastpath =
       std::max(disable_graft_fastpath, o.disable_graft_fastpath);
-  tree_fanout = std::max(tree_fanout, o.tree_fanout);
 }
 
 std::string ConfigEcho::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "pm_threads=%lld pm_distance=%lld group=%lld retention=%lld "
-                "no_graft=%lld fanout=%lld",
+                "no_graft=%lld",
                 static_cast<long long>(premeld_threads),
                 static_cast<long long>(premeld_distance),
                 static_cast<long long>(group_meld),
                 static_cast<long long>(state_retention),
-                static_cast<long long>(disable_graft_fastpath),
-                static_cast<long long>(tree_fanout));
+                static_cast<long long>(disable_graft_fastpath));
   return buf;
 }
 
@@ -127,7 +121,6 @@ void ConfigEcho::EmitTo(const std::string& prefix,
   emit(Key(prefix, "group_meld"), double(group_meld));
   emit(Key(prefix, "state_retention"), double(state_retention));
   emit(Key(prefix, "disable_graft_fastpath"), double(disable_graft_fastpath));
-  emit(Key(prefix, "tree_fanout"), double(tree_fanout));
 }
 
 PipelineStats& PipelineStats::operator+=(const PipelineStats& o) {

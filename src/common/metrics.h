@@ -59,8 +59,6 @@ struct ArenaStats {
   uint64_t free_shared = 0;    ///< Slots in the shared free list.
   uint64_t payload_heap_allocs = 0;  ///< Payloads that overflowed inline.
   uint64_t payload_heap_frees = 0;
-  uint64_t wide_live = 0;       ///< Wide-node extents currently alive.
-  uint64_t wide_allocated = 0;  ///< Total wide-extent allocations ever.
 
   std::string ToString() const;
   void EmitTo(const std::string& prefix, const MetricEmit& emit) const;
@@ -78,7 +76,6 @@ struct ConfigEcho {
   int64_t group_meld = -1;
   int64_t state_retention = -1;
   int64_t disable_graft_fastpath = -1;
-  int64_t tree_fanout = -1;
 
   /// Merge = field-wise max: stamped values (>= 0) win over never-stamped
   /// (-1), and every stamper writes the same value because all workers

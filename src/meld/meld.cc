@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "meld/wide_meld.h"
-
 namespace hyder {
 
 namespace {
@@ -63,7 +61,6 @@ class Melder {
       a.conflict = cause;
       a.key_kind = AbortKeyKind::kUserKey;
       a.key = key;
-      a.slot = -1;
     }
     return Status::Aborted(msg);
   }
@@ -433,22 +430,6 @@ class Melder {
   const Intention& intent_;
 };
 
-/// Layout dispatch: a wide intention or base tree melds through the wide
-/// operator (wide_meld.cc); layout mismatches between the two surface as
-/// Internal errors inside the melders. A delete-only intention against a
-/// lazy base resolves the base root once (memoized by the resolver) to
-/// learn the layout.
-Result<bool> MeldInputIsWide(const MeldContext& ctx, const Intention& intent,
-                             const Ref& base_root) {
-  if (intent.root.node) return intent.root.node->is_wide();
-  if (base_root.node) return base_root.node->is_wide();
-  if (!base_root.vn.IsNull() && ctx.resolver != nullptr) {
-    HYDER_ASSIGN_OR_RETURN(NodePtr b, ctx.resolver->Resolve(base_root.vn));
-    return b && b->is_wide();
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<MeldResult> Meld(const MeldContext& ctx, const Intention& intent,
@@ -459,16 +440,13 @@ Result<MeldResult> Meld(const MeldContext& ctx, const Intention& intent,
   if (ctx.mode == MeldMode::kGroup && ctx.group_base == nullptr) {
     return Status::InvalidArgument("group meld requires the base intention");
   }
-  HYDER_ASSIGN_OR_RETURN(const bool wide, MeldInputIsWide(ctx, intent,
-                                                          base_root));
   // Install a local provenance sink (unless the caller brought one) so the
   // melders deposit typed AbortInfo instead of building reason strings.
   AbortInfo abort;
   MeldContext local = ctx;
   if (local.abort_sink == nullptr) local.abort_sink = &abort;
   Melder melder(local, intent);
-  Result<Ref> melded =
-      wide ? RunWideMeld(local, intent, base_root) : melder.Run(base_root);
+  Result<Ref> melded = melder.Run(base_root);
   MeldResult result;
   if (melded.ok()) {
     result.root = std::move(*melded);

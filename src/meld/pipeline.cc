@@ -72,11 +72,10 @@ SequentialPipeline::SequentialPipeline(
   block_prefix_.assign(states_.Latest().seq + 1, 0);
   published_seq_ = states_.Latest().seq;
   // Config echo (see ConfigEcho): each knob is stamped where it is
-  // consumed. Retention and fanout are consumed right here, at state-table
-  // construction / snapshot layout selection.
+  // consumed. Retention is consumed right here, at state-table
+  // construction.
   ConfigEcho echo;
   echo.state_retention = static_cast<int64_t>(config_.state_retention);
-  echo.tree_fanout = config_.tree_fanout;
   stats_.config_echo.Observe(echo);
 }
 

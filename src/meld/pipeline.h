@@ -67,11 +67,6 @@ struct PipelineConfig {
   /// Ablation only (bench/ablation_graft_fastpath): turn off the meld
   /// operator's subtree-graft fast path.
   bool disable_graft_fastpath = false;
-  /// Tree node layout: 2 = binary red-black (the seed baseline), [3, 64] =
-  /// wide pages with that many key slots and per-slot meld metadata. The
-  /// whole cluster must agree — intentions carry their layout on the wire
-  /// and meld refuses mixed trees.
-  int tree_fanout = 2;
   /// Chaos probe fired at every stage boundary; null (the default) costs
   /// one branch per boundary. Both engines call it at the same boundaries.
   StageProbe stage_probe;
@@ -106,7 +101,8 @@ AbortInfo MakeAdmissionRejectAbort();
 /// pairs chosen by index arithmetic, so thread interleaving cannot matter).
 /// Each stage's CPU time and tree-node work is recorded per stage, which is
 /// what the evaluation's figures plot and what the calibrated throughput
-/// model consumes (see DESIGN.md on the single-core substitution).
+/// model consumes (see DESIGN.md, "Substitutions"). It is the engine
+/// `HyderServer::Poll` runs.
 class SequentialPipeline {
  public:
   /// `eph_registrar` is invoked for every ephemeral node created by any

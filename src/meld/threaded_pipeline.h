@@ -31,8 +31,9 @@ struct RawIntention {
 /// structure the paper deploys. The deterministic index arithmetic of §3.4
 /// guarantees the outputs are bit-identical to `SequentialPipeline` under
 /// the same configuration — a property the tests verify — so the two
-/// engines are interchangeable; the sequential engine exists because this
-/// reproduction's evaluation host has a single core (see DESIGN.md).
+/// engines are interchangeable. This engine is the one that can overlap
+/// premeld with final meld on several cores; `pipeline_throughput`
+/// measures it against the sequential engine the server runs.
 ///
 /// Stage layout (t = premeld threads):
 ///   Feed / FeedRaw (caller thread, log order)

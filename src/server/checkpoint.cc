@@ -14,60 +14,30 @@ namespace {
 
 constexpr uint32_t kCheckpointMagic = 0xC4C4C4C4;
 
-/// Flags-byte bit marking a wide page record. Binary records use bits 0-2
-/// (color, left present, right present) and never set this bit.
-constexpr uint8_t kCheckpointWideBit = 1u << 3;
+/// Tree record flags byte. Every other bit is reserved: a record that sets
+/// one is Corruption.
+enum CheckpointRecordFlags : uint8_t {
+  kCheckpointRed = 1u << 0,
+  kCheckpointLeftPresent = 1u << 1,
+  kCheckpointRightPresent = 1u << 2,
+};
 
 /// Post-order serialization of a fully materialized state tree. Children
 /// are encoded as post-order indices (like the intention codec); the flags
-/// byte carries color and child presence for binary nodes, or the wide bit.
-///
-/// Wide page record: flags byte (wide bit), varint cap / slot count /
-/// page vn, `count` slots {key, cv, payload len, payload}, `count`+1
-/// presence bytes each followed by a post-order index when present. Slot
-/// ssv/flags and gap-read flags are dropped, like binary ssv/flags: a
-/// checkpointed state is never Inside a later intention's group, so meld
-/// only ever consults its vn and slot cv (content checks) — which survive.
+/// byte carries color and child presence.
 Status SerializeState(NodeResolver* resolver, const NodePtr& n,
                       std::unordered_map<const Node*, uint32_t>& index,
                       std::string* out, uint64_t* count) {
   if (!n) return Status::OK();
-  if (n->is_wide()) {
-    const WideExt& e = *n->wide();
-    std::vector<NodePtr> kids(e.count() + 1);
-    for (int i = 0; i <= e.count(); ++i) {
-      HYDER_ASSIGN_OR_RETURN(kids[i], e.child(i).Get(resolver));
-      HYDER_RETURN_IF_ERROR(
-          SerializeState(resolver, kids[i], index, out, count));
-    }
-    out->push_back(static_cast<char>(kCheckpointWideBit));
-    PutVarint64(out, static_cast<uint64_t>(e.cap()));
-    PutVarint64(out, static_cast<uint64_t>(e.count()));
-    PutVarint64(out, n->vn().raw());
-    for (int i = 0; i < e.count(); ++i) {
-      const WideSlot& s = e.slot(i);
-      PutVarint64(out, s.key);
-      PutVarint64(out, s.meta.cv.raw());
-      PutVarint64(out, s.payload().size());
-      out->append(s.payload());
-    }
-    for (int i = 0; i <= e.count(); ++i) {
-      out->push_back(kids[i] ? 1 : 0);
-      if (kids[i]) PutVarint64(out, index.at(kids[i].get()));
-    }
-    index[n.get()] = static_cast<uint32_t>(index.size());
-    ++*count;
-    return Status::OK();
-  }
   HYDER_ASSIGN_OR_RETURN(NodePtr left, n->left().Get(resolver));
   HYDER_RETURN_IF_ERROR(SerializeState(resolver, left, index, out, count));
   HYDER_ASSIGN_OR_RETURN(NodePtr right, n->right().Get(resolver));
   HYDER_RETURN_IF_ERROR(SerializeState(resolver, right, index, out, count));
 
   uint8_t flags = 0;
-  if (n->color() == Color::kRed) flags |= 1;
-  if (left) flags |= 2;
-  if (right) flags |= 4;
+  if (n->color() == Color::kRed) flags |= kCheckpointRed;
+  if (left) flags |= kCheckpointLeftPresent;
+  if (right) flags |= kCheckpointRightPresent;
   out->push_back(static_cast<char>(flags));
   PutVarint64(out, n->key());
   PutVarint64(out, n->vn().raw());
@@ -89,58 +59,9 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
   for (uint64_t i = 0; i < node_count; ++i) {
     if (p >= limit) return Status::Corruption("truncated checkpoint node");
     const uint8_t flags = static_cast<uint8_t>(*p++);
-    if (flags & kCheckpointWideBit) {
-      uint64_t cap = 0, slot_count = 0, vn = 0;
-      if ((p = GetVarint64(p, limit, &cap)) == nullptr ||
-          (p = GetVarint64(p, limit, &slot_count)) == nullptr ||
-          (p = GetVarint64(p, limit, &vn)) == nullptr) {
-        return Status::Corruption("truncated checkpoint page fields");
-      }
-      if (cap < 3 || cap > 64 || slot_count == 0 || slot_count > cap) {
-        return Status::Corruption("bad checkpoint page shape");
-      }
-      NodePtr n = MakeWideNode(static_cast<int>(cap));
-      WideExt& e = *n->wide();
-      n->set_vn(VersionId::FromRaw(vn));
-      e.set_count(static_cast<int>(slot_count));
-      for (uint64_t s = 0; s < slot_count; ++s) {
-        uint64_t key = 0, cv = 0, len = 0;
-        if ((p = GetVarint64(p, limit, &key)) == nullptr ||
-            (p = GetVarint64(p, limit, &cv)) == nullptr ||
-            (p = GetVarint64(p, limit, &len)) == nullptr) {
-          return Status::Corruption("truncated checkpoint slot fields");
-        }
-        if (len > size_t(limit - p)) {
-          return Status::Corruption("truncated checkpoint slot payload");
-        }
-        WideSlot& sl = e.slot(static_cast<int>(s));
-        sl.key = key;
-        sl.set_payload(std::string_view(p, len));
-        p += len;
-        // A checkpointed state carries committed content only: provenance
-        // (ssv) and the Altered/DependsOn flags are transaction-relative
-        // and deliberately reset together with cv so the slot's meld
-        // triple is coherent for the next intention melded on top.
-        sl.meta.cv = VersionId::FromRaw(cv);
-        sl.meta.ssv = VersionId();
-        sl.meta.flags = 0;
-      }
-      for (uint64_t ci = 0; ci <= slot_count; ++ci) {
-        if (p >= limit) {
-          return Status::Corruption("truncated checkpoint child byte");
-        }
-        const uint8_t present = static_cast<uint8_t>(*p++);
-        if (!present) continue;
-        uint64_t child = 0;
-        if ((p = GetVarint64(p, limit, &child)) == nullptr || child >= i) {
-          return Status::Corruption("bad checkpoint child index");
-        }
-        e.child(static_cast<int>(ci)).Reset(Ref::To(nodes[child]));
-      }
-      if (n->vn().IsEphemeral()) resolver->RegisterEphemeral(n);
-      if (!n->vn().IsNull()) (*pinned)[n->vn()] = n;
-      nodes.push_back(std::move(n));
-      continue;
+    if (flags & ~(kCheckpointRed | kCheckpointLeftPresent |
+                  kCheckpointRightPresent)) {
+      return Status::Corruption("unknown checkpoint record flags");
     }
     uint64_t key = 0, vn = 0, cv = 0, len = 0;
     if ((p = GetVarint64(p, limit, &key)) == nullptr ||
@@ -156,9 +77,12 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
     p += len;
     n->set_vn(VersionId::FromRaw(vn));
     n->set_cv(VersionId::FromRaw(cv));
-    n->set_color((flags & 1) ? Color::kRed : Color::kBlack);
+    n->set_color((flags & kCheckpointRed) ? Color::kRed : Color::kBlack);
     for (int side = 0; side < 2; ++side) {
-      if (!(flags & (side == 0 ? 2 : 4))) continue;
+      if (!(flags & (side == 0 ? kCheckpointLeftPresent
+                               : kCheckpointRightPresent))) {
+        continue;
+      }
       uint64_t child = 0;
       if ((p = GetVarint64(p, limit, &child)) == nullptr || child >= i) {
         return Status::Corruption("bad checkpoint child index");

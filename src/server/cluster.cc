@@ -1,5 +1,7 @@
 #include "server/cluster.h"
 
+#include "tree/validate.h"
+
 namespace hyder {
 
 Cluster::Cluster(int num_servers, StripedLogOptions log_options,
@@ -66,68 +68,6 @@ Result<bool> Cluster::StatesConverged(std::string* diff) {
     }
   }
   return true;
-}
-
-Result<bool> PhysicallyEqual(NodeResolver* ra, const Ref& a, NodeResolver* rb,
-                             const Ref& b, std::string* diff) {
-  NodePtr na = a.node;
-  if (!na && !a.vn.IsNull()) {
-    HYDER_ASSIGN_OR_RETURN(na, ra->Resolve(a.vn));
-  }
-  NodePtr nb = b.node;
-  if (!nb && !b.vn.IsNull()) {
-    HYDER_ASSIGN_OR_RETURN(nb, rb->Resolve(b.vn));
-  }
-  if (!na || !nb) {
-    if (static_cast<bool>(na) != static_cast<bool>(nb)) {
-      *diff = "null/non-null mismatch";
-      return false;
-    }
-    return true;
-  }
-  if (na->is_wide() != nb->is_wide()) {
-    *diff = "layout mismatch at " + na->vn().ToString();
-    return false;
-  }
-  if (na->is_wide()) {
-    const WideExt& ea = *na->wide();
-    const WideExt& eb = *nb->wide();
-    if (na->vn() != nb->vn() || ea.count() != eb.count()) {
-      *diff = "page mismatch: vns " + na->vn().ToString() + "/" +
-              nb->vn().ToString();
-      return false;
-    }
-    for (int i = 0; i < ea.count(); ++i) {
-      if (ea.slot(i).key != eb.slot(i).key ||
-          ea.slot(i).payload() != eb.slot(i).payload() ||
-          ea.slot(i).meta.cv != eb.slot(i).meta.cv) {
-        *diff = "slot mismatch: keys " + std::to_string(ea.slot(i).key) +
-                "/" + std::to_string(eb.slot(i).key) + " in page " +
-                na->vn().ToString();
-        return false;
-      }
-    }
-    for (int i = 0; i <= ea.count(); ++i) {
-      HYDER_ASSIGN_OR_RETURN(
-          bool same, PhysicallyEqual(ra, ea.child(i).GetLocal(), rb,
-                                     eb.child(i).GetLocal(), diff));
-      if (!same) return false;
-    }
-    return true;
-  }
-  if (na->vn() != nb->vn() || na->key() != nb->key() ||
-      na->payload() != nb->payload() || na->color() != nb->color()) {
-    *diff = "node mismatch: keys " + std::to_string(na->key()) + "/" +
-            std::to_string(nb->key()) + " vns " + na->vn().ToString() + "/" +
-            nb->vn().ToString();
-    return false;
-  }
-  HYDER_ASSIGN_OR_RETURN(bool left,
-                         PhysicallyEqual(ra, na->left().GetLocal(), rb,
-                                         nb->left().GetLocal(), diff));
-  if (!left) return false;
-  return PhysicallyEqual(ra, na->right().GetLocal(), rb,
-                         nb->right().GetLocal(), diff);
 }
 
 }  // namespace hyder

@@ -44,7 +44,8 @@ class Cluster {
   Status Seed(const std::map<Key, std::string>& content);
 
   /// Verifies all servers' latest states are *physically identical*
-  /// (same node identities, §3.4). Polls first.
+  /// (same node identities, §3.4; see PhysicallyEqual in tree/validate.h).
+  /// Polls first.
   Result<bool> StatesConverged(std::string* diff);
 
  private:
@@ -52,11 +53,6 @@ class Cluster {
   SharedLog* log_;
   std::vector<std::unique_ptr<HyderServer>> servers_;
 };
-
-/// Physical equality of two (sub)trees resolved through their servers'
-/// resolvers: identical version ids, keys, payloads and colors.
-Result<bool> PhysicallyEqual(NodeResolver* ra, const Ref& a, NodeResolver* rb,
-                             const Ref& b, std::string* diff);
 
 }  // namespace hyder
 

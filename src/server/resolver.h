@@ -33,9 +33,6 @@ struct ResolverOptions {
   size_t shards = 8;
   /// Lock stripes for the ephemeral registry, keyed by VersionId hash.
   size_t ephemeral_stripes = 8;
-  /// Ephemeral registry entries are swept once the registry exceeds this
-  /// size; only entries no longer referenced anywhere else are dropped.
-  size_t ephemeral_soft_limit = 1 << 20;
   /// Retry policy for transient log errors on the refetch path.
   RetryPolicy log_retry;
 };
@@ -103,6 +100,8 @@ class ServerResolver : public NodeResolver {
 
   /// Drops ephemeral entries that nothing else references. Safe at any
   /// time; affects only this server's memory, never cross-server state.
+  /// `HyderServer::Poll` calls it every `ServerOptions::sweep_interval`
+  /// melds.
   size_t SweepEphemerals();
 
   struct DirectoryExport {

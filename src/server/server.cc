@@ -65,8 +65,7 @@ Transaction HyderServer::Begin(IsolationLevel isolation) {
       (uint64_t(options_.server_id + 1) << 40) | next_txn_++;
   DatabaseState snapshot = pipeline_.states().Latest();
   IntentionBuilder builder(kWorkspaceTagBit | txn_id, snapshot.seq,
-                           snapshot.root, isolation, &resolver_,
-                           options_.pipeline.tree_fanout);
+                           snapshot.root, isolation, &resolver_);
   return Transaction(txn_id, std::move(builder));
 }
 
@@ -77,8 +76,7 @@ Result<Transaction> HyderServer::BeginAt(uint64_t seq,
   HYDER_ASSIGN_OR_RETURN(DatabaseState snapshot,
                          pipeline_.states().Get(seq));
   IntentionBuilder builder(kWorkspaceTagBit | txn_id, snapshot.seq,
-                           snapshot.root, isolation, &resolver_,
-                           options_.pipeline.tree_fanout);
+                           snapshot.root, isolation, &resolver_);
   return Transaction(txn_id, std::move(builder));
 }
 
@@ -284,8 +282,8 @@ Status HyderServer::PinStateForTruncation(uint64_t state_seq) {
     NodePtr n = std::move(stack.back());
     stack.pop_back();
     if (!n->vn().IsNull() && !pinned.emplace(n->vn(), n).second) continue;
-    for (int i = 0; i < n->child_count(); ++i) {
-      HYDER_ASSIGN_OR_RETURN(NodePtr c, n->child_at(i).Get(&resolver_));
+    for (bool right : {false, true}) {
+      HYDER_ASSIGN_OR_RETURN(NodePtr c, n->child(right).Get(&resolver_));
       if (c) stack.push_back(std::move(c));
     }
   }

@@ -71,10 +71,10 @@ class Transaction {
 /// log, and rolls the log forward through the meld pipeline. Every server
 /// sharing a log must run the same pipeline configuration (§3.4).
 ///
-/// Thread model: this simulation drives the pipeline via `Poll` from the
-/// caller's thread (on the single-core evaluation host the multithreaded
-/// pipeline cannot add wall-clock speedup; see DESIGN.md). The class is not
-/// itself thread-safe; use one instance per thread or external locking.
+/// Thread model: `Poll` drives the deterministic `SequentialPipeline` on
+/// the caller's thread, so a server's decisions and per-stage costs come
+/// from one thread in log order. The class is not itself thread-safe; use
+/// one instance per thread or external locking.
 class HyderServer {
  public:
   /// Degraded-mode flag (lagging-server catch-up, DESIGN.md "Log truncation

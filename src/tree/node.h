@@ -42,7 +42,6 @@ enum NodeFlags : uint8_t {
 enum class Color : uint8_t { kRed = 0, kBlack = 1 };
 
 class Node;
-class WideExt;
 
 /// Increments the reference count. `n` may be null.
 inline void NodeRef(Node* n);
@@ -231,20 +230,7 @@ class ChildSlot {
   VersionId vn_{};
 };
 
-/// Per-slot meld metadata of a wide node: the provenance triple a binary
-/// node carries per node (`ssv` / `base_cv` / `cv`), plus the
-/// Altered/DependsOn flags, moved to slot granularity so premeld and final
-/// meld run their conflict checks per key slot instead of per page. Slot
-/// *identity* is (page vn, slot index); slot *content* identity is `cv`,
-/// always a logged id, exactly as for binary nodes.
-struct WideSlotMeta {
-  VersionId ssv{};
-  VersionId base_cv{};
-  VersionId cv{};
-  uint8_t flags = 0;
-};
-
-/// The payload bytes of a Node or a WideSlot: stored inline when at most
+/// The payload bytes of a Node: stored inline when at most
 /// `kNodeInlinePayloadCap` bytes, in a heap buffer otherwise (counted in
 /// ArenaStats). The invariant is that the payload lives inline exactly
 /// when it fits the inline cap, so `view()` branches on the size alone.
@@ -256,7 +242,7 @@ class PayloadStore {
   PayloadStore(const PayloadStore&) = delete;
   PayloadStore& operator=(const PayloadStore&) = delete;
 
-  /// Invalidated by `Set` and `StealFrom`.
+  /// Invalidated by `Set`.
   std::string_view view() const {
     return size_ <= kNodeInlinePayloadCap
                ? std::string_view(buf_.inline_buf, size_)
@@ -265,8 +251,6 @@ class PayloadStore {
   /// Copies `p` in, reusing an existing heap buffer when it is large
   /// enough. `p` may alias the current bytes.
   void Set(std::string_view p);
-  /// Takes `o`'s bytes, heap buffer included; `o` is left empty.
-  void StealFrom(PayloadStore& o);
 
  private:
   void FreeHeap();
@@ -278,94 +262,6 @@ class PayloadStore {
   uint32_t size_ = 0;
   uint32_t heap_cap_ = 0;  ///< Capacity of `buf_.heap`; 0 when inline.
 };
-
-/// One key slot of a wide node: key, payload and per-slot meld metadata.
-class WideSlot {
- public:
-  Key key = 0;
-  WideSlotMeta meta;
-
-  std::string_view payload() const { return payload_.view(); }
-  void set_payload(std::string_view p) { payload_.Set(p); }
-
-  bool altered() const { return meta.flags & kFlagAltered; }
-  bool read_dependent() const { return meta.flags & kFlagRead; }
-
-  /// Steals `o`'s payload buffer along with key and metadata (slot shifts
-  /// inside one private page). `o` is left empty.
-  void MoveFrom(WideSlot& o);
-  /// Duplicates key, metadata and payload bytes (page clones and the
-  /// deletion relocation).
-  void CopyFrom(const WideSlot& o);
-  /// Resets to the default-constructed state, freeing any heap payload.
-  void Clear();
-
- private:
-  PayloadStore payload_;
-};
-
-/// The wide extension of a Node: up to `cap` sorted key slots plus `cap`+1
-/// child edges, allocated as one exact-size extent (see node_pool.h).
-/// Child `i` roots the subtree of keys strictly between slot `i-1` and
-/// slot `i` (classic B-tree intervals); `count` live slots occupy indices
-/// [0, count) and children [0, count] are meaningful. Per-gap read flags
-/// record range-scan / miss structural dependencies at sub-page
-/// granularity — the wide-layout analog of kFlagSubtreeRead on an absent
-/// binary subtree.
-class WideExt {
- public:
-  int cap() const { return cap_; }
-  int count() const { return count_; }
-  void set_count(int c) { count_ = static_cast<uint16_t>(c); }
-
-  WideSlot& slot(int i) { return slots_[i]; }
-  const WideSlot& slot(int i) const { return slots_[i]; }
-  ChildSlot& child(int i) { return children_[i]; }
-  const ChildSlot& child(int i) const { return children_[i]; }
-
-  bool gap_read(int i) const { return gap_read_[i] != 0; }
-  void set_gap_read(int i, bool v) { gap_read_[i] = v ? 1 : 0; }
-  bool any_gap_read() const {
-    for (int i = 0; i <= count_; ++i) {
-      if (gap_read_[i]) return true;
-    }
-    return false;
-  }
-  void clear_gap_reads() {
-    for (int i = 0; i <= count_; ++i) gap_read_[i] = 0;
-  }
-
-  /// Opens slot `pos`, shifting slots [pos, count) and children/gaps
-  /// (pos, count] one step right. Child `pos+1` comes out as a null edge
-  /// with a clear gap flag; the caller fills slot `pos` (and rewires
-  /// children pos / pos+1 when splitting). Requires count < cap.
-  void OpenSlot(int pos);
-  /// Removes slot `pos` together with child `child_pos` (pos or pos+1;
-  /// must be a null edge), closing the arrays. The two gaps flanking the
-  /// removed slot merge; their read flags OR together — a structural
-  /// dependency on either sub-interval becomes one on the merged interval.
-  void CloseSlot(int pos, int child_pos);
-
- private:
-  friend WideExt* CreateWideExt(int fanout);
-  friend void DestroyWideExt(WideExt* ext);
-
-  uint16_t cap_ = 0;
-  uint16_t count_ = 0;
-  /// Arrays live in the same extent, directly after this header.
-  WideSlot* slots_ = nullptr;       ///< `cap` entries.
-  ChildSlot* children_ = nullptr;   ///< `cap`+1 entries.
-  uint8_t* gap_read_ = nullptr;     ///< `cap`+1 bytes.
-};
-
-/// Allocates and constructs a wide extension with `fanout` key slots.
-WideExt* CreateWideExt(int fanout);
-/// Destroys slots/children and frees the extent.
-void DestroyWideExt(WideExt* ext);
-
-/// Bytes of the one-block extent backing a WideExt of `cap` slots (header
-/// plus the three trailing arrays).
-size_t WideExtentBytes(int cap);
 
 /// One immutable version of one key's node in the multi-versioned tree.
 ///
@@ -384,16 +280,6 @@ size_t WideExtentBytes(int cap);
 class Node {
  public:
   Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
-
-  /// Wide-layout node: key slots and per-slot metadata live in `ext`; the
-  /// node-level `key_`/payload/color fields are unused. Node-level `vn`,
-  /// `ssv`, `owner` and flags keep their meaning at page granularity
-  /// (kFlagSubtreeRead = the page's structural-read mark).
-  explicit Node(WideExt* ext) : key_(0), wide_(ext) {}
-
-  ~Node() {
-    if (wide_ != nullptr) DestroyWideExt(wide_);
-  }
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -440,27 +326,6 @@ class Node {
     return right_side ? right_ : left_;
   }
 
-  bool is_wide() const { return wide_ != nullptr; }
-  WideExt* wide() { return wide_; }
-  const WideExt* wide() const { return wide_; }
-
-  /// Layout-generic child iteration for walkers (destruction, checkpoint,
-  /// registries): binary nodes expose {left, right}, wide nodes expose
-  /// their `count`+1 edges.
-  int child_count() const { return wide_ ? wide_->count() + 1 : 2; }
-  ChildSlot& child_at(int i) {
-    return wide_ ? wide_->child(i) : (i == 0 ? left_ : right_);
-  }
-  const ChildSlot& child_at(int i) const {
-    return wide_ ? wide_->child(i) : (i == 0 ? left_ : right_);
-  }
-
-  /// The page's structural-read mark: the page-level kFlagSubtreeRead or
-  /// any per-gap read flag. Meld's wide phantom check keys off this.
-  bool page_structural_read() const {
-    return subtree_read() || (wide_ != nullptr && wide_->any_gap_read());
-  }
-
   /// Optimistic read validation (OLC-style seqlock). The version word is
   /// even when the node is stable and odd while a writer mutates it in
   /// place. In-place mutation is only legal on unpublished (executor- or
@@ -501,8 +366,6 @@ class Node {
   VersionId cv_{};
   uint64_t owner_ = 0;
   PayloadStore payload_;
-  /// Non-null for wide-layout nodes; owned (freed with the node).
-  WideExt* wide_ = nullptr;
   /// OLC version word; see OlcReadBegin.
   mutable std::atomic<uint64_t> olc_{0};
   ChildSlot left_;
@@ -540,10 +403,6 @@ uint64_t LiveNodeCount();
 /// Allocates a node from the slab pool, tracked by `LiveNodeCount`. All
 /// node creation in the library goes through this helper.
 NodePtr MakeNode(Key key, std::string_view payload);
-
-/// Allocates an empty wide-layout node with `fanout` key slots (node slot
-/// plus a size-classed extent for the slot/child arrays).
-NodePtr MakeWideNode(int fanout);
 
 }  // namespace hyder
 

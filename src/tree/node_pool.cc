@@ -18,8 +18,6 @@ std::atomic<uint64_t> g_live{0};
 std::atomic<uint64_t> g_allocated{0};
 std::atomic<uint64_t> g_payload_heap_allocs{0};
 std::atomic<uint64_t> g_payload_heap_frees{0};
-std::atomic<uint64_t> g_wide_live{0};
-std::atomic<uint64_t> g_wide_allocated{0};
 
 /// Slots move between the shared pool and thread caches in batches of
 /// this size; a cache holds at most two batches before draining one.
@@ -109,39 +107,6 @@ ThreadCache& Cache() {
   return cache;
 }
 
-/// Freed wide extents, kept per fanout for the next page of that fanout.
-/// Each extent is its own exact-size `operator new` block, so sanitizer
-/// builds bounds-check it; recycling only skips malloc/free, which pays
-/// where pages die on another thread than the one that built them (the
-/// threaded pipeline). Leaked like the node pool.
-class ExtentFreeLists {
- public:
-  void* Pop(int fanout) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (size_t(fanout) >= free_.size() || free_[fanout].empty()) {
-      return nullptr;
-    }
-    void* extent = free_[fanout].back();
-    free_[fanout].pop_back();
-    return extent;
-  }
-
-  void Push(void* extent, int fanout) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (size_t(fanout) >= free_.size()) free_.resize(fanout + 1);
-    free_[fanout].push_back(extent);
-  }
-
- private:
-  Mutex mu_;
-  std::vector<std::vector<void*>> free_ GUARDED_BY(mu_);  ///< By fanout.
-};
-
-ExtentFreeLists& FreeExtents() {
-  static ExtentFreeLists* lists = new ExtentFreeLists();
-  return *lists;
-}
-
 }  // namespace
 
 void* AllocateNodeSlot() {
@@ -179,8 +144,6 @@ ArenaStats NodeArenaStats() {
   s.allocated = g_allocated.load(std::memory_order_relaxed);
   s.payload_heap_allocs = g_payload_heap_allocs.load(std::memory_order_relaxed);
   s.payload_heap_frees = g_payload_heap_frees.load(std::memory_order_relaxed);
-  s.wide_live = g_wide_live.load(std::memory_order_relaxed);
-  s.wide_allocated = g_wide_allocated.load(std::memory_order_relaxed);
   Pool().AddStats(&s);
   // Batched refills carve slots ahead of demand, so early on `carved` can
   // exceed `allocated`; saturate to keep this a (tight) lower bound.
@@ -216,20 +179,6 @@ void CountPayloadHeapAlloc() {
 void CountPayloadHeapFree() {
   // relaxed: monotonic arena stats counter; no ordering dependency.
   g_payload_heap_frees.fetch_add(1, std::memory_order_relaxed);
-}
-
-void* AllocateWideExtent(int fanout) {
-  // relaxed: monotonic arena stats counter; no ordering dependency.
-  g_wide_allocated.fetch_add(1, std::memory_order_relaxed);
-  g_wide_live.fetch_add(1, std::memory_order_relaxed);
-  void* extent = FreeExtents().Pop(fanout);
-  return extent != nullptr ? extent : ::operator new(WideExtentBytes(fanout));
-}
-
-void ReleaseWideExtent(void* extent, int fanout) {
-  // relaxed: monotonic arena stats counter; no ordering dependency.
-  g_wide_live.fetch_sub(1, std::memory_order_relaxed);
-  FreeExtents().Push(extent, fanout);
 }
 
 // relaxed: monotonic-pair counter read for leak tests at quiesce points.

@@ -43,13 +43,6 @@ void DrainNodeArenaThreadCache();
 void CountPayloadHeapAlloc();
 void CountPayloadHeapFree();
 
-/// Wide-node extent allocation: one exact-size `operator new` block per
-/// wide node holding its slot, child and gap-flag arrays
-/// (`WideExtentBytes(fanout)`), recycled per fanout once freed. Counted
-/// in ArenaStats (`wide_live` / `wide_allocated`).
-void* AllocateWideExtent(int fanout);
-void ReleaseWideExtent(void* extent, int fanout);
-
 }  // namespace hyder
 
 #endif  // HYDER2_TREE_NODE_POOL_H_

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "tree/wide_ops.h"
-
 namespace hyder {
 
 namespace {
@@ -29,14 +27,6 @@ void BumpVisited(const CowContext& ctx) {
 }
 void BumpCreated(const CowContext& ctx) {
   if (ctx.stats != nullptr) ++ctx.stats->nodes_created;
-}
-
-/// Layout dispatch: operations on a non-empty tree follow the root's
-/// actual layout; on an empty tree `ctx.fanout` decides which layout roots
-/// it (> 2 selects the wide layout, see wide_ops.h).
-Result<bool> RootIsWide(const CowContext& ctx, const Ref& root) {
-  HYDER_ASSIGN_OR_RETURN(NodePtr r, ResolveRefValue(root, ctx.resolver));
-  return r ? r->is_wide() : ctx.fanout > 2;
 }
 
 /// Links `n` into the slot the descent would have placed it: the last path
@@ -207,7 +197,6 @@ Result<NodePtr> CloneForWrite(const CowContext& ctx, const NodePtr& n) {
   if (!n) return NodePtr();
   assert(ctx.owner != 0 && "CowContext.owner must be non-zero");
   if (n->owner() == ctx.owner) return n;  // Already private to this context.
-  if (n->is_wide()) return CloneWideForWrite(ctx, n);
   NodePtr m = MakeNode(n->key(), n->payload());
   m->set_color(n->color());
   m->set_owner(ctx.owner);
@@ -244,10 +233,6 @@ Result<NodePtr> ResolveChild(const ChildSlot& slot, NodeResolver* resolver) {
 
 Result<Ref> TreeInsert(const CowContext& ctx, const Ref& root, Key key,
                        std::string_view payload, bool* existed) {
-  {
-    HYDER_ASSIGN_OR_RETURN(bool wide, RootIsWide(ctx, root));
-    if (wide) return WideInsert(ctx, root, key, payload, existed);
-  }
   std::vector<PathEntry> path;
   Ref newroot = Ref::Null();
   HYDER_ASSIGN_OR_RETURN(NodePtr cur, ResolveRefValue(root, ctx.resolver));
@@ -288,13 +273,6 @@ Result<Ref> TreeInsert(const CowContext& ctx, const Ref& root, Key key,
 Result<Ref> TreeRemove(const CowContext& ctx, const Ref& root, Key key,
                        bool* removed, VersionId* removed_base_cv,
                        VersionId* removed_ssv) {
-  {
-    HYDER_ASSIGN_OR_RETURN(bool wide, RootIsWide(ctx, root));
-    if (wide) {
-      return WideRemove(ctx, root, key, removed, removed_base_cv,
-                        removed_ssv);
-    }
-  }
   // Probe first so a miss leaves the tree untouched (no path copies for a
   // no-op delete).
   {
@@ -407,10 +385,6 @@ Result<Ref> TreeRemove(const CowContext& ctx, const Ref& root, Key key,
 
 Result<Ref> TreeLookup(const CowContext& ctx, const Ref& root, Key key,
                        std::optional<std::string>* payload) {
-  {
-    HYDER_ASSIGN_OR_RETURN(bool wide, RootIsWide(ctx, root));
-    if (wide) return WideLookup(ctx, root, key, payload);
-  }
   *payload = std::nullopt;
   if (!ctx.annotate_reads) {
     HYDER_ASSIGN_OR_RETURN(NodePtr cur, ResolveRefValue(root, ctx.resolver));
@@ -550,10 +524,6 @@ Result<Ref> TreeRangeScan(const CowContext& ctx, const Ref& root, Key lo,
                           Key hi,
                           std::vector<std::pair<Key, std::string>>* out) {
   if (lo > hi) return root;
-  {
-    HYDER_ASSIGN_OR_RETURN(bool wide, RootIsWide(ctx, root));
-    if (wide) return WideRangeScan(ctx, root, lo, hi, out);
-  }
   return ScanRec(ctx, root, lo, hi, std::nullopt, std::nullopt, out);
 }
 

@@ -89,13 +89,6 @@ struct CowContext {
   /// nodes keep a null provisional vn (executor workspaces; their ids are
   /// assigned at deserialization).
   EphemeralAllocator* vn_alloc = nullptr;
-  /// Slot capacity of the pages this context builds. 2 selects the binary
-  /// red-black layout (the baseline); values in [3, 64] select the wide
-  /// layout with that many key slots per page. Operations on a non-empty
-  /// tree follow the root's actual layout — the knob only decides which
-  /// layout roots an empty tree, so every server in a cluster must run the
-  /// same fanout (mixed layouts inside one tree are rejected).
-  int fanout = 2;
 };
 
 /// Clones `n` for mutation under `ctx` unless it is already owned by `ctx`.

@@ -18,9 +18,6 @@ struct WalkState {
 Result<int> Walk(WalkState& st, const NodePtr& n, uint32_t depth,
                  bool parent_red) {
   if (!n) return 1;  // Null leaves are black.
-  if (n->is_wide()) {
-    return Status::Internal("wide page below a binary node (mixed layouts)");
-  }
   st.check.node_count++;
   st.check.height = std::max(st.check.height, depth);
   if ((n->olc_version() & 1) != 0) st.check.olc_stable = false;
@@ -46,32 +43,6 @@ Result<int> Walk(WalkState& st, const NodePtr& n, uint32_t depth,
   return bh_left + (red ? 0 : 1);
 }
 
-/// Wide-layout walk: in-order key check plus page-shape invariants (every
-/// reachable page keeps 1..cap sorted slots; preemptive splitting guarantees
-/// this even mid-transaction) and the OLC stability probe.
-Status WalkWide(WalkState& st, const NodePtr& n, uint32_t depth,
-                bool* page_violation) {
-  if (!n) return Status::OK();
-  if (!n->is_wide()) {
-    return Status::Internal("binary node below a wide page (mixed layouts)");
-  }
-  st.check.node_count++;
-  st.check.height = std::max(st.check.height, depth);
-  if ((n->olc_version() & 1) != 0) st.check.olc_stable = false;
-  const WideExt& e = *n->wide();
-  if (e.count() < 1 || e.count() > e.cap()) *page_violation = true;
-  for (int i = 0; i <= e.count(); ++i) {
-    HYDER_ASSIGN_OR_RETURN(NodePtr c, e.child(i).Get(st.resolver));
-    HYDER_RETURN_IF_ERROR(WalkWide(st, c, depth + 1, page_violation));
-    if (i == e.count()) break;
-    if (st.last_key.has_value() && *st.last_key >= e.slot(i).key) {
-      st.order_violation = true;
-    }
-    st.last_key = e.slot(i).key;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<TreeCheck> ValidateTree(NodeResolver* resolver, const Ref& root) {
@@ -82,15 +53,6 @@ Result<TreeCheck> ValidateTree(NodeResolver* resolver, const Ref& root) {
       return Status::Internal("lazy root with no resolver");
     }
     HYDER_ASSIGN_OR_RETURN(r, resolver->Resolve(root.vn));
-  }
-  if (r && r->is_wide()) {
-    st.check.wide = true;
-    bool page_violation = false;
-    HYDER_RETURN_IF_ERROR(WalkWide(st, r, 1, &page_violation));
-    st.check.bst_ok = !st.order_violation;
-    st.check.black_height = 0;
-    st.check.rb_ok = !page_violation;
-    return st.check;
   }
   const bool root_black = !r || r->color() == Color::kBlack;
   HYDER_ASSIGN_OR_RETURN(int bh, Walk(st, r, 1, false));
@@ -104,16 +66,6 @@ namespace {
 Status CollectRec(NodeResolver* resolver, const NodePtr& n,
                   std::vector<std::pair<Key, std::string>>* out) {
   if (!n) return Status::OK();
-  if (n->is_wide()) {
-    const WideExt& e = *n->wide();
-    for (int i = 0; i <= e.count(); ++i) {
-      HYDER_ASSIGN_OR_RETURN(NodePtr c, e.child(i).Get(resolver));
-      HYDER_RETURN_IF_ERROR(CollectRec(resolver, c, out));
-      if (i == e.count()) break;
-      out->emplace_back(e.slot(i).key, std::string(e.slot(i).payload()));
-    }
-    return Status::OK();
-  }
   HYDER_ASSIGN_OR_RETURN(NodePtr l, n->left().Get(resolver));
   HYDER_RETURN_IF_ERROR(CollectRec(resolver, l, out));
   out->emplace_back(n->key(), n->payload());
@@ -143,21 +95,6 @@ namespace {
 Status ToStringRec(NodeResolver* resolver, const NodePtr& n, int indent,
                    std::string* out) {
   if (!n) return Status::OK();
-  if (n->is_wide()) {
-    const WideExt& e = *n->wide();
-    // Reverse in-order, matching the binary rendering's orientation.
-    for (int i = e.count(); i >= 0; --i) {
-      HYDER_ASSIGN_OR_RETURN(NodePtr c, e.child(i).Get(resolver));
-      HYDER_RETURN_IF_ERROR(ToStringRec(resolver, c, indent + 2, out));
-      if (i == 0) break;
-      out->append(indent, ' ');
-      out->append(std::to_string(e.slot(i - 1).key));
-      out->append("(W) ");
-      out->append(n->vn().ToString());
-      out->append("\n");
-    }
-    return Status::OK();
-  }
   HYDER_ASSIGN_OR_RETURN(NodePtr r, n->right().Get(resolver));
   HYDER_RETURN_IF_ERROR(ToStringRec(resolver, r, indent + 2, out));
   out->append(indent, ' ');
@@ -182,6 +119,38 @@ Result<std::string> TreeToString(NodeResolver* resolver, const Ref& root) {
   }
   HYDER_RETURN_IF_ERROR(ToStringRec(resolver, r, 0, &out));
   return out;
+}
+
+Result<bool> PhysicallyEqual(NodeResolver* ra, const Ref& a, NodeResolver* rb,
+                             const Ref& b, std::string* diff) {
+  NodePtr na = a.node;
+  if (!na && !a.vn.IsNull()) {
+    HYDER_ASSIGN_OR_RETURN(na, ra->Resolve(a.vn));
+  }
+  NodePtr nb = b.node;
+  if (!nb && !b.vn.IsNull()) {
+    HYDER_ASSIGN_OR_RETURN(nb, rb->Resolve(b.vn));
+  }
+  if (!na || !nb) {
+    if (static_cast<bool>(na) != static_cast<bool>(nb)) {
+      *diff = "null/non-null mismatch";
+      return false;
+    }
+    return true;
+  }
+  if (na->vn() != nb->vn() || na->key() != nb->key() ||
+      na->payload() != nb->payload() || na->color() != nb->color()) {
+    *diff = "node mismatch: keys " + std::to_string(na->key()) + "/" +
+            std::to_string(nb->key()) + " vns " + na->vn().ToString() + "/" +
+            nb->vn().ToString();
+    return false;
+  }
+  HYDER_ASSIGN_OR_RETURN(bool left,
+                         PhysicallyEqual(ra, na->left().GetLocal(), rb,
+                                         nb->left().GetLocal(), diff));
+  if (!left) return false;
+  return PhysicallyEqual(ra, na->right().GetLocal(), rb,
+                         nb->right().GetLocal(), diff);
 }
 
 }  // namespace hyder

@@ -15,19 +15,14 @@ struct TreeCheck {
   uint64_t node_count = 0;
   uint32_t height = 0;
   int black_height = 0;  ///< -1 when the black-height invariant is violated.
-                         ///< Always 0 for wide-layout trees.
   bool bst_ok = false;
-  bool rb_ok = false;  ///< Layout invariants. Binary: red-black (root black,
-                       ///< no red-red, equal black heights). Wide: every
-                       ///< reachable page holds 1..cap sorted slots and no
-                       ///< binary node appears below a wide page.
-  bool wide = false;   ///< The root (and hence the tree) uses the wide layout.
+  bool rb_ok = false;  ///< Red-black invariants: root black, no red-red,
+                       ///< equal black heights.
   bool olc_stable = true;  ///< Every node's OLC version word was even (no
                            ///< writer mid-mutation) when visited.
 };
 
-/// Walks the whole tree checking key ordering and the layout's structural
-/// invariants (red-black for binary trees, page-shape for wide trees).
+/// Walks the whole tree checking key ordering and the red-black invariants.
 /// Resolves lazy edges through `resolver` (may be null for materialized
 /// trees). Intended for tests; cost is O(n).
 Result<TreeCheck> ValidateTree(NodeResolver* resolver, const Ref& root);
@@ -41,6 +36,13 @@ Result<uint64_t> TreeCount(NodeResolver* resolver, const Ref& root);
 
 /// Renders the tree as an indented multi-line string (debugging aid).
 Result<std::string> TreeToString(NodeResolver* resolver, const Ref& root);
+
+/// Physical equality of two (sub)trees, each resolved through its own
+/// resolver: identical version ids, keys, payloads, colors and shape — the
+/// §3.4 determinism requirement across servers and engines. On `false`,
+/// `*diff` names the first mismatch.
+Result<bool> PhysicallyEqual(NodeResolver* ra, const Ref& a, NodeResolver* rb,
+                             const Ref& b, std::string* diff);
 
 }  // namespace hyder
 

@@ -96,60 +96,6 @@ Status SerializeNodes(const NodePtr& n, uint64_t workspace_tag,
   return Status::OK();
 }
 
-/// Post-order serialization of the wide pages this transaction created.
-/// Page record: page flags byte, varint page ssv, varint slot count,
-/// `count` slot records {flags, key, ssv, base_cv, payload}, then
-/// `count`+1 child tags each followed by its reference varint when present.
-/// Per-slot `cv` is not written: the decoder reconstitutes it as the page's
-/// vn for altered slots and base_cv otherwise, exactly like binary nodes.
-Status SerializeWidePages(const NodePtr& n, uint64_t workspace_tag,
-                          std::unordered_map<const Node*, uint32_t>& index,
-                          std::string* out, std::vector<uint32_t>* offsets) {
-  if (!n || n->owner() != workspace_tag) return Status::OK();
-  if (!n->is_wide()) {
-    return Status::Internal("binary node inside a wide intention");
-  }
-  const WideExt& e = *n->wide();
-  for (int i = 0; i <= e.count(); ++i) {
-    HYDER_RETURN_IF_ERROR(SerializeWidePages(e.child(i).GetLocal().node,
-                                             workspace_tag, index, out,
-                                             offsets));
-  }
-
-  offsets->push_back(static_cast<uint32_t>(out->size()));
-  uint8_t pf = 0;
-  if (n->subtree_read()) pf |= kWirePageSubtreeRead;
-  out->push_back(static_cast<char>(pf));
-  PutVarint64(out, n->ssv().raw());
-  PutVarint64(out, static_cast<uint64_t>(e.count()));
-  for (int i = 0; i < e.count(); ++i) {
-    const WideSlot& s = e.slot(i);
-    uint8_t sf = 0;
-    if (s.meta.flags & kFlagAltered) sf |= kWireSlotAltered;
-    if (s.meta.flags & kFlagRead) sf |= kWireSlotRead;
-    out->push_back(static_cast<char>(sf));
-    PutVarint64(out, s.key);
-    PutVarint64(out, s.meta.ssv.raw());
-    PutVarint64(out, s.meta.base_cv.raw());
-    PutVarint64(out, s.payload().size());
-    out->append(s.payload());
-  }
-  for (int i = 0; i <= e.count(); ++i) {
-    HYDER_ASSIGN_OR_RETURN(
-        EdgeEncoding enc, EncodeEdge(e.child(i).GetLocal(), workspace_tag,
-                                     index));
-    uint8_t tag = 0;
-    if (enc.present) tag |= kWireChildPresent;
-    if (enc.internal) tag |= kWireChildInternal;
-    if (e.gap_read(i)) tag |= kWireGapRead;
-    out->push_back(static_cast<char>(tag));
-    if (enc.present) PutVarint64(out, enc.value);
-  }
-
-  index[n.get()] = static_cast<uint32_t>(index.size());
-  return Status::OK();
-}
-
 }  // namespace
 
 void EncodeBlockHeader(const BlockHeader& h, std::string* out) {
@@ -181,11 +127,6 @@ Result<std::vector<std::string>> SerializeIntention(
     return Status::InvalidArgument("block size too small");
   }
   // Header + nodes into one contiguous payload, then chop into blocks.
-  // The root is always a fresh copy when the transaction wrote anything, so
-  // its layout is the layout of every node this intention carries.
-  const NodePtr& root = builder.root().node;
-  const bool wide = root != nullptr && root->is_wide() &&
-                    root->owner() == builder.workspace_tag();
   // Format prefix (magic + version), then the header fields.
   std::string payload;
   payload.reserve(kWireFlatPrefixBytes);
@@ -193,14 +134,7 @@ Result<std::vector<std::string>> SerializeIntention(
   payload.push_back(static_cast<char>(kWireFlatMagic1));
   payload.push_back(static_cast<char>(kWireFlatVersion));
   PutVarint64(&payload, builder.snapshot_seq());
-  uint8_t iso = static_cast<uint8_t>(builder.isolation());
-  if (iso & kWireWideLayout) {
-    return Status::Internal("isolation level collides with the wide marker");
-  }
-  payload.push_back(static_cast<char>(wide ? (iso | kWireWideLayout) : iso));
-  if (wide) {
-    PutVarint64(&payload, static_cast<uint64_t>(root->wide()->cap()));
-  }
+  payload.push_back(static_cast<char>(builder.isolation()));
   PutVarint64(&payload, builder.tombstones().size());
   for (const Tombstone& t : builder.tombstones()) {
     PutVarint64(&payload, t.key);
@@ -210,13 +144,9 @@ Result<std::vector<std::string>> SerializeIntention(
   std::string nodes;
   std::vector<uint32_t> offsets;
   std::unordered_map<const Node*, uint32_t> index;
-  if (wide) {
-    HYDER_RETURN_IF_ERROR(SerializeWidePages(root, builder.workspace_tag(),
-                                             index, &nodes, &offsets));
-  } else {
-    HYDER_RETURN_IF_ERROR(SerializeNodes(root, builder.workspace_tag(), index,
-                                         &nodes, &offsets));
-  }
+  HYDER_RETURN_IF_ERROR(SerializeNodes(builder.root().node,
+                                       builder.workspace_tag(), index, &nodes,
+                                       &offsets));
   PutVarint64(&payload, index.size());
   // Node-region length plus the trailing fixed32 offset table: what lets
   // FlatIntentionView address record i without decoding records 0..i-1.
@@ -276,8 +206,8 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
     // materialize lazily through the view.
     for (uint32_t i = 0; i < view->node_count(); ++i) {
       NodePtr n = view->NodeAt(i);
-      for (int c = 0; c < n->child_count(); ++c) {
-        const ChildSlot& slot = n->child_at(c);
+      for (bool right : {false, true}) {
+        const ChildSlot& slot = n->child(right);
         const Ref edge = slot.GetLocal();
         if (edge.IsLazy() && edge.vn.IsLogged() &&
             edge.vn.intention_seq() == seq) {
@@ -295,8 +225,8 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
       // id whether or not the node pointer is populated, so meld decisions
       // are unaffected. Intra-intention ids miss here (this intention is
       // not cached yet) and resolve through the view on first touch.
-      for (int i = 0; i < root->child_count(); ++i) {
-        const ChildSlot& slot = root->child_at(i);
+      for (bool right : {false, true}) {
+        const ChildSlot& slot = root->child(right);
         const Ref edge = slot.GetLocal();
         if (!edge.IsLazy()) continue;
         NodePtr resolved = ephemeral_resolver->TryResolveCached(edge.vn);

@@ -47,18 +47,11 @@ Status FlatIntentionView::ParseBody() {
   }
   if (p >= limit) return Status::Corruption("truncated isolation byte");
   const uint8_t iso_byte = static_cast<uint8_t>(*p++);
-  wide_ = (iso_byte & kWireWideLayout) != 0;
-  isolation_ = static_cast<IsolationLevel>(iso_byte & ~kWireWideLayout);
-  uint64_t fanout = 0;
-  if (wide_) {
-    if ((p = GetVarint64(p, limit, &fanout)) == nullptr) {
-      return Status::Corruption("truncated wide page capacity");
-    }
-    if (fanout < 3 || fanout > 64) {
-      return Status::Corruption("wide page capacity out of range");
-    }
-    fanout_ = static_cast<int>(fanout);
+  if (iso_byte != uint8_t(IsolationLevel::kSerializable) &&
+      iso_byte != uint8_t(IsolationLevel::kSnapshot)) {
+    return Status::Corruption("unknown isolation level");
   }
+  isolation_ = static_cast<IsolationLevel>(iso_byte);
   uint64_t tomb_count = 0;
   if ((p = GetVarint64(p, limit, &tomb_count)) == nullptr) {
     return Status::Corruption("truncated tombstone count");
@@ -122,81 +115,36 @@ Status FlatIntentionView::ParseBody() {
     RecordExtent(i, &rp, &rend);
     bool writes = false;
     uint64_t key = 0, ssv = 0, base_cv = 0, payload_len = 0;
-    if (!wide_) {
-      if (rp >= rend) return Status::Corruption("truncated node record");
-      const uint8_t flags = static_cast<uint8_t>(*rp++);
-      if ((rp = GetVarint64(rp, rend, &key)) == nullptr ||
-          (rp = GetVarint64(rp, rend, &ssv)) == nullptr ||
-          (rp = GetVarint64(rp, rend, &base_cv)) == nullptr ||
-          (rp = GetVarint64(rp, rend, &payload_len)) == nullptr) {
-        return Status::Corruption("truncated node fields");
+    if (rp >= rend) return Status::Corruption("truncated node record");
+    const uint8_t flags = static_cast<uint8_t>(*rp++);
+    if ((rp = GetVarint64(rp, rend, &key)) == nullptr ||
+        (rp = GetVarint64(rp, rend, &ssv)) == nullptr ||
+        (rp = GetVarint64(rp, rend, &base_cv)) == nullptr ||
+        (rp = GetVarint64(rp, rend, &payload_len)) == nullptr) {
+      return Status::Corruption("truncated node fields");
+    }
+    if (payload_len > size_t(rend - rp)) {
+      return Status::Corruption("truncated node payload");
+    }
+    rp += payload_len;
+    if (flags & kWireAltered) writes = true;
+    for (int side = 0; side < 2; ++side) {
+      const bool present =
+          flags & (side == 0 ? kWireLeftPresent : kWireRightPresent);
+      if (!present) continue;
+      const bool internal =
+          flags & (side == 0 ? kWireLeftInternal : kWireRightInternal);
+      uint64_t ev = 0;
+      if ((rp = GetVarint64(rp, rend, &ev)) == nullptr) {
+        return Status::Corruption("truncated child reference");
       }
-      if (payload_len > size_t(rend - rp)) {
-        return Status::Corruption("truncated node payload");
-      }
-      rp += payload_len;
-      if (flags & kWireAltered) writes = true;
-      for (int side = 0; side < 2; ++side) {
-        const bool present =
-            flags & (side == 0 ? kWireLeftPresent : kWireRightPresent);
-        if (!present) continue;
-        const bool internal =
-            flags & (side == 0 ? kWireLeftInternal : kWireRightInternal);
-        uint64_t ev = 0;
-        if ((rp = GetVarint64(rp, rend, &ev)) == nullptr) {
-          return Status::Corruption("truncated child reference");
+      if (internal) {
+        if (ev >= i) {
+          return Status::Corruption("child index violates post-order");
         }
-        if (internal) {
-          if (ev >= i) {
-            return Status::Corruption("child index violates post-order");
-          }
-          if (SubtreeHasWrites(static_cast<uint32_t>(ev))) writes = true;
-        } else if (VersionId::FromRaw(ev).IsNull()) {
-          return Status::Corruption("null external child reference");
-        }
-      }
-    } else {
-      if (rp >= rend) return Status::Corruption("truncated page record");
-      ++rp;  // Page flags byte; any bit pattern decodes.
-      uint64_t page_ssv = 0, slot_count = 0;
-      if ((rp = GetVarint64(rp, rend, &page_ssv)) == nullptr ||
-          (rp = GetVarint64(rp, rend, &slot_count)) == nullptr) {
-        return Status::Corruption("truncated page fields");
-      }
-      if (slot_count == 0 || slot_count > uint64_t(fanout_)) {
-        return Status::Corruption("wide page slot count out of range");
-      }
-      for (uint64_t s = 0; s < slot_count; ++s) {
-        if (rp >= rend) return Status::Corruption("truncated slot record");
-        const uint8_t sf = static_cast<uint8_t>(*rp++);
-        if ((rp = GetVarint64(rp, rend, &key)) == nullptr ||
-            (rp = GetVarint64(rp, rend, &ssv)) == nullptr ||
-            (rp = GetVarint64(rp, rend, &base_cv)) == nullptr ||
-            (rp = GetVarint64(rp, rend, &payload_len)) == nullptr) {
-          return Status::Corruption("truncated slot fields");
-        }
-        if (payload_len > size_t(rend - rp)) {
-          return Status::Corruption("truncated slot payload");
-        }
-        rp += payload_len;
-        if (sf & kWireSlotAltered) writes = true;
-      }
-      for (uint64_t ci = 0; ci <= slot_count; ++ci) {
-        if (rp >= rend) return Status::Corruption("truncated child tag");
-        const uint8_t tag = static_cast<uint8_t>(*rp++);
-        if (!(tag & kWireChildPresent)) continue;
-        uint64_t ev = 0;
-        if ((rp = GetVarint64(rp, rend, &ev)) == nullptr) {
-          return Status::Corruption("truncated child reference");
-        }
-        if (tag & kWireChildInternal) {
-          if (ev >= i) {
-            return Status::Corruption("child index violates post-order");
-          }
-          if (SubtreeHasWrites(static_cast<uint32_t>(ev))) writes = true;
-        } else if (VersionId::FromRaw(ev).IsNull()) {
-          return Status::Corruption("null external child reference");
-        }
+        if (SubtreeHasWrites(static_cast<uint32_t>(ev))) writes = true;
+      } else if (VersionId::FromRaw(ev).IsNull()) {
+        return Status::Corruption("null external child reference");
       }
     }
     if (rp != rend) {
@@ -219,12 +167,12 @@ void FlatIntentionView::RecordExtent(uint32_t index, const char** start,
              : region_ + region_len_;
 }
 
-/// Materializes binary record `index`. Child edges — internal and
+/// Materializes record `index`. Child edges — internal and
 /// external alike — come out lazy: an internal child carries
 /// Logged(seq, child_index), the id the child materializes under, so
 /// reference identity (and hence every meld decision) does not depend on
 /// what has been materialized.
-NodePtr FlatIntentionView::DecodeBinaryRecord(uint32_t index) const {
+NodePtr FlatIntentionView::DecodeRecord(uint32_t index) const {
   const char* p = nullptr;
   const char* end = nullptr;
   RecordExtent(index, &p, &end);
@@ -265,66 +213,12 @@ NodePtr FlatIntentionView::DecodeBinaryRecord(uint32_t index) const {
   return n;
 }
 
-/// Materializes wide record `index`; the wide analog of
-/// DecodeBinaryRecord.
-NodePtr FlatIntentionView::DecodeWideRecord(uint32_t index) const {
-  const char* p = nullptr;
-  const char* end = nullptr;
-  RecordExtent(index, &p, &end);
-  const uint8_t pf = static_cast<uint8_t>(*p++);
-  uint64_t page_ssv = 0, slot_count = 0;
-  p = GetVarint64(p, end, &page_ssv);
-  p = GetVarint64(p, end, &slot_count);
-  NodePtr n = MakeWideNode(fanout_);
-  WideExt& e = *n->wide();
-  n->set_vn(VersionId::Logged(seq_, index));
-  n->set_owner(seq_);
-  n->set_ssv(VersionId::FromRaw(page_ssv));
-  uint8_t nf = (pf & kWirePageSubtreeRead) ? kFlagSubtreeRead : 0;
-  if (SubtreeHasWrites(index)) nf |= kFlagSubtreeHasWrites;
-  e.set_count(static_cast<int>(slot_count));
-  for (uint64_t s = 0; s < slot_count; ++s) {
-    const uint8_t sf = static_cast<uint8_t>(*p++);
-    uint64_t key = 0, ssv = 0, base_cv = 0, payload_len = 0;
-    p = GetVarint64(p, end, &key);
-    p = GetVarint64(p, end, &ssv);
-    p = GetVarint64(p, end, &base_cv);
-    p = GetVarint64(p, end, &payload_len);
-    WideSlot& sl = e.slot(static_cast<int>(s));
-    sl.key = key;
-    sl.set_payload(std::string_view(p, payload_len));
-    p += payload_len;
-    sl.meta.ssv = VersionId::FromRaw(ssv);
-    sl.meta.base_cv = VersionId::FromRaw(base_cv);
-    uint8_t slf = 0;
-    if (sf & kWireSlotAltered) slf |= kFlagAltered;
-    if (sf & kWireSlotRead) slf |= kFlagRead;
-    sl.meta.flags = slf;
-    sl.meta.cv = (slf & kFlagAltered) ? n->vn() : sl.meta.base_cv;
-  }
-  for (uint64_t ci = 0; ci <= slot_count; ++ci) {
-    const uint8_t tag = static_cast<uint8_t>(*p++);
-    if (tag & kWireGapRead) e.set_gap_read(static_cast<int>(ci), true);
-    if (!(tag & kWireChildPresent)) continue;
-    uint64_t ev = 0;
-    p = GetVarint64(p, end, &ev);
-    e.child(static_cast<int>(ci))
-        .Reset(Ref::Lazy(tag & kWireChildInternal
-                             ? VersionId::Logged(seq_,
-                                                 static_cast<uint32_t>(ev))
-                             : VersionId::FromRaw(ev)));
-  }
-  n->set_flags(nf);
-  return n;
-}
-
 NodePtr FlatIntentionView::NodeAt(uint32_t index) const {
   if (index >= node_count_) return nullptr;
   if (Node* hit = slots_[index].load(std::memory_order_acquire)) {
     return NodePtr::Share(hit);
   }
-  NodePtr built =
-      wide_ ? DecodeWideRecord(index) : DecodeBinaryRecord(index);
+  NodePtr built = DecodeRecord(index);
   Node* raw = built.get();
   Node* expected = nullptr;
   NodeRef(raw);  // The slot's own strong reference.

@@ -44,15 +44,14 @@ class FlatIntentionView {
   /// Validates and adopts a complete payload (including the format
   /// prefix). `seq` is the log-assigned intention sequence; node `i`
   /// receives `VersionId::Logged(seq, i)`. Corrupt input yields a typed
-  /// DataLoss/Corruption status, never a view whose NodeAt can fail.
+  /// DataLoss/Corruption status, never a view whose NodeAt can fail; that
+  /// includes an isolation byte naming no IsolationLevel.
   static Result<std::shared_ptr<FlatIntentionView>> Parse(std::string payload,
                                                           uint64_t seq);
 
   uint64_t seq() const { return seq_; }
   uint64_t snapshot_seq() const { return snapshot_seq_; }
   IsolationLevel isolation() const { return isolation_; }
-  bool wide() const { return wide_; }
-  int fanout() const { return fanout_; }
   uint32_t node_count() const { return node_count_; }
   const std::vector<Tombstone>& tombstones() const { return tombstones_; }
   size_t payload_bytes() const { return payload_.size(); }
@@ -80,8 +79,7 @@ class FlatIntentionView {
   Status ParseBody();
   /// Byte extent [start, end) of record `index` inside the node region.
   void RecordExtent(uint32_t index, const char** start, const char** end) const;
-  NodePtr DecodeBinaryRecord(uint32_t index) const;
-  NodePtr DecodeWideRecord(uint32_t index) const;
+  NodePtr DecodeRecord(uint32_t index) const;
   bool SubtreeHasWrites(uint32_t index) const {
     return (subtree_writes_[index >> 6] >> (index & 63)) & 1u;
   }
@@ -90,8 +88,6 @@ class FlatIntentionView {
   uint64_t seq_ = 0;
   uint64_t snapshot_seq_ = 0;
   IsolationLevel isolation_ = IsolationLevel::kSerializable;
-  bool wide_ = false;
-  int fanout_ = 0;
   uint32_t node_count_ = 0;
   std::vector<Tombstone> tombstones_;
   /// Node region and offset table, pointing into payload_ (stable: the

@@ -1,13 +1,11 @@
 #include "txn/intention_builder.h"
 
-#include "tree/wide_ops.h"
-
 namespace hyder {
 
 IntentionBuilder::IntentionBuilder(uint64_t workspace_tag,
                                    uint64_t snapshot_seq, Ref snapshot_root,
                                    IsolationLevel isolation,
-                                   NodeResolver* resolver, int fanout)
+                                   NodeResolver* resolver)
     : snapshot_seq_(snapshot_seq),
       isolation_(isolation),
       root_(std::move(snapshot_root)) {
@@ -17,7 +15,6 @@ IntentionBuilder::IntentionBuilder(uint64_t workspace_tag,
   // copied into the intention (§6.4.4).
   ctx_.annotate_reads = isolation == IsolationLevel::kSerializable;
   ctx_.stats = &stats_;
-  ctx_.fanout = fanout;
 }
 
 Status IntentionBuilder::Put(Key key, std::string value) {
@@ -26,36 +23,18 @@ Status IntentionBuilder::Put(Key key, std::string value) {
                                     /*existed=*/nullptr));
   has_writes_ = true;
   // Re-inserting a key this transaction previously deleted: drop the
-  // tombstone and restore the original provenance on the fresh node (or
-  // slot), so the write is validated against the content the transaction
-  // actually observed instead of being treated as a blind insert.
+  // tombstone and restore the original provenance on the fresh node, so
+  // the write is validated against the content the transaction actually
+  // observed instead of being treated as a blind insert.
   for (size_t i = 0; i < tombstones_.size(); ++i) {
     if (tombstones_[i].key != key) continue;
     NodePtr n = root_.node;
-    int slot_index = -1;
-    while (n) {
-      if (n->is_wide()) {
-        WideFind f = WideSearchPage(*n, key);
-        if (f.found) {
-          slot_index = f.index;
-          break;
-        }
-        HYDER_ASSIGN_OR_RETURN(n,
-                               n->wide()->child(f.index).Get(ctx_.resolver));
-        continue;
-      }
-      if (n->key() == key) break;
+    while (n && n->key() != key) {
       HYDER_ASSIGN_OR_RETURN(n, n->child(key > n->key()).Get(ctx_.resolver));
     }
     if (n && n->owner() == ctx_.owner) {
-      if (slot_index >= 0) {
-        WideSlotMeta& m = n->wide()->slot(slot_index).meta;
-        m.ssv = tombstones_[i].ssv;
-        m.base_cv = tombstones_[i].base_cv;
-      } else {
-        n->set_ssv(tombstones_[i].ssv);
-        n->set_base_cv(tombstones_[i].base_cv);
-      }
+      n->set_ssv(tombstones_[i].ssv);
+      n->set_base_cv(tombstones_[i].base_cv);
     }
     tombstones_.erase(tombstones_.begin() + i);
     break;

@@ -22,12 +22,9 @@ class IntentionBuilder {
   /// `workspace_tag` must be unique among live transactions on this server
   /// (use kWorkspaceTagBit | counter). `snapshot_seq`/`snapshot_root`
   /// identify the input state; `resolver` materializes lazy edges.
-  /// `fanout` selects the node layout for fresh copies (2 = binary
-  /// red-black, [3, 64] = wide pages); it must match the layout of the
-  /// snapshot tree, i.e. the server-wide `tree_fanout` setting.
   IntentionBuilder(uint64_t workspace_tag, uint64_t snapshot_seq,
                    Ref snapshot_root, IsolationLevel isolation,
-                   NodeResolver* resolver, int fanout = 2);
+                   NodeResolver* resolver);
 
   // Movable (the context points at the member stats block, so moves must
   // re-anchor it); not copyable — a workspace tag must stay unique.
@@ -71,7 +68,6 @@ class IntentionBuilder {
   const std::vector<Tombstone>& tombstones() const { return tombstones_; }
   const TreeOpStats& stats() const { return stats_; }
   uint64_t workspace_tag() const { return ctx_.owner; }
-  int fanout() const { return ctx_.fanout; }
 
  private:
   CowContext ctx_;

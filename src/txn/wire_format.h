@@ -24,31 +24,6 @@ enum WireFlags : uint8_t {
   kWireRightInternal = 1u << 7,
 };
 
-/// High bit of the isolation byte marks a wide-layout intention. Isolation
-/// levels use the low 7 bits; wide intentions follow the isolation byte
-/// with a varint page capacity and replace the node records with page
-/// records.
-constexpr uint8_t kWireWideLayout = 0x80;
-
-/// Per-page flag byte of a wide page record.
-enum WirePageFlags : uint8_t {
-  kWirePageSubtreeRead = 1u << 0,
-};
-
-/// Per-slot flag byte of a wide page record.
-enum WireSlotFlags : uint8_t {
-  kWireSlotAltered = 1u << 0,
-  kWireSlotRead = 1u << 1,
-};
-
-/// Per-child tag byte of a wide page record. A present child's varint
-/// (post-order index when internal, raw vn otherwise) follows the tag.
-enum WireChildTag : uint8_t {
-  kWireChildPresent = 1u << 0,
-  kWireChildInternal = 1u << 1,
-  kWireGapRead = 1u << 2,
-};
-
 /// Format prefix of every intention payload: two magic bytes, then the
 /// format version. A payload that does not start with it is DataLoss.
 constexpr uint8_t kWireFlatMagic0 = 0x80;

@@ -10,11 +10,10 @@
 //    live, in the shared free list, or parked in a thread cache — so after
 //    the churn threads exit (their caches drain on thread exit) and the
 //    main thread drains its own, `carved == live + free_shared`;
-//  * payload heap allocations balance their frees;
-//  * every wide-page extent is freed (`wide_live` returns to baseline).
+//  * payload heap allocations balance their frees.
 //
 // Runs under ENABLE_SANITIZERS to catch cross-thread use-after-free or
-// leaks in the slab recycling itself, and overruns of wide extents.
+// leaks in the slab recycling itself.
 
 #include <gtest/gtest.h>
 
@@ -138,69 +137,6 @@ TEST(ArenaStressTest, CrossThreadChurnReconciles) {
   EXPECT_EQ(stats.carved, stats.live + stats.free_shared);
   EXPECT_GT(stats.recycled, 0u) << "steady-state churn must recycle slots";
   EXPECT_EQ(stats.slab_bytes, stats.slabs * 1024 * sizeof(Node));
-}
-
-// Wide pages: each one is a node slot plus an exact-size extent holding
-// `fanout` key slots, `fanout`+1 child edges and the gap flags. Every
-// slot and every edge is written, so an extent sized short of its layout
-// is an overrun the sanitizer lane reports. Slots are filled front-first,
-// so each fill shifts (and steals) the payloads already in place, heap
-// ones included.
-TEST(ArenaStressTest, WideNodeChurnReconciles) {
-  DrainNodeArenaThreadCache();
-  const ArenaStats before = NodeArenaStats();
-
-  constexpr int kThreads = 4;
-  constexpr int kPagesPerThread = 100;
-  HandoffQueue handoff;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(3000 + t);
-      std::vector<NodePtr> kept;
-      for (int p = 0; p < kPagesPerThread; ++p) {
-        const int fanout = p % 2 == 0 ? 16 : 64;
-        NodePtr page = MakeWideNode(fanout);
-        WideExt* ext = page->wide();
-        for (int i = 0; i < fanout; ++i) {
-          ext->OpenSlot(0);
-          ext->slot(0).key = Key(fanout - i);
-          const size_t len = rng.Bernoulli(0.3)
-                                 ? kNodeInlinePayloadCap + 1 + rng.Uniform(64)
-                                 : rng.Uniform(kNodeInlinePayloadCap + 1);
-          ext->slot(0).set_payload(std::string(len, 'w'));
-        }
-        for (int i = 0; i <= fanout; ++i) {
-          ext->child(i).Reset(Ref::To(MakeNode(rng.Next(), "leaf")));
-          ext->set_gap_read(i, rng.Bernoulli(0.5));
-        }
-        // Half of each fanout dies on another thread, half on this one.
-        if ((p / 2) % 2 == 0) {
-          handoff.Push(std::move(page));
-        } else {
-          kept.push_back(std::move(page));
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  std::vector<NodePtr> foreign;
-  EXPECT_EQ(handoff.PopSome(&foreign, SIZE_MAX),
-            size_t(kThreads * kPagesPerThread / 2));
-  std::thread([&foreign] { foreign.clear(); }).join();
-
-  EXPECT_EQ(LiveNodeCount(), before.live);
-  DrainNodeArenaThreadCache();
-  const ArenaStats after = NodeArenaStats();
-  EXPECT_EQ(after.wide_live, before.wide_live) << "every extent freed";
-  EXPECT_EQ(after.wide_allocated - before.wide_allocated,
-            uint64_t(kThreads * kPagesPerThread));
-  EXPECT_GT(after.payload_heap_allocs, before.payload_heap_allocs)
-      << "over-cap payloads must take the heap path";
-  EXPECT_EQ(after.payload_heap_allocs - before.payload_heap_allocs,
-            after.payload_heap_frees - before.payload_heap_frees)
-      << "every heap payload freed";
-  EXPECT_EQ(after.carved, after.live + after.free_shared);
 }
 
 TEST(ArenaStressTest, LiveCountExactUnderParallelBursts) {

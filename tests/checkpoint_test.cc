@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "log/fault_log.h"
 #include "server/cluster.h"
 #include "tree/validate.h"
@@ -172,72 +173,6 @@ TEST(CheckpointTest, CheckpointWithPremeldConfiguration) {
   EXPECT_TRUE(*same) << diff;
 }
 
-TEST(CheckpointTest, WideStateRoundTripsThroughCheckpoint) {
-  // The wide-layout record format (kCheckpointWideBit): a fanout-16 state
-  // checkpoints, bootstraps, and the rookie's root is physically identical —
-  // same page version ids, slot keys/payloads/content versions, structure.
-  ServerOptions options;
-  options.pipeline.tree_fanout = 16;
-  StripedLog log(TestLog());
-  HyderServer veteran(&log, options);
-  Rng rng(10);
-  RunTraffic(veteran, rng, 60, /*space=*/200);
-  auto info = WriteCheckpoint(veteran);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_GT(info->node_count, 0u);
-
-  auto rookie = BootstrapFromCheckpoint(&log, *info, options);
-  ASSERT_TRUE(rookie.ok()) << rookie.status().ToString();
-  EXPECT_EQ((*rookie)->LatestState().seq, veteran.LatestState().seq);
-  std::string diff;
-  auto same = PhysicallyEqual(&veteran.resolver(),
-                              veteran.LatestState().root,
-                              &(*rookie)->resolver(),
-                              (*rookie)->LatestState().root, &diff);
-  ASSERT_TRUE(same.ok()) << same.status().ToString();
-  EXPECT_TRUE(*same) << diff;
-
-  // The bootstrapped tree really came back wide and well-shaped.
-  auto check = ValidateTree(&(*rookie)->resolver(),
-                            (*rookie)->LatestState().root);
-  ASSERT_TRUE(check.ok()) << check.status().ToString();
-  EXPECT_TRUE(check->wide);
-  EXPECT_TRUE(check->rb_ok) << "page-shape invariant after bootstrap";
-  EXPECT_TRUE(check->bst_ok);
-}
-
-TEST(CheckpointTest, WideBootstrappedServerMeldsOnward) {
-  // Post-bootstrap traffic must meld identically on both servers: the
-  // rookie's reconstructed pages carry enough meta (page vn, slot cv) for
-  // every later conflict check to agree with the veteran's.
-  ServerOptions options;
-  options.pipeline.tree_fanout = 16;
-  StripedLog log(TestLog());
-  HyderServer veteran(&log, options);
-  Rng rng(11);
-  RunTraffic(veteran, rng, 40);
-  auto info = WriteCheckpoint(veteran);
-  ASSERT_TRUE(info.ok());
-  auto rookie = BootstrapFromCheckpoint(&log, *info, options);
-  ASSERT_TRUE(rookie.ok()) << rookie.status().ToString();
-
-  RunTraffic(veteran, rng, 40);
-  Transaction t = (*rookie)->Begin();
-  ASSERT_TRUE(t.Put(999, "from the wide rookie").ok());
-  auto committed = (*rookie)->Commit(std::move(t));
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_TRUE(*committed);
-  ASSERT_TRUE(veteran.Poll().ok());
-  ASSERT_EQ((*rookie)->LatestState().seq, veteran.LatestState().seq);
-  std::string diff;
-  auto same = PhysicallyEqual(&veteran.resolver(),
-                              veteran.LatestState().root,
-                              &(*rookie)->resolver(),
-                              (*rookie)->LatestState().root, &diff);
-  ASSERT_TRUE(same.ok());
-  EXPECT_TRUE(*same) << diff;
-}
-
 TEST(CheckpointTest, NoCheckpointFound) {
   StripedLog log(TestLog());
   auto found = FindLatestCheckpoint(log);
@@ -329,6 +264,62 @@ TEST(CheckpointTest, CorruptCheckpointBlockFallsBackToPrevious) {
   ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   ASSERT_TRUE((*healthy)->Poll().ok());
   EXPECT_EQ((*healthy)->LatestState().seq, server.LatestState().seq);
+}
+
+TEST(CheckpointTest, ReservedRecordFlagBitsAreRefused) {
+  // A tree record's flags byte uses bits 0-2 (red, left present, right
+  // present). Any other bit is corruption: bootstrap must refuse the
+  // record rather than decode it under some other record layout.
+  StripedLog log(TestLog());
+  HyderServer server(&log, ServerOptions{});
+  Transaction t = server.Begin();
+  ASSERT_TRUE(t.Put(7, "x").ok());
+  auto committed = server.Commit(std::move(t));
+  ASSERT_TRUE(committed.ok() && *committed);
+  auto info = WriteCheckpoint(server);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(info->block_count, 1u);
+  ASSERT_EQ(info->node_count, 1u);
+
+  // Walk the payload header to the only record's flags byte.
+  auto block = log.Read(info->first_block);
+  ASSERT_TRUE(block.ok());
+  const char* base = block->data();
+  const char* limit = base + block->size();
+  const char* p = base + kBlockHeaderSize + 4;  // Past the magic.
+  auto next = [&p, limit] {
+    uint64_t v = 0;
+    if (p != nullptr) p = GetVarint64(p, limit, &v);
+    return v;
+  };
+  next();  // State seq.
+  next();  // Resume position.
+  const uint64_t dir_count = next();
+  for (uint64_t i = 0; i < dir_count; ++i) {
+    next();  // Intention seq.
+    next();  // Txn id.
+    const uint64_t positions = next();
+    for (uint64_t j = 0; j < positions; ++j) next();
+  }
+  ASSERT_EQ(next(), 1u);  // Node count.
+  ASSERT_NE(p, nullptr);
+  const size_t flags_at = size_t(p - base);
+  ASSERT_EQ((*block)[flags_at] & ~0x1, 0) << "a leaf: no child bits set";
+
+  // The intact copy bootstraps; a copy with any reserved bit is Corruption.
+  ASSERT_TRUE(BootstrapFromCheckpoint(&log, *info, ServerOptions{}).ok());
+  for (int bit = 3; bit < 8; ++bit) {
+    std::string copy = *block;
+    copy[flags_at] = static_cast<char>(copy[flags_at] | (1u << bit));
+    auto pos = log.Append(copy);
+    ASSERT_TRUE(pos.ok());
+    CheckpointInfo forged = *info;
+    forged.first_block = *pos;
+    auto rookie = BootstrapFromCheckpoint(&log, forged, ServerOptions{});
+    ASSERT_FALSE(rookie.ok()) << "bit " << bit;
+    EXPECT_TRUE(rookie.status().IsCorruption())
+        << "bit " << bit << ": " << rookie.status().ToString();
+  }
 }
 
 TEST(CheckpointTest, DuplicateCheckpointBlocksCountedOnce) {

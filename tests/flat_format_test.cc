@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/varint.h"
 #include "tree/validate.h"
 #include "txn/codec.h"
 #include "txn/flat_view.h"
@@ -55,9 +56,9 @@ Assembled Assemble(const IntentionBuilder& b, uint64_t txn_id) {
 
 /// A representative mixed-operation builder: puts, overwrites, reads and
 /// deletes, so the payload carries node records and tombstones.
-IntentionBuilder MixedBuilder(int fanout, int keys) {
+IntentionBuilder MixedBuilder(int keys) {
   IntentionBuilder b(kWorkspaceTagBit | 7, 0, Ref::Null(),
-                     IsolationLevel::kSerializable, nullptr, fanout);
+                     IsolationLevel::kSerializable, nullptr);
   for (Key k = 0; k < Key(keys); ++k) {
     EXPECT_TRUE(b.Put(k, "v" + std::to_string(k * 131)).ok());
   }
@@ -98,68 +99,44 @@ class ViewResolver : public NodeResolver {
 void WorkspacePostOrder(const NodePtr& n, uint64_t tag,
                         std::vector<NodePtr>* out) {
   if (!n || n->owner() != tag) return;
-  for (int c = 0; c < n->child_count(); ++c) {
-    WorkspacePostOrder(n->child_at(c).GetLocal().node, tag, out);
-  }
+  WorkspacePostOrder(n->left().GetLocal().node, tag, out);
+  WorkspacePostOrder(n->right().GetLocal().node, tag, out);
   out->push_back(n);
 }
 
-/// Everything the wire carries for one node of either layout.
+/// Everything the wire carries for one node.
 void ExpectSameRecord(const Node& want, const Node& got) {
-  ASSERT_EQ(got.is_wide(), want.is_wide());
   EXPECT_EQ(got.ssv(), want.ssv());
   EXPECT_EQ(got.subtree_read(), want.subtree_read());
-  if (!want.is_wide()) {
-    EXPECT_EQ(got.key(), want.key());
-    EXPECT_EQ(got.payload(), want.payload());
-    EXPECT_EQ(got.color(), want.color());
-    EXPECT_EQ(got.altered(), want.altered());
-    EXPECT_EQ(got.read_dependent(), want.read_dependent());
-    EXPECT_EQ(got.base_cv(), want.base_cv());
-    return;
-  }
-  const WideExt& w = *want.wide();
-  const WideExt& g = *got.wide();
-  ASSERT_EQ(g.count(), w.count());
-  for (int s = 0; s < w.count(); ++s) {
-    EXPECT_EQ(g.slot(s).key, w.slot(s).key) << "slot " << s;
-    EXPECT_EQ(g.slot(s).payload(), w.slot(s).payload()) << "slot " << s;
-    EXPECT_EQ(g.slot(s).altered(), w.slot(s).altered()) << "slot " << s;
-    EXPECT_EQ(g.slot(s).read_dependent(), w.slot(s).read_dependent())
-        << "slot " << s;
-    EXPECT_EQ(g.slot(s).meta.ssv, w.slot(s).meta.ssv) << "slot " << s;
-    EXPECT_EQ(g.slot(s).meta.base_cv, w.slot(s).meta.base_cv)
-        << "slot " << s;
-  }
-  for (int c = 0; c <= w.count(); ++c) {
-    EXPECT_EQ(g.gap_read(c), w.gap_read(c)) << "gap " << c;
-  }
+  EXPECT_EQ(got.key(), want.key());
+  EXPECT_EQ(got.payload(), want.payload());
+  EXPECT_EQ(got.color(), want.color());
+  EXPECT_EQ(got.altered(), want.altered());
+  EXPECT_EQ(got.read_dependent(), want.read_dependent());
+  EXPECT_EQ(got.base_cv(), want.base_cv());
 }
-
-class FlatFormatTest : public ::testing::TestWithParam<int> {};
 
 // An intention written against a decoded snapshot (so its nodes carry
 // ssv/base_cv provenance and external references) decodes to exactly the
 // builder's workspace: same header and tombstones, the same record and
 // child references at every post-order index, the same in-order items.
-TEST_P(FlatFormatTest, RoundTripMatchesWorkspace) {
-  const int fanout = GetParam();
+TEST(FlatFormatTest, RoundTripMatchesWorkspace) {
   // Two decoded generations form the snapshot. The second rewrites key 3,
   // so its path copies carry a content version (base_cv) older than their
   // own id: the records below then have ssv != base_cv.
   ViewResolver snapshot;
-  IntentionPtr g1 = Decode(MixedBuilder(fanout, 24), 1);
+  IntentionPtr g1 = Decode(MixedBuilder(24), 1);
   ASSERT_TRUE(g1 != nullptr);
   snapshot.Add(g1);
   IntentionBuilder b2(kWorkspaceTagBit | 8, 1, g1->root,
-                      IsolationLevel::kSerializable, &snapshot, fanout);
+                      IsolationLevel::kSerializable, &snapshot);
   ASSERT_TRUE(b2.Put(3, "second").ok());
   IntentionPtr g2 = Decode(b2, 2);
   ASSERT_TRUE(g2 != nullptr);
   snapshot.Add(g2);
 
   IntentionBuilder b(kWorkspaceTagBit | 9, 2, g2->root,
-                     IsolationLevel::kSerializable, &snapshot, fanout);
+                     IsolationLevel::kSerializable, &snapshot);
   ASSERT_TRUE(b.Put(3, "updated").ok());
   ASSERT_TRUE(b.Put(100, "inserted").ok());
   ASSERT_TRUE(b.Get(7).ok());
@@ -200,13 +177,13 @@ TEST_P(FlatFormatTest, RoundTripMatchesWorkspace) {
     ASSERT_TRUE(got != nullptr);
     EXPECT_EQ(got->vn(), VersionId::Logged(seq, i));
     ExpectSameRecord(*ws[i], *got);
-    ASSERT_EQ(got->child_count(), ws[i]->child_count());
-    for (int c = 0; c < ws[i]->child_count(); ++c) {
-      const Ref want = ws[i]->child_at(c).GetLocal();
+    for (bool right : {false, true}) {
+      const Ref want = ws[i]->child(right).GetLocal();
       auto it = index.find(want.node.get());
       const VersionId want_vn =
           it != index.end() ? VersionId::Logged(seq, it->second) : want.vn;
-      EXPECT_EQ(got->child_at(c).GetLocal().vn, want_vn) << "child " << c;
+      EXPECT_EQ(got->child(right).GetLocal().vn, want_vn)
+          << (right ? "right" : "left") << " child";
     }
   }
   EXPECT_EQ(in.root.node.get(), view.Root().get());
@@ -222,8 +199,8 @@ TEST_P(FlatFormatTest, RoundTripMatchesWorkspace) {
 
 // Parsing the payload directly (the resolver-equipped path) materializes
 // nothing until asked, and NodeAt is canonical: one Node per index.
-TEST_P(FlatFormatTest, LazyMaterializationIsCanonical) {
-  IntentionBuilder b = MixedBuilder(GetParam(), 24);
+TEST(FlatFormatTest, LazyMaterializationIsCanonical) {
+  IntentionBuilder b = MixedBuilder(24);
   Assembled v3 = Assemble(b, 43);
   auto view = FlatIntentionView::Parse(v3.payload, 1);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
@@ -242,9 +219,6 @@ TEST_P(FlatFormatTest, LazyMaterializationIsCanonical) {
   EXPECT_EQ((*view)->NodeAt((*view)->node_count()), nullptr);
 }
 
-INSTANTIATE_TEST_SUITE_P(Fanouts, FlatFormatTest,
-                         ::testing::Values(2, 16, 64));
-
 /// Decodes `payload` and asserts the no-UB contract: either a well-formed
 /// intention (a flip can land in a value byte) or a *typed* corruption
 /// status — DataLoss for flat-framing damage, Corruption for record-level
@@ -258,7 +232,7 @@ void ExpectTypedOrValid(const std::string& payload, uint32_t block_count,
 }
 
 TEST(FlatFormatCorpusTest, EveryTruncationIsTypedDataLoss) {
-  IntentionBuilder b = MixedBuilder(2, 20);
+  IntentionBuilder b = MixedBuilder(20);
   Assembled v3 = Assemble(b, 44);
   for (size_t len = 0; len < v3.payload.size(); ++len) {
     std::string cut = v3.payload.substr(0, len);
@@ -272,32 +246,19 @@ TEST(FlatFormatCorpusTest, EveryTruncationIsTypedDataLoss) {
 }
 
 TEST(FlatFormatCorpusTest, EveryBitFlipIsTypedOrValid) {
-  IntentionBuilder b = MixedBuilder(2, 20);
+  IntentionBuilder b = MixedBuilder(20);
   Assembled v3 = Assemble(b, 45);
   for (size_t byte = 0; byte < v3.payload.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = v3.payload;
       flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      ExpectTypedOrValid(flipped, v3.block_count,
-                         "flip");
-    }
-  }
-}
-
-TEST(FlatFormatCorpusTest, WideEveryBitFlipIsTypedOrValid) {
-  IntentionBuilder b = MixedBuilder(16, 20);
-  Assembled v3 = Assemble(b, 46);
-  for (size_t byte = 0; byte < v3.payload.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = v3.payload;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      ExpectTypedOrValid(flipped, v3.block_count, "wide flip");
+      ExpectTypedOrValid(flipped, v3.block_count, "flip");
     }
   }
 }
 
 TEST(FlatFormatCorpusTest, TrailingGarbageRejected) {
-  IntentionBuilder b = MixedBuilder(2, 10);
+  IntentionBuilder b = MixedBuilder(10);
   Assembled v3 = Assemble(b, 47);
   auto r = DeserializeIntention(v3.payload + "extra", 1, v3.block_count,
                                 nullptr, 9);
@@ -308,12 +269,39 @@ TEST(FlatFormatCorpusTest, TrailingGarbageRejected) {
 // The format prefix is a format check: the same bytes without it are not
 // an intention.
 TEST(FlatFormatCorpusTest, MissingPrefixIsDataLoss) {
-  IntentionBuilder b = MixedBuilder(2, 10);
+  IntentionBuilder b = MixedBuilder(10);
   Assembled a = Assemble(b, 48);
   auto r = DeserializeIntention(a.payload.substr(kWireFlatPrefixBytes), 1,
                                 a.block_count, nullptr, 9);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+}
+
+// The isolation byte names an IsolationLevel or the payload is corrupt:
+// no other value, high bit 0x80 included, may decode to an intention that
+// melds under some default isolation.
+TEST(FlatFormatCorpusTest, UnknownIsolationByteIsCorruption) {
+  IntentionBuilder b = MixedBuilder(10);
+  Assembled a = Assemble(b, 49);
+  std::string snapshot_seq;
+  PutVarint64(&snapshot_seq, b.snapshot_seq());
+  const size_t iso_at = kWireFlatPrefixBytes + snapshot_seq.size();
+  ASSERT_EQ(a.payload[iso_at], char(IsolationLevel::kSerializable));
+  for (int v = 0; v < 256; ++v) {
+    std::string p = a.payload;
+    p[iso_at] = static_cast<char>(v);
+    auto r = DeserializeIntention(p, 1, a.block_count, nullptr, 9);
+    if (v == int(IsolationLevel::kSerializable) ||
+        v == int(IsolationLevel::kSnapshot)) {
+      ASSERT_TRUE(r.ok()) << "isolation byte " << v << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(int((*r)->isolation), v);
+      continue;
+    }
+    ASSERT_FALSE(r.ok()) << "isolation byte " << v;
+    EXPECT_TRUE(r.status().IsCorruption())
+        << "isolation byte " << v << ": " << r.status().ToString();
+  }
 }
 
 }  // namespace

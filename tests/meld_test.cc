@@ -458,9 +458,10 @@ TEST(MeldDeterminismTest, TwoServersReachPhysicallyIdenticalStates) {
     ASSERT_TRUE(b.FeedBlocks(blocks).ok());
   }
   std::string diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&a.registry(), a.Latest().root,
-                                    &b.registry(), b.Latest().root, &diff))
-      << diff;
+  auto same = PhysicallyEqual(&a.registry(), a.Latest().root, &b.registry(),
+                              b.Latest().root, &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
 }
 
 class PremeldDeterminismTest
@@ -516,12 +517,14 @@ TEST_P(PremeldDeterminismTest, IdenticalStatesAcrossServers) {
   ASSERT_TRUE(a.Flush().ok());
   ASSERT_TRUE(b.Flush().ok());
   std::string diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&a.registry(), a.Latest().root,
-                                    &b.registry(), b.Latest().root, &diff))
-      << diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&exec.registry(), exec.Latest().root,
-                                    &a.registry(), a.Latest().root, &diff))
-      << diff;
+  auto same = PhysicallyEqual(&a.registry(), a.Latest().root, &b.registry(),
+                              b.Latest().root, &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
+  same = PhysicallyEqual(&exec.registry(), exec.Latest().root, &a.registry(),
+                         a.Latest().root, &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
   // With premeld enabled the premeld stage must actually have run and
   // produced ephemeral nodes (two-part ids from premeld thread ids >= 1).
   if (threads > 0) {

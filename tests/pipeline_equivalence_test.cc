@@ -36,8 +36,7 @@ struct Workload {
 
 void Build(const PipelineConfig& config, uint64_t seed, Workload* w) {
   IntentionBuilder g(kWorkspaceTagBit | 1, 0, Ref::Null(),
-                     IsolationLevel::kSerializable, nullptr,
-                     config.tree_fanout);
+                     IsolationLevel::kSerializable, nullptr);
   for (Key k = 0; k < 40; ++k) {
     ASSERT_TRUE(g.Put(k, "g" + std::to_string(k)).ok());
   }
@@ -61,8 +60,7 @@ void Build(const PipelineConfig& config, uint64_t seed, Workload* w) {
     auto st = w->server.StateAt(snap);
     ASSERT_TRUE(st.ok());
     IntentionBuilder b(kWorkspaceTagBit | (100 + i), snap, st->root,
-                       IsolationLevel::kSerializable, &w->server.registry(),
-                       config.tree_fanout);
+                       IsolationLevel::kSerializable, &w->server.registry());
     const int ops = 2 + int(rng.Uniform(5));
     for (int o = 0; o < ops; ++o) {
       Key k = rng.Uniform(40);
@@ -71,8 +69,7 @@ void Build(const PipelineConfig& config, uint64_t seed, Workload* w) {
       } else if (rng.Bernoulli(0.5)) {
         ASSERT_TRUE(b.Get(k).ok());
       } else {
-        // Deletes drive the tombstone path (and, wide, the slot-pull
-        // relocation) through both engines.
+        // Deletes drive the tombstone path through both engines.
         ASSERT_TRUE(b.Delete(k).ok());
       }
     }
@@ -96,17 +93,15 @@ void Build(const PipelineConfig& config, uint64_t seed, Workload* w) {
 }
 
 class PipelineEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int, bool, int>> {
-};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int, bool>> {};
 
 TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
-  auto [seed, threads, group, fanout] = GetParam();
+  auto [seed, threads, group] = GetParam();
   PipelineConfig config;
   config.premeld_threads = threads;
   config.premeld_distance = 3;
   config.group_meld = group;
   config.stage_queue_capacity = 8;  // Small: exercise ring back-pressure.
-  config.tree_fanout = fanout;
 
   Workload w(config);
   Build(config, seed, &w);
@@ -169,11 +164,11 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
     EXPECT_EQ(st->root.vn, w.roots[seq]) << "seq " << seq;
   }
   std::string diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&registry,
-                                    pipeline.states().Latest().root,
-                                    &w.server.registry(),
-                                    w.server.Latest().root, &diff))
-      << diff;
+  auto same = PhysicallyEqual(&registry, pipeline.states().Latest().root,
+                              &w.server.registry(), w.server.Latest().root,
+                              &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
 
   // Decode really happened (and, with workers, off the feeder thread).
   const PipelineStats stats = pipeline.StatsSnapshot();
@@ -188,24 +183,13 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
   EXPECT_EQ(stats.config_echo.state_retention,
             int64_t(config.state_retention));
   EXPECT_EQ(stats.config_echo.disable_graft_fastpath, 0);
-  EXPECT_EQ(stats.config_echo.tree_fanout, fanout);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsThreadsGroup, PipelineEquivalenceTest,
     ::testing::Combine(::testing::Values(uint64_t(101), uint64_t(202),
                                          uint64_t(303)),
-                       ::testing::Values(1, 2, 5),
-                       ::testing::Bool(), ::testing::Values(2)));
-
-// The wide-layout sweep of the same oracle: 3 seeds x fanout {16, 64} x
-// group on/off (fanout 2 — the binary baseline — is the suite above).
-INSTANTIATE_TEST_SUITE_P(
-    WideFanouts, PipelineEquivalenceTest,
-    ::testing::Combine(::testing::Values(uint64_t(101), uint64_t(202),
-                                         uint64_t(303)),
-                       ::testing::Values(5), ::testing::Bool(),
-                       ::testing::Values(16, 64)));
+                       ::testing::Values(1, 2, 5), ::testing::Bool()));
 
 // The zero-copy payoff, measured: intentions killed by premeld carry
 // nodes that a lazy decode mostly never builds — only the records the
@@ -214,7 +198,6 @@ TEST(PremeldChurnTest, LazyDecodeMaterializesFewerKilledNodes) {
   PipelineConfig config;
   config.premeld_threads = 5;
   config.premeld_distance = 3;
-  config.tree_fanout = 2;
 
   Workload w(config);
   Build(config, 909, &w);

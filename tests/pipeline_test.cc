@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "meld/state_table.h"
 #include "test_cluster.h"
+#include "tree/validate.h"
 
 namespace hyder {
 namespace {
@@ -212,10 +213,10 @@ TEST(AppendixCTest, MixedPremeldConfigurationsDiverge) {
       ASSERT_TRUE(b.FeedBlocks(blocks).ok());
     }
     std::string diff;
-    EXPECT_TRUE(StatesPhysicallyEqual(&a.registry(), a.Latest().root,
-                                      &b.registry(), b.Latest().root,
-                                      &diff))
-        << diff;
+    auto same = PhysicallyEqual(&a.registry(), a.Latest().root,
+                                &b.registry(), b.Latest().root, &diff);
+    ASSERT_TRUE(same.ok()) << same.status().ToString();
+    EXPECT_TRUE(*same) << diff;
   }
 
   // Illegal: different premeld distances -> the same two-part ephemeral
@@ -238,9 +239,10 @@ TEST(AppendixCTest, MixedPremeldConfigurationsDiverge) {
     }
     if (!diverged) {
       std::string diff;
-      diverged = !StatesPhysicallyEqual(&a.registry(), a.Latest().root,
-                                        &b.registry(), b.Latest().root,
-                                        &diff);
+      // An unresolvable ephemeral surfaces the divergence as an error.
+      diverged = !PhysicallyEqual(&a.registry(), a.Latest().root,
+                                  &b.registry(), b.Latest().root, &diff)
+                      .value_or(false);
     }
     EXPECT_TRUE(diverged)
         << "mixed premeld configurations must diverge (Appendix C)";

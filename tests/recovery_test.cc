@@ -29,6 +29,7 @@
 #include "server/checkpoint.h"
 #include "server/cluster.h"
 #include "server/truncation.h"
+#include "tree/validate.h"
 
 namespace hyder {
 namespace {

@@ -131,78 +131,6 @@ class TestServer {
   IntentionPtr last_deserialized_;
 };
 
-/// Physical equality of two database states: identical node identities,
-/// content, colors and structure — the §3.4 determinism requirement.
-inline bool StatesPhysicallyEqual(NodeResolver* ra, const Ref& a,
-                                  NodeResolver* rb, const Ref& b,
-                                  std::string* diff) {
-  NodePtr na = a.node, nb = b.node;
-  if (!na && !a.vn.IsNull()) {
-    auto r = ra->Resolve(a.vn);
-    if (!r.ok()) {
-      *diff = "resolve A: " + r.status().ToString();
-      return false;
-    }
-    na = *r;
-  }
-  if (!nb && !b.vn.IsNull()) {
-    auto r = rb->Resolve(b.vn);
-    if (!r.ok()) {
-      *diff = "resolve B: " + r.status().ToString();
-      return false;
-    }
-    nb = *r;
-  }
-  if (!na || !nb) {
-    if (static_cast<bool>(na) != static_cast<bool>(nb)) {
-      *diff = "null mismatch";
-      return false;
-    }
-    return true;
-  }
-  if (na->is_wide() != nb->is_wide()) {
-    *diff = "layout mismatch at " + na->vn().ToString();
-    return false;
-  }
-  if (na->is_wide()) {
-    const WideExt& ea = *na->wide();
-    const WideExt& eb = *nb->wide();
-    if (na->vn() != nb->vn() || ea.count() != eb.count()) {
-      *diff = "page mismatch: vns " + na->vn().ToString() + "/" +
-              nb->vn().ToString();
-      return false;
-    }
-    for (int i = 0; i < ea.count(); ++i) {
-      if (ea.slot(i).key != eb.slot(i).key ||
-          ea.slot(i).payload() != eb.slot(i).payload() ||
-          ea.slot(i).meta.cv != eb.slot(i).meta.cv) {
-        *diff = "slot mismatch at keys " + std::to_string(ea.slot(i).key) +
-                "/" + std::to_string(eb.slot(i).key) + " in page " +
-                na->vn().ToString();
-        return false;
-      }
-    }
-    for (int i = 0; i <= ea.count(); ++i) {
-      if (!StatesPhysicallyEqual(ra, ea.child(i).GetLocal(), rb,
-                                 eb.child(i).GetLocal(), diff)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  if (na->vn() != nb->vn() || na->key() != nb->key() ||
-      na->payload() != nb->payload() || na->color() != nb->color()) {
-    *diff = "node mismatch at keys " + std::to_string(na->key()) + "/" +
-            std::to_string(nb->key()) + " vns " + na->vn().ToString() + "/" +
-            nb->vn().ToString();
-    return false;
-  }
-  return StatesPhysicallyEqual(ra, na->left().GetLocal(), rb,
-                               nb->left().GetLocal(), diff) &&
-         StatesPhysicallyEqual(ra, na->right().GetLocal(), rb,
-                               nb->right().GetLocal(), diff);
-}
-
 }  // namespace hyder
 
 #endif  // HYDER2_TESTS_TEST_CLUSTER_H_

@@ -178,10 +178,10 @@ TEST_P(ThreadedEquivalenceTest, MatchesSequentialBitForBit) {
   DatabaseState ss = sequential.server.Latest();
   ASSERT_EQ(st.seq, ss.seq);
   std::string diff;
-  EXPECT_TRUE(StatesPhysicallyEqual(&threaded.registry(), st.root,
-                                    &sequential.server.registry(), ss.root,
-                                    &diff))
-      << diff;
+  auto same = PhysicallyEqual(&threaded.registry(), st.root,
+                              &sequential.server.registry(), ss.root, &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
 
   // Premeld work happened on premeld threads when configured.
   if (threads > 0) {

@@ -2,20 +2,8 @@
 // outside the COW/meld/build allowlists, so in-place node mutation here
 // must be flagged unless an OlcWriteGuard is in scope. Analyzed by
 // selftest.py; never compiled.
-#include <cstdint>
 #include <string>
 
-struct VersionId {
-  explicit VersionId(uint64_t raw = 0);
-};
-struct WideSlotMeta {
-  VersionId ssv;
-  VersionId cv;
-  uint32_t flags = 0;
-};
-struct WideSlot {
-  WideSlotMeta meta;
-};
 struct Node {
   void set_payload(const std::string& p);
   void OlcWriteBegin();
@@ -34,9 +22,4 @@ void HandRolledWriteSection(Node* n) {
   n->OlcWriteBegin();  // expect: cow-discipline
   n->set_payload("y");  // expect: cow-discipline
   n->OlcWriteEnd();  // expect: cow-discipline
-}
-
-// Direct slot-metadata writes are node mutation too.
-void PokeSlotMeta(WideSlot& sl) {
-  sl.meta.flags |= 2;  // expect: cow-discipline
 }

@@ -9,7 +9,6 @@ analysis & protocol invariants"):
                       all return paths
   cow-discipline      published nodes are only mutated in the COW/meld
                       allowlist or under an OlcWriteGuard
-  slot-meta-sync      WideSlotMeta::cv updates keep ssv/flags coherent
   guard-completeness  Mutex-holding classes annotate (or justify) every
                       data member
   codec-symmetry      kWire*/kCheckpoint* constants are referenced on both

@@ -41,12 +41,10 @@ class Rule:
 
 def all_rules() -> List[Rule]:
     from rules import (abort_provenance, codec_symmetry, cow_discipline,
-                       guard_completeness, olc_pairing, ordering_rationale,
-                       slot_meta_sync)
+                       guard_completeness, olc_pairing, ordering_rationale)
     return [
         olc_pairing.OlcPairingRule(),
         cow_discipline.CowDisciplineRule(),
-        slot_meta_sync.SlotMetaSyncRule(),
         guard_completeness.GuardCompletenessRule(),
         codec_symmetry.CodecSymmetryRule(),
         ordering_rationale.OrderingRationaleRule(),

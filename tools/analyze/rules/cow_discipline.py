@@ -2,13 +2,12 @@
 
 Hyder's states are persistent trees: after a node is published (logged or
 melded into a state) it is immutable, and every logical update copies the
-path from the root (COW). In-place mutation of `Node` / `WideExt` /
-`WideSlot` content is therefore only legal:
+path from the root (COW). In-place mutation of `Node` content is
+therefore only legal:
 
  * in the COW/meld implementation files, which operate exclusively on
    private (unpublished) clones — `src/tree/tree_ops.{h,cc}`,
-   `src/tree/wide_ops.cc`, `src/tree/node_pool.cc`, `src/meld/meld.cc`,
-   `src/meld/wide_meld.cc`;
+   `src/tree/node_pool.cc`, `src/meld/meld.cc`;
  * on the construction side, where nodes are being built and are private
    by definition — decode (`src/txn/codec.cc`), intention building
    (`src/txn/intention_builder.cc`), checkpoint bootstrap
@@ -18,11 +17,10 @@ path from the root (COW). In-place mutation of `Node` / `WideExt` /
    scope, which both documents the in-place write and lets concurrent
    optimistic readers retry past it.
 
-The check keys on the mutating method vocabulary of the node family (all
-spellings are unique to Node/WideExt/WideSlot in this codebase) plus direct
-assignments to per-slot meld metadata (`x.meta.<field> =`). The libclang
-frontend sharpens this to real receiver types; the text frontend's
-name-keyed match is exact today because the names are not reused.
+The check keys on the mutating method vocabulary of `Node` (all spellings
+are unique to it in this codebase). The libclang frontend sharpens this to
+real receiver types; the text frontend's name-keyed match is exact today
+because the names are not reused.
 """
 
 from __future__ import annotations
@@ -35,12 +33,8 @@ from structure import SourceFile, call_sites
 _MUTATORS = {
     "set_payload", "set_key_for_relocation", "set_vn", "set_ssv",
     "set_base_cv", "set_cv", "set_owner", "set_color", "set_flags",
-    "set_count", "set_gap_read", "clear_gap_reads", "OpenSlot", "CloseSlot",
     "OlcWriteBegin", "OlcWriteEnd",
 }
-
-_META_FIELDS = {"ssv", "base_cv", "cv", "flags"}
-_ASSIGN_OPS = {"=", "|=", "&=", "^=", "+=", "-="}
 
 # COW/meld implementation files: every mutation here is on a private clone
 # by construction (reviewed when the allowlist was drawn up; extending it
@@ -49,10 +43,8 @@ COW_ALLOWLIST = (
     "src/tree/node.h",  # Node's own inline methods and OlcWriteGuard.
     "src/tree/tree_ops.cc",
     "src/tree/tree_ops.h",
-    "src/tree/wide_ops.cc",
     "src/tree/node_pool.cc",
     "src/meld/meld.cc",
-    "src/meld/wide_meld.cc",
 )
 
 # Construction-side files: nodes under assembly, private until returned.
@@ -83,27 +75,7 @@ class CowDisciplineRule(Rule):
                 self.id, sf.rel_path, sf.tokens[idx].line,
                 f"in-place node mutation '{name}()' outside the COW/meld "
                 "allowlist and without an OlcWriteGuard in scope"))
-        for idx, field in self._meta_assignments(sf):
-            if self._guarded(sf, idx, guards):
-                continue
-            out.append(Finding(
-                self.id, sf.rel_path, sf.tokens[idx].line,
-                f"direct write to slot metadata '.meta.{field}' outside "
-                "the COW/meld allowlist and without an OlcWriteGuard in "
-                "scope"))
         return out
-
-    def _meta_assignments(self, sf: SourceFile):
-        toks = sf.tokens
-        for i in range(len(toks) - 3):
-            if toks[i].kind == "id" and toks[i].text == "meta" and \
-                    toks[i + 1].text == "." and \
-                    toks[i + 2].kind == "id" and \
-                    toks[i + 2].text in _META_FIELDS and \
-                    toks[i + 3].kind == "punct" and \
-                    toks[i + 3].text in _ASSIGN_OPS:
-                if i > 0 and toks[i - 1].text in (".", "->"):
-                    yield i + 2, toks[i + 2].text
 
     def _guard_decls(self, sf: SourceFile) -> List[int]:
         """Token indices of `OlcWriteGuard name(...)` declarations."""

@@ -449,39 +449,6 @@ def build_source_file(path: str, rel_path: str, text: str) -> SourceFile:
                       functions, classes, match, open_of)
 
 
-def statements_in_block(sf: SourceFile, brace_idx: int
-                        ) -> List[Tuple[int, int]]:
-    """Splits the block opened at token `brace_idx` into statement spans.
-
-    Returns (start, end) token index pairs, end exclusive. Nested brace and
-    paren groups are opaque: a `for (...) { ... }` is one statement. Used by
-    slot-meta-sync to find sibling statements in the same block.
-    """
-    end = sf.match.get(brace_idx)
-    if end is None:
-        return []
-    spans: List[Tuple[int, int]] = []
-    i = brace_idx + 1
-    start = i
-    while i < end:
-        t = sf.tokens[i]
-        if t.kind == "punct" and t.text in ("(", "[", "{"):
-            i = sf.match.get(i, i) + 1
-            # A closing '}' of a nested block ends a statement even
-            # without ';' (if/for/while bodies).
-            if sf.tokens[i - 1].text == "}":
-                spans.append((start, i))
-                start = i
-            continue
-        if t.kind == "punct" and t.text == ";":
-            spans.append((start, i + 1))
-            start = i + 1
-        i += 1
-    if start < end:
-        spans.append((start, end))
-    return spans
-
-
 def call_sites(sf: SourceFile, method_names: Set[str]):
     """Yields (tok_idx, name) for member-call sites `x.name(` / `x->name(`.
 

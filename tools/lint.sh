@@ -4,9 +4,8 @@
 # and a per-check summary at the end reports everything that failed in a
 # single pass (no fix-rerun-fix loop). Exits non-zero if any check failed.
 #
-# The deeper protocol invariants (OLC read pairing, COW discipline, slot
-# metadata coherence, relaxed-ordering rationale) live in the AST-based
-# analyzer, tools/analyze/hyder_check.py; this script stays the cheap
+# The deeper protocol invariants (OLC read pairing, COW discipline,
+# relaxed-ordering rationale) live in the AST-based analyzer, tools/analyze/hyder_check.py; this script stays the cheap
 # grep-level net that needs no compile database.
 #
 # Checks:
@@ -33,10 +32,6 @@
 #     src/. Counters and gauges go through MetricsRegistry
 #     (common/registry.h), errors through Status/Result. CLIs under bench/,
 #     tools/ and examples/ own their streams and are exempt.
-#  7. Red-black accessors stay inside the binary baseline: the wide layout
-#     has no colors or rotations, so color()/set_color/NodeColor appear
-#     only in the files implementing or serializing the binary red-black
-#     tree (see the allowlist at check 7).
 
 set -u
 
@@ -149,35 +144,6 @@ while IFS= read -r hit; do
 done < <(grep -rnE \
     '\bfprintf[[:space:]]*\(|std::cerr|std::cout|(^|[^a-zA-Z_:.>])printf[[:space:]]*\(' \
     --include='*.cc' --include='*.h' src)
-
-# --- 7. Red-black accessors stay inside the binary baseline -----------------
-# The wide layout has no colors or rotations; per-slot meld metadata and the
-# page-shape discipline replace them (DESIGN.md, "Node layout & optimistic
-# read validation"). Only the files implementing or serializing the binary
-# red-black baseline may touch color()/set_color/NodeColor — a new use
-# anywhere else means binary-only logic is leaking into layout-generic code
-# (it would break the moment the tree runs with tree_fanout > 2).
-begin_check 7 "red-black accessors outside the binary baseline"
-color_allowlist='src/tree/node.h
-src/tree/tree_ops.cc
-src/tree/validate.cc
-src/meld/meld.cc
-src/txn/codec.cc
-src/txn/flat_view.cc
-src/server/checkpoint.cc
-src/server/cluster.cc
-tests/tree_test.cc
-tests/test_cluster.h
-tests/txn_test.cc
-tests/flat_format_test.cc'
-while IFS= read -r hit; do
-  [ -n "$hit" ] || continue
-  file=$(relpath "${hit%%:*}")
-  if ! printf '%s\n' "$color_allowlist" | grep -qxF "$file"; then
-    say "red-black accessor outside the binary baseline (see check 7): $hit"
-  fi
-done < <(grep -rnE '\bcolor\(\)|\bset_color\b|\bNodeColor\b' \
-    --include='*.cc' --include='*.h' src tests bench examples 2>/dev/null)
 
 # --- Summary -----------------------------------------------------------------
 fail=0
