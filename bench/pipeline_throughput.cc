@@ -59,12 +59,9 @@ uint64_t GenerateLog(StripedLog* log, uint64_t txns,
   return submitted;
 }
 
-/// One completed intention recovered from the log, ready to feed.
-struct LogIntention {
-  uint64_t seq = 0;
-  uint64_t txn_id = 0;
-  uint32_t block_count = 1;
-  std::string payload;
+/// One completed intention recovered from the log, ready to feed, with the
+/// log positions of its blocks.
+struct LogIntention : IntentionAssembler::Completed {
   std::vector<uint64_t> positions;
 };
 
@@ -81,14 +78,9 @@ std::vector<LogIntention> ReadBack(StripedLog* log) {
     HYDER_BENCH_CHECK_OK(fed);
     partial[header->txn_id].push_back(pos);
     if (!fed->completed.has_value()) continue;
-    LogIntention li;
-    li.seq = fed->completed->seq;
-    li.txn_id = fed->completed->txn_id;
-    li.block_count = fed->completed->block_count;
-    li.payload = std::move(fed->completed->payload);
-    li.positions = std::move(partial[header->txn_id]);
+    out.push_back({std::move(*fed->completed),
+                   std::move(partial[header->txn_id])});
     partial.erase(header->txn_id);
-    out.push_back(std::move(li));
   }
   return out;
 }
@@ -156,12 +148,8 @@ RunResult RunThreaded(StripedLog* log,
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
-    RawIntention raw;
-    raw.seq = li.seq;
-    raw.txn_id = li.txn_id;
-    raw.block_count = li.block_count;
-    raw.payload = li.payload;
-    HYDER_BENCH_CHECK_OK(pipeline.FeedRaw(std::move(raw)));
+    // Feeds a copy of the payload, as the log-poll thread hands it over.
+    HYDER_BENCH_CHECK_OK(pipeline.FeedRaw(li));
   }
   pipeline.Close();
   pipeline.Join();

@@ -12,8 +12,9 @@
 // enforced*, not just tested:
 //
 //  * every mutex-protected member is declared `GUARDED_BY(mu_)`;
-//  * helpers that assume the lock is held are declared `REQUIRES(mu_)`
-//    (and named `...Locked` by convention, checked by tools/lint.sh);
+//  * helpers that assume the lock is held are declared `REQUIRES(mu_)`,
+//    which clang verifies at every call site (the `...Locked` suffix is a
+//    naming convention only; no tool checks it);
 //  * builds with clang add `-Werror=thread-safety` (see CMakeLists.txt), so
 //    touching guarded state without the lock fails the build.
 //
@@ -96,9 +97,10 @@ namespace hyder {
 
 /// The library's mutex: std::mutex with TSA capability annotations.
 ///
-/// All mutex members in src/ must be of this type (enforced by
-/// tools/lint.sh) so their guarded data can be declared `GUARDED_BY` and
-/// the analysis can prove lock discipline. Lock via `MutexLock`; direct
+/// All mutexes in src/, tests/, bench/ and examples/ must be of this type
+/// (hyder-check's banned-api rule rejects the raw std primitives outside
+/// this file) so their guarded data can be declared `GUARDED_BY` and the
+/// analysis can prove lock discipline. Lock via `MutexLock`; direct
 /// Lock/Unlock is for the rare non-scoped pattern.
 class CAPABILITY("mutex") Mutex {
  public:

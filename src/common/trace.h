@@ -13,9 +13,7 @@
 //
 //  1. *Disabled must be free.* Every instrumentation site is guarded by
 //     `Tracer::Enabled()`, a single relaxed atomic load; the bench harness
-//     verifies the disabled path costs <= 1% on pipeline_throughput. The
-//     CMake option HYDER_DISABLE_TRACING compiles the check down to
-//     `false` (constant-folded, zero instructions).
+//     verifies the disabled path costs <= 1% on pipeline_throughput.
 //  2. *Recording takes no locks.* Each thread owns a ring buffer of
 //     fixed-size slots; recording is a handful of relaxed atomic stores
 //     plus one release store. Buffers are registered once per thread
@@ -81,16 +79,10 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  /// The whole cost of tracing when off: one relaxed load (or a compile-
-  /// time `false` under HYDER_DISABLE_TRACING). Instrumentation sites must
-  /// check this before computing anything event-related.
-  static bool Enabled() {
-#ifdef HYDER_DISABLE_TRACING
-    return false;
-#else
-    return enabled_.load(std::memory_order_relaxed);
-#endif
-  }
+  /// The whole cost of tracing when off: one relaxed load.
+  /// Instrumentation sites must check this before computing anything
+  /// event-related.
+  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Turns recording on. `events_per_thread` sizes ring buffers created
   /// *after* this call (a thread's buffer is allocated lazily on its first

@@ -4,7 +4,6 @@
 
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "txn/codec.h"
 
 namespace hyder {
 
@@ -15,7 +14,7 @@ PipelineConfig EngineConfig(const PipelineConfig& config) {
   return engine;
 }
 
-/// Upper bound on sequences in flight between Dispatch and their decision:
+/// Upper bound on sequences in flight between FeedRaw and their decision:
 /// every premeld input queue (t * qcap) plus one item held by each premeld
 /// worker (t), the hand-off ring (qcap), the meld thread's in-hand item and
 /// pending group member, with slack. Sizes the feed-timestamp ring so a
@@ -48,8 +47,9 @@ ThreadedPipeline::ThreadedPipeline(
     pm_allocs_.push_back(
         std::make_unique<EphemeralAllocator>(2 + uint32_t(t)));
     pm_allocs_.back()->registrar = registrar;
-    pm_queues_.push_back(std::make_unique<BoundedQueue<StageItem>>(
-        std::max<size_t>(1, config.stage_queue_capacity)));
+    pm_queues_.push_back(
+        std::make_unique<BoundedQueue<IntentionAssembler::Completed>>(
+            std::max<size_t>(1, config.stage_queue_capacity)));
     worker_stats_.push_back(std::make_unique<WorkerStats>());
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -77,8 +77,8 @@ void ThreadedPipeline::Start() {
   threads_.emplace_back([this] { MeldWorker(); });
 }
 
-Result<IntentionPtr> ThreadedPipeline::DecodeRaw(const RawIntention& raw,
-                                                 WorkerStats* stats) {
+Result<IntentionPtr> ThreadedPipeline::DecodeRaw(
+    const IntentionAssembler::Completed& raw, WorkerStats* stats) {
   if (config_.stage_probe) {
     HYDER_RETURN_IF_ERROR(
         config_.stage_probe(PipelineStage::kDecode, raw.seq));
@@ -95,53 +95,33 @@ Result<IntentionPtr> ThreadedPipeline::DecodeRaw(const RawIntention& raw,
   return intent;
 }
 
-Status ThreadedPipeline::Feed(IntentionPtr intent) {
-  StageItem item;
-  item.seq = intent->seq;
-  item.decoded = std::move(intent);
-  return Dispatch(std::move(item));
-}
-
-Status ThreadedPipeline::FeedRaw(RawIntention raw) {
-  StageItem item;
-  item.seq = raw.seq;
-  item.raw = std::move(raw);
-  item.is_raw = true;
-  return Dispatch(std::move(item));
-}
-
-Status ThreadedPipeline::Dispatch(StageItem item) {
+Status ThreadedPipeline::FeedRaw(IntentionAssembler::Completed raw) {
   if (poisoned_.load(std::memory_order_acquire)) return FirstError();
   if (closed_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("pipeline already closed");
   }
-  if (item.seq != fed_seq_ + 1) {
+  const uint64_t seq = raw.seq;
+  if (seq != fed_seq_ + 1) {
     return Status::InvalidArgument("intentions must be fed in log order");
   }
-  fed_seq_ = item.seq;
+  fed_seq_ = seq;
   // Stamp for the durable->decision histogram: the intention is durable
   // (read back from the log) when it reaches the pipeline.
-  feed_ts_[item.seq % feed_ts_.size()].store(Stopwatch::NowNanos(),
-                                             std::memory_order_release);
+  feed_ts_[seq % feed_ts_.size()].store(Stopwatch::NowNanos(),
+                                        std::memory_order_release);
   if (config_.premeld_threads == 0) {
-    // No premeld stage: decode inline on the feeder (the current
-    // single-threaded path) and hand straight to the meld thread.
-    IntentionPtr intent;
-    if (item.is_raw) {
-      auto decoded = DecodeRaw(item.raw, &feeder_stats_);
-      if (!decoded.ok()) {
-        Poison(decoded.status());
-        return decoded.status();
-      }
-      intent = std::move(*decoded);
-    } else {
-      intent = std::move(item.decoded);
+    // No premeld stage: decode inline on the feeder (the single-threaded
+    // path) and hand straight to the meld thread.
+    auto decoded = DecodeRaw(raw, &feeder_stats_);
+    if (!decoded.ok()) {
+      Poison(decoded.status());
+      return decoded.status();
     }
-    if (!ring_.Push(item.seq, std::move(intent))) return FirstError();
+    if (!ring_.Push(seq, std::move(*decoded))) return FirstError();
     return Status::OK();
   }
-  const int thread = PremeldThreadFor(item.seq, config_.premeld_threads);
-  if (!pm_queues_[thread]->Push(std::move(item))) return FirstError();
+  const int thread = PremeldThreadFor(seq, config_.premeld_threads);
+  if (!pm_queues_[thread]->Push(std::move(raw))) return FirstError();
   return Status::OK();
 }
 
@@ -187,26 +167,17 @@ Status ThreadedPipeline::FirstError() const {
 }
 
 void ThreadedPipeline::PremeldWorker(int thread_index) {
-  BoundedQueue<StageItem>& queue = *pm_queues_[thread_index];
+  BoundedQueue<IntentionAssembler::Completed>& queue =
+      *pm_queues_[thread_index];
   WorkerStats& ws = *worker_stats_[thread_index];
-  while (auto popped = queue.Pop()) {
-    StageItem item = std::move(*popped);
-    const uint64_t seq = item.seq;
-    IntentionPtr intent;
-    if (item.is_raw) {
-      auto decoded = DecodeRaw(item.raw, &ws);
-      if (!decoded.ok()) {
-        Poison(decoded.status());
-        return;
-      }
-      intent = std::move(*decoded);
-    } else {
-      intent = std::move(item.decoded);
+  while (auto raw = queue.Pop()) {
+    const uint64_t seq = raw->seq;
+    auto decoded = DecodeRaw(*raw, &ws);
+    if (!decoded.ok()) {
+      Poison(decoded.status());
+      return;
     }
-    if (intent->known_aborted) {
-      if (!ring_.Push(seq, std::move(intent))) return;
-      continue;
-    }
+    IntentionPtr intent = std::move(*decoded);
     if (config_.stage_probe) {
       // Same boundary the sequential engine probes before its premeld
       // stage; the embedded engine (t == 0) does not re-fire it.

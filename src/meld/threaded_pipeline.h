@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,19 +11,9 @@
 #include "common/seq_ring.h"
 #include "common/thread_annotations.h"
 #include "meld/pipeline.h"
+#include "txn/codec.h"
 
 namespace hyder {
-
-/// A reassembled-but-not-yet-decoded intention: what block assembly emits.
-/// Feeding these (FeedRaw) moves DeserializeIntention off the log-poll
-/// thread and into the premeld workers, so decode cost scales with
-/// `premeld_threads` instead of serializing on the feeder.
-struct RawIntention {
-  uint64_t seq = 0;
-  uint64_t txn_id = 0;
-  uint32_t block_count = 1;
-  std::string payload;
-};
 
 /// The real multithreaded meld pipeline of Fig. 2: premeld worker threads
 /// run in parallel with a group-meld/final-meld thread, exactly the
@@ -36,9 +25,9 @@ struct RawIntention {
 /// measures it against the sequential engine the server runs.
 ///
 /// Stage layout (t = premeld threads):
-///   Feed / FeedRaw (caller thread, log order)
+///   FeedRaw (caller thread, log order)
 ///     -> per-thread premeld input queues (intention v to thread v mod t)
-///     -> premeld workers: decode (FeedRaw path) + premeld
+///     -> premeld workers: decode + premeld
 ///        (block on StateTable::WaitFor, Algorithm 1)
 ///     -> seq-indexed hand-off ring (common/seq_ring.h; slot occupancy is
 ///        the reorder buffer, so no locks on the common path)
@@ -72,21 +61,18 @@ class ThreadedPipeline {
   /// Launches the worker threads. Call exactly once.
   void Start();
 
-  /// Feeds the next intention in log order, already decoded (legacy /
-  /// testing path). Blocks when the pipeline is backed up (this is the
-  /// back-pressure that ultimately throttles the executors, §5.2). Fails
-  /// after Close or on a poisoned pipeline.
-  Status Feed(IntentionPtr intent);
-
-  /// Feeds the next intention as its reassembled payload; a premeld worker
-  /// deserializes it (with `premeld_threads == 0` the caller thread decodes
-  /// inline, preserving the current single-threaded path). Same ordering
-  /// and back-pressure contract as Feed.
-  Status FeedRaw(RawIntention raw);
+  /// Feeds the next intention in log order as block assembly emits it,
+  /// still encoded: a premeld worker deserializes it, so decode cost scales
+  /// with `premeld_threads` instead of serializing on the feeder (with
+  /// `premeld_threads == 0` the caller thread decodes inline, preserving
+  /// the single-threaded path). Blocks when the pipeline is backed up (this
+  /// is the back-pressure that ultimately throttles the executors, §5.2).
+  /// Fails after Close or on a poisoned pipeline.
+  Status FeedRaw(IntentionAssembler::Completed raw);
 
   /// Ends the input stream: workers drain, the trailing unpaired group
   /// member (if any) is final-melded, and threads exit. Safe to call from
-  /// any thread, once Feed/FeedRaw callers have stopped.
+  /// any thread, once FeedRaw callers have stopped.
   void Close();
 
   /// Waits for all worker threads (implies the stream was Closed).
@@ -114,15 +100,6 @@ class ThreadedPipeline {
   Status FirstError() const EXCLUDES(error_mu_);
 
  private:
-  /// One unit of premeld-stage input: either a decoded intention (Feed) or
-  /// a raw payload the worker decodes (FeedRaw).
-  struct StageItem {
-    uint64_t seq = 0;
-    IntentionPtr decoded;
-    RawIntention raw;
-    bool is_raw = false;
-  };
-
   /// Per-worker stage counters, written only by the owning worker thread
   /// while it runs and read by StatsSnapshot after Join (the join provides
   /// the happens-before edge). Merge-on-snapshot replaces the old
@@ -145,10 +122,7 @@ class ThreadedPipeline {
   /// durable->decision histogram, then invokes the callback.
   void DeliverDecisions(const std::vector<MeldDecision>& decisions);
   void Poison(const Status& status) EXCLUDES(error_mu_);
-  /// Shared Feed/FeedRaw tail: order check, then route to a premeld worker
-  /// (or decode inline and hand to the meld thread when t == 0).
-  Status Dispatch(StageItem item);
-  Result<IntentionPtr> DecodeRaw(const RawIntention& raw,
+  Result<IntentionPtr> DecodeRaw(const IntentionAssembler::Completed& raw,
                                  WorkerStats* stats);
 
   const PipelineConfig config_;
@@ -168,7 +142,8 @@ class ThreadedPipeline {
   /// resized while threads run).
   // hyder-check: allow(guard-completeness): per-worker slot confinement
   std::vector<std::unique_ptr<EphemeralAllocator>> pm_allocs_;
-  std::vector<std::unique_ptr<BoundedQueue<StageItem>>> pm_queues_;
+  std::vector<std::unique_ptr<BoundedQueue<IntentionAssembler::Completed>>>
+      pm_queues_;
   // hyder-check: allow(guard-completeness): per-worker slot confinement
   std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   /// Decode counters for the t == 0 inline path (feeder thread only).
@@ -179,7 +154,7 @@ class ThreadedPipeline {
   SeqRing<IntentionPtr> ring_;
 
   /// Feed-timestamp ring for the durable→decision latency histogram: slot
-  /// `seq % size` holds the NowNanos stamp taken when Dispatch accepted the
+  /// `seq % size` holds the NowNanos stamp taken when FeedRaw accepted the
   /// sequence. Sized past the pipeline's in-flight bound (premeld queues +
   /// workers + hand-off ring + the meld thread's pending group member), so
   /// a slot's stamp is consumed before the next lap overwrites it.
@@ -206,11 +181,11 @@ class ThreadedPipeline {
   /// Written only by Start and Join (single-caller contract below).
   // hyder-check: allow(guard-completeness): single-caller confined
   std::vector<std::thread> threads_;
-  /// Set by Close (any thread) and read by Feed/FeedRaw; atomic so a
-  /// shutdown racing the feeder is benign.
+  /// Set by Close (any thread) and read by FeedRaw; atomic so a shutdown
+  /// racing the feeder is benign.
   std::atomic<bool> closed_{false};
-  /// Single-caller state: Feed/FeedRaw/Start/Join must be called from one
-  /// thread at a time (the log-poll thread); never touched by workers.
+  /// Single-caller state: FeedRaw/Start/Join must be called from one thread
+  /// at a time (the log-poll thread); never touched by workers.
   // hyder-check: allow(guard-completeness): single-caller confined
   uint64_t fed_seq_;
   // hyder-check: allow(guard-completeness): single-caller confined

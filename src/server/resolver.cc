@@ -9,6 +9,13 @@
 namespace hyder {
 
 namespace {
+/// Lock stripes of the intention cache + directory (keyed by intention
+/// sequence) and of the ephemeral registry (keyed by VersionId hash).
+/// Premeld workers, the final-meld thread and the executors resolve
+/// concurrently; striping keeps them off one mutex.
+constexpr size_t kIntentionShards = 8;
+constexpr size_t kEphemeralStripes = 8;
+
 /// A MutexLock that also charges the acquisition to the thread-local
 /// resolver-lock counter (see common/lock_counter.h): the pipeline's
 /// `fm_resolver_locks` stat is the per-stage delta of this counter.
@@ -30,8 +37,7 @@ ServerResolver::ServerResolver(SharedLog* log, ResolverOptions options)
   // Each shard must be able to hold at least one intention, or a single
   // resolve could evict the entry it just materialized.
   const size_t capacity = std::max<size_t>(1, options_.intention_cache_capacity);
-  const size_t shard_count =
-      std::min(std::max<size_t>(1, options_.shards), capacity);
+  const size_t shard_count = std::min(kIntentionShards, capacity);
   shards_.reserve(shard_count);
   for (size_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -42,9 +48,8 @@ ServerResolver::ServerResolver(SharedLog* log, ResolverOptions options)
         capacity / shard_count + (s < capacity % shard_count ? 1 : 0);
     shards_.push_back(std::move(shard));
   }
-  const size_t stripe_count = std::max<size_t>(1, options_.ephemeral_stripes);
-  eph_stripes_.reserve(stripe_count);
-  for (size_t s = 0; s < stripe_count; ++s) {
+  eph_stripes_.reserve(kEphemeralStripes);
+  for (size_t s = 0; s < kEphemeralStripes; ++s) {
     eph_stripes_.push_back(std::make_unique<EphemeralStripe>());
   }
 }

@@ -22,17 +22,9 @@ class FlatIntentionView;
 struct ResolverOptions {
   /// Materialized intentions kept for lazy logged-reference resolution
   /// before LRU eviction (evicted intentions are refetched from the log on
-  /// demand — the paper's random log read path, §1/§5.2). Distributed over
-  /// the shards; the total never exceeds this value.
+  /// demand — the paper's random log read path, §1/§5.2). Split across the
+  /// resolver's shards; the total never exceeds this value.
   size_t intention_cache_capacity = 4096;
-  /// Lock-striped shards for the intention cache + directory, keyed by
-  /// intention sequence. Premeld workers, the final-meld thread and the
-  /// executors resolve concurrently; striping keeps them off one mutex.
-  /// Clamped to [1, intention_cache_capacity] so each shard can hold at
-  /// least one intention.
-  size_t shards = 8;
-  /// Lock stripes for the ephemeral registry, keyed by VersionId hash.
-  size_t ephemeral_stripes = 8;
   /// Retry policy for transient log errors on the refetch path.
   RetryPolicy log_retry;
 };
@@ -41,11 +33,13 @@ struct ResolverOptions {
 /// materialized-intention cache backed by the shared log, ephemeral
 /// references through the registry fed by the meld pipeline's allocators.
 ///
-/// Both structures are lock-striped (see ResolverOptions::shards /
-/// ephemeral_stripes): an intention sequence maps to one shard holding its
-/// cache entry, LRU position and directory entry, so `Resolve` takes exactly
-/// one shard lock, and calls for different sequences from the premeld
-/// workers, the final-meld thread and the executors proceed in parallel.
+/// Both structures are lock-striped, into 8 shards and 8 stripes
+/// (constants in resolver.cc; the shard count is clamped to
+/// `intention_cache_capacity` so each shard holds at least one intention):
+/// an intention sequence maps to one shard holding its cache entry, LRU
+/// position and directory entry, so `Resolve` takes exactly one shard lock,
+/// and calls for different sequences from the premeld workers, the
+/// final-meld thread and the executors proceed in parallel.
 /// Eviction is LRU per shard; with capacity split evenly across shards and
 /// sequences striped round-robin (`seq % shards`), the aggregate behaves
 /// like a global LRU for the sequential access patterns that matter, and

@@ -279,8 +279,6 @@ class PayloadStore {
 ///                conflict checks independent of meld-thread configuration.
 class Node {
  public:
-  Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
-
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
@@ -353,8 +351,15 @@ class Node {
   uint32_t RefCount() const { return refs_.load(std::memory_order_acquire); }
 
  private:
+  /// Nodes live only in pool slots: MakeNode constructs one and NodeUnref
+  /// destroys it when the last reference drops (tree/node.cc). Any other
+  /// `new Node`, stack Node or `delete` fails to compile.
+  friend NodePtr MakeNode(Key key, std::string_view payload);
   friend void NodeRef(Node*);
   friend void NodeUnref(Node*);
+
+  Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
+  ~Node() = default;
 
   std::atomic<uint32_t> refs_{1};
   Color color_ = Color::kRed;

@@ -196,26 +196,6 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
   intent->isolation = view->isolation();
   intent->tombstones = view->tombstones();
   intent->node_count = view->node_count();
-  if (view->node_count() > 0 && ephemeral_resolver == nullptr) {
-    // No resolver: the caller has no machinery to resolve a lazy reference
-    // later, so deliver the fully materialized tree (codec-level tools and
-    // tests walk it with a null resolver). Post-order: children precede
-    // parents, so every intra-intention edge memoizes against an
-    // already-built node. Resolver-equipped callers (the server poll and
-    // refetch paths, the premeld decode workers) skip this: their nodes
-    // materialize lazily through the view.
-    for (uint32_t i = 0; i < view->node_count(); ++i) {
-      NodePtr n = view->NodeAt(i);
-      for (bool right : {false, true}) {
-        const ChildSlot& slot = n->child(right);
-        const Ref edge = slot.GetLocal();
-        if (edge.IsLazy() && edge.vn.IsLogged() &&
-            edge.vn.intention_seq() == seq) {
-          slot.Memoize(view->NodeAt(edge.vn.node_index()));
-        }
-      }
-    }
-  }
   if (view->node_count() > 0) {
     NodePtr root = view->Root();
     if (ephemeral_resolver != nullptr) {

@@ -58,12 +58,12 @@ Result<std::vector<std::string>> SerializeIntention(
 /// Parses a reassembled intention payload. `seq` is the deterministic
 /// log-order sequence assigned by the assembler; node `i` receives
 /// `VersionId::Logged(seq, i)` and owner tag `seq`. The intention carries
-/// the payload's view in `flats`. With a resolver, only the root is
-/// materialized, and its external references are pre-materialized
-/// cache-only through `ephemeral_resolver`; other nodes materialize on
-/// first touch. Without one, every node is materialized and every
-/// intra-intention edge memoized, so the tree can be walked with a null
-/// resolver. A payload without the format prefix is DataLoss.
+/// the payload's view in `flats`. Only the root is materialized; every
+/// other node materializes on first touch, through a resolver that knows
+/// the view (`Intention::ResolveFlat`). With `ephemeral_resolver`, the
+/// root's external references are also pre-materialized cache-only. The
+/// whole payload is validated either way; a payload without the format
+/// prefix is DataLoss.
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
                                           uint64_t seq, uint32_t block_count,
                                           NodeResolver* ephemeral_resolver,

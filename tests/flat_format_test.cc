@@ -68,8 +68,9 @@ IntentionBuilder MixedBuilder(int keys) {
   return b;
 }
 
-/// Serializes, reassembles and decodes `b` as intention `seq` with no
-/// resolver, so every node of the result is materialized.
+/// Serializes, reassembles and decodes `b` as intention `seq`. Only its
+/// root is materialized; the rest resolves through a ViewResolver that
+/// holds it.
 IntentionPtr Decode(const IntentionBuilder& b, uint64_t seq) {
   Assembled a = Assemble(b, 40 + seq);
   auto r =
@@ -149,6 +150,7 @@ TEST(FlatFormatTest, RoundTripMatchesWorkspace) {
       DeserializeIntention(a.payload, seq, a.block_count, nullptr, a.txn_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const Intention& in = **decoded;
+  snapshot.Add(*decoded);
 
   EXPECT_EQ(in.seq, seq);
   EXPECT_EQ(in.txn_id, a.txn_id);

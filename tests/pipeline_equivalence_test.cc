@@ -126,12 +126,7 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
       auto fed = assembler.AddBlock(block);
       ASSERT_TRUE(fed.ok());
       if (!fed->completed.has_value()) continue;
-      RawIntention raw;
-      raw.seq = fed->completed->seq;
-      raw.txn_id = fed->completed->txn_id;
-      raw.block_count = fed->completed->block_count;
-      raw.payload = std::move(fed->completed->payload);
-      ASSERT_TRUE(pipeline.FeedRaw(std::move(raw)).ok());
+      ASSERT_TRUE(pipeline.FeedRaw(std::move(*fed->completed)).ok());
     }
   }
   pipeline.Close();

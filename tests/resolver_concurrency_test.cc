@@ -101,9 +101,9 @@ TEST(ResolverConcurrencyTest, ParallelResolveCacheEvictRefetch) {
   PopulatedLog data;
   ASSERT_NO_FATAL_FAILURE(data.Populate());
   ResolverOptions opts;
-  opts.intention_cache_capacity = 4;  // Far below the 24-intention set.
-  opts.shards = 3;
-  opts.ephemeral_stripes = 2;
+  // Far below the 24-intention set: the shard count is clamped to 4, one
+  // intention per shard, so every shard evicts.
+  opts.intention_cache_capacity = 4;
   ServerResolver resolver(&data.log(), opts);
   data.RecordDirectory(&resolver);
 
@@ -181,8 +181,9 @@ TEST(ResolverConcurrencyTest, ImportedDirectoryServesRefetches) {
   PopulatedLog data;
   ASSERT_NO_FATAL_FAILURE(data.Populate());
   ResolverOptions opts;
+  // Below the shard count: shards are clamped to the capacity, so they
+  // can't starve the bound.
   opts.intention_cache_capacity = 2;
-  opts.shards = 8;  // Clamped to capacity: shards can't starve the bound.
   ServerResolver source(&data.log(), opts);
   data.RecordDirectory(&source);
 

@@ -44,12 +44,7 @@ class ThreadedHarness {
       HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(b));
       auto& done = fed.completed;
       if (!done.has_value()) continue;
-      RawIntention raw;
-      raw.seq = done->seq;
-      raw.txn_id = done->txn_id;
-      raw.block_count = done->block_count;
-      raw.payload = std::move(done->payload);
-      HYDER_RETURN_IF_ERROR(pipeline_.FeedRaw(std::move(raw)));
+      HYDER_RETURN_IF_ERROR(pipeline_.FeedRaw(std::move(*done)));
     }
     return Status::OK();
   }
@@ -262,9 +257,9 @@ TEST(ThreadedPipelineTest, MidRunSnapshotNeverOvercountsDecisions) {
 TEST(ThreadedPipelineTest, FeedRejectsOutOfOrder) {
   PipelineConfig config;
   ThreadedHarness threaded(config);
-  auto intent = std::make_shared<Intention>();
-  intent->seq = 5;  // Not 1.
-  EXPECT_TRUE(threaded.pipeline().Feed(intent).IsInvalidArgument());
+  IntentionAssembler::Completed raw;
+  raw.seq = 5;  // Not 1.
+  EXPECT_TRUE(threaded.pipeline().FeedRaw(std::move(raw)).IsInvalidArgument());
   threaded.Finish();
 }
 

@@ -18,15 +18,6 @@
 namespace hyder {
 namespace {
 
-// Tests that need live recording cannot run when the kill switch is
-// compiled to constant false; serialization/export tests still do.
-#ifdef HYDER_DISABLE_TRACING
-#define SKIP_IF_TRACING_COMPILED_OUT() \
-  GTEST_SKIP() << "built with HYDER_DISABLE_TRACING"
-#else
-#define SKIP_IF_TRACING_COMPILED_OUT() (void)0
-#endif
-
 /// Serializes tracer state across tests in this binary: the tracer is
 /// process-global, so each test starts from a clean, disabled slate.
 class TraceTest : public ::testing::Test {
@@ -60,7 +51,6 @@ TEST_F(TraceTest, DisabledRecordsNothingAndAllocatesNothing) {
 }
 
 TEST_F(TraceTest, SpanArmedAtConstructionSurvivesMidScopeDisable) {
-  SKIP_IF_TRACING_COMPILED_OUT();
   Tracer::Enable(64);
   {
     TraceSpan span(TraceStage::kPremeld, 7);
@@ -76,7 +66,6 @@ TEST_F(TraceTest, SpanArmedAtConstructionSurvivesMidScopeDisable) {
 }
 
 TEST_F(TraceTest, RingWrapDropsOldestAndCountsDrops) {
-  SKIP_IF_TRACING_COMPILED_OUT();
   Tracer::Enable(/*events_per_thread=*/16);
   // A thread's ring capacity is fixed at its first recording, so write from
   // a fresh thread to pick up the Enable(16) above regardless of what any
@@ -101,7 +90,6 @@ TEST_F(TraceTest, RingWrapDropsOldestAndCountsDrops) {
 TEST_F(TraceTest, DrainIsSafeAgainstConcurrentWrappingWriters) {
   // Small rings force continuous wrap, so drains keep racing writers on
   // the same slots — the seqlock must skip torn slots, never misread them.
-  SKIP_IF_TRACING_COMPILED_OUT();
   Tracer::Enable(/*events_per_thread=*/32);
   constexpr int kWriters = 4;
   constexpr uint64_t kPerWriter = 20000;
@@ -141,7 +129,6 @@ TEST_F(TraceTest, DrainIsSafeAgainstConcurrentWrappingWriters) {
 }
 
 TEST_F(TraceTest, DumpRoundTrip) {
-  SKIP_IF_TRACING_COMPILED_OUT();
   Tracer::Enable(64);
   TraceInstant(TraceStage::kSubmit, 42);
   {
@@ -320,7 +307,6 @@ TEST_F(TraceTest, ChromeTraceJsonGolden) {
 }
 
 TEST_F(TraceTest, ChromeTraceJsonFromLiveRunParses) {
-  SKIP_IF_TRACING_COMPILED_OUT();
   Tracer::Enable(1024);
   std::thread worker([] {
     for (uint64_t seq = 1; seq <= 20; ++seq) {

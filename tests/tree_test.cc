@@ -6,7 +6,9 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,12 @@ TEST(VersionIdTest, ToStringFormats) {
   EXPECT_EQ(VersionId::Logged(7, 3).ToString(), "L[7,3]");
   EXPECT_EQ(VersionId::Ephemeral(2, 9).ToString(), "e[2,9]");
 }
+
+// Nodes are created only by MakeNode and destroyed only by NodeUnref, both
+// in the slot pool: a raw `new Node`, a stack Node or a `delete` anywhere
+// else does not compile.
+static_assert(!std::is_constructible_v<Node, Key, std::string_view>);
+static_assert(!std::is_destructible_v<Node>);
 
 TEST(NodeTest, RefcountLifecycle) {
   uint64_t before = LiveNodeCount();

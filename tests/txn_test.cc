@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "test_cluster.h"
 #include "tree/validate.h"
 #include "txn/codec.h"
 #include "txn/intention.h"
@@ -16,10 +17,12 @@ namespace {
 constexpr size_t kBlock = 512;
 
 /// Runs a builder through serialize → assemble → deserialize, i.e. the full
-/// round trip an intention takes through the shared log.
+/// round trip an intention takes through the shared log, and registers the
+/// decoded intention with `registry`, through which its lazy edges resolve
+/// as they would on a server.
 Result<IntentionPtr> RoundTrip(const IntentionBuilder& b, uint64_t txn_id,
                                IntentionAssembler& assembler,
-                               NodeResolver* eph = nullptr,
+                               MapRegistry& registry,
                                size_t block_size = kBlock) {
   HYDER_ASSIGN_OR_RETURN(std::vector<std::string> blocks,
                          SerializeIntention(b, txn_id, block_size));
@@ -29,18 +32,22 @@ Result<IntentionPtr> RoundTrip(const IntentionBuilder& b, uint64_t txn_id,
     done = std::move(fed.completed);
   }
   if (!done.has_value()) return Status::Internal("intention never completed");
-  return DeserializeIntention(done->payload, done->seq, done->block_count,
-                              eph);
+  HYDER_ASSIGN_OR_RETURN(
+      IntentionPtr intent,
+      DeserializeIntention(done->payload, done->seq, done->block_count,
+                           nullptr));
+  registry.RegisterIntention(intent);
+  return intent;
 }
 
 /// Builds a published base state by pushing a genesis transaction through
 /// the codec itself (exactly how a real server would materialize it).
-IntentionPtr Genesis(IntentionAssembler& assembler,
+IntentionPtr Genesis(IntentionAssembler& assembler, MapRegistry& registry,
                      const std::vector<Key>& keys) {
   IntentionBuilder b(kWorkspaceTagBit | 1, 0, Ref::Null(),
                      IsolationLevel::kSerializable, nullptr);
   for (Key k : keys) EXPECT_TRUE(b.Put(k, "g" + std::to_string(k)).ok());
-  auto r = RoundTrip(b, /*txn_id=*/1, assembler);
+  auto r = RoundTrip(b, /*txn_id=*/1, assembler, registry);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return *r;
 }
@@ -69,23 +76,25 @@ TEST(CodecTest, BlockHeaderRejectsMalformed) {
 
 TEST(CodecTest, GenesisRoundTripPreservesContent) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {5, 3, 8, 1, 9});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {5, 3, 8, 1, 9});
   EXPECT_EQ(g->seq, 1u);
   EXPECT_EQ(g->node_count, 5u);
   EXPECT_EQ(g->snapshot_seq, 0u);
   std::vector<std::pair<Key, std::string>> items;
-  ASSERT_TRUE(TreeCollect(nullptr, g->root, &items).ok());
+  ASSERT_TRUE(TreeCollect(&registry, g->root, &items).ok());
   ASSERT_EQ(items.size(), 5u);
   EXPECT_EQ(items[0], (std::pair<Key, std::string>{1, "g1"}));
   EXPECT_EQ(items[4], (std::pair<Key, std::string>{9, "g9"}));
-  auto check = ValidateTree(nullptr, g->root);
+  auto check = ValidateTree(&registry, g->root);
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check->rb_ok);
 }
 
 TEST(CodecTest, DeserializedNodesGetLoggedVns) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {1, 2, 3});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {1, 2, 3});
   // Root is the last node in post-order.
   EXPECT_EQ(g->root.node->vn(), VersionId::Logged(1, 2));
   EXPECT_EQ(g->root.node->owner(), 1u);
@@ -97,11 +106,12 @@ TEST(CodecTest, DeserializedNodesGetLoggedVns) {
 
 TEST(CodecTest, SecondTransactionReferencesSnapshotExternally) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {10, 20, 30, 40, 50});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {10, 20, 30, 40, 50});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSerializable, nullptr);
+                     IsolationLevel::kSerializable, &registry);
   ASSERT_TRUE(b.Put(20, "updated").ok());
-  auto r = RoundTrip(b, 2, assembler);
+  auto r = RoundTrip(b, 2, assembler, registry);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   IntentionPtr i = *r;
   EXPECT_EQ(i->seq, 2u);
@@ -124,14 +134,17 @@ TEST(CodecTest, SecondTransactionReferencesSnapshotExternally) {
 
 TEST(CodecTest, ExternalLoggedReferencesStayLazy) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {10, 20, 30, 40, 50, 60, 70});
+  MapRegistry registry;
+  IntentionPtr g =
+      Genesis(assembler, registry, {10, 20, 30, 40, 50, 60, 70});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSnapshot, nullptr);
+                     IsolationLevel::kSnapshot, &registry);
   ASSERT_TRUE(b.Put(70, "x").ok());
-  auto r = RoundTrip(b, 2, assembler);
+  auto r = RoundTrip(b, 2, assembler, registry);
   ASSERT_TRUE(r.ok());
-  // Walk the deserialized intention: at least one edge must be an
-  // unresolved lazy reference into intention 1.
+  // Walk the deserialized intention's own nodes: every edge leaving the
+  // intention must be an unresolved lazy reference into intention 1, and
+  // there must be at least one.
   int lazy = 0;
   std::vector<NodePtr> stack = {(*r)->root.node};
   while (!stack.empty()) {
@@ -139,12 +152,16 @@ TEST(CodecTest, ExternalLoggedReferencesStayLazy) {
     stack.pop_back();
     for (const ChildSlot* s : {&n->left(), &n->right()}) {
       Ref e = s->GetLocal();
-      if (e.IsLazy()) {
-        EXPECT_EQ(e.vn.intention_seq(), 1u);
-        lazy++;
-      } else if (e.node) {
-        stack.push_back(e.node);
+      if (e.vn.IsNull()) continue;
+      if (e.vn.intention_seq() == (*r)->seq) {
+        auto child = s->Get(&registry);
+        ASSERT_TRUE(child.ok()) << child.status().ToString();
+        stack.push_back(*child);
+        continue;
       }
+      EXPECT_TRUE(e.IsLazy());
+      EXPECT_EQ(e.vn.intention_seq(), 1u);
+      lazy++;
     }
   }
   EXPECT_GT(lazy, 0);
@@ -173,8 +190,10 @@ TEST(CodecTest, MultiBlockIntentionReassembles) {
                                      nullptr);
   ASSERT_TRUE(intent.ok()) << intent.status().ToString();
   EXPECT_EQ((*intent)->node_count, 200u);
+  MapRegistry registry;
+  registry.RegisterIntention(*intent);
   std::vector<std::pair<Key, std::string>> items;
-  ASSERT_TRUE(TreeCollect(nullptr, (*intent)->root, &items).ok());
+  ASSERT_TRUE(TreeCollect(&registry, (*intent)->root, &items).ok());
   EXPECT_EQ(items.size(), 200u);
 }
 
@@ -223,31 +242,33 @@ TEST(CodecTest, InterleavedIntentionsSequencedByCompletion) {
 
 TEST(CodecTest, TombstonesSurviveRoundTrip) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {1, 2, 3, 4, 5});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {1, 2, 3, 4, 5});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSerializable, nullptr);
+                     IsolationLevel::kSerializable, &registry);
   auto del = b.Delete(3);
   ASSERT_TRUE(del.ok());
   EXPECT_TRUE(*del);
-  auto r = RoundTrip(b, 9, assembler);
+  auto r = RoundTrip(b, 9, assembler, registry);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ((*r)->tombstones.size(), 1u);
   EXPECT_EQ((*r)->tombstones[0].key, 3u);
   EXPECT_EQ((*r)->tombstones[0].base_cv.intention_seq(), 1u);
-  // The deleted key is gone from the intention's tree view.
+  // The deleted key is gone from the intention's tree view, read through
+  // its lazy edges into genesis.
   std::vector<std::pair<Key, std::string>> items;
-  // Note: lazy edges may exist; provide no resolver only if fully resolved.
-  // Tree for 5 keys is small; deletions clone the full path, so remaining
-  // lazy edges point into genesis. Use a full scan via builder state
-  // instead: collect from the pre-serialization workspace.
-  (void)items;
+  ASSERT_TRUE(TreeCollect(&registry, (*r)->root, &items).ok());
+  std::vector<Key> keys;
+  for (const auto& item : items) keys.push_back(item.first);
+  EXPECT_EQ(keys, (std::vector<Key>{1, 2, 4, 5}));
 }
 
 TEST(CodecTest, DeleteThenReinsertDropsTombstone) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {1, 2, 3});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {1, 2, 3});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSerializable, nullptr);
+                     IsolationLevel::kSerializable, &registry);
   ASSERT_TRUE(b.Delete(2).ok());
   ASSERT_EQ(b.tombstones().size(), 1u);
   VersionId observed_cv = b.tombstones()[0].base_cv;
@@ -256,7 +277,7 @@ TEST(CodecTest, DeleteThenReinsertDropsTombstone) {
   // The re-inserted node restored the observed provenance.
   NodePtr n = b.root().node;
   while (n && n->key() != 2) {
-    auto c = n->child(2 > n->key()).Get(nullptr);
+    auto c = n->child(2 > n->key()).Get(&registry);
     ASSERT_TRUE(c.ok());
     n = *c;
   }
@@ -267,12 +288,14 @@ TEST(CodecTest, DeleteThenReinsertDropsTombstone) {
 
 TEST(CodecTest, SnapshotIsolationIntentionsAreSmaller) {
   IntentionAssembler assembler;
+  MapRegistry registry;
   std::vector<Key> keys;
   for (Key k = 0; k < 64; ++k) keys.push_back(k);
-  IntentionPtr g = Genesis(assembler, keys);
+  IntentionPtr g = Genesis(assembler, registry, keys);
 
   auto run = [&](IsolationLevel iso) -> size_t {
-    IntentionBuilder b(kWorkspaceTagBit | 9, g->seq, g->root, iso, nullptr);
+    IntentionBuilder b(kWorkspaceTagBit | 9, g->seq, g->root, iso,
+                       &registry);
     // 8 reads, 2 writes: the paper's default transaction shape (§6.1).
     for (Key k : {3, 9, 15, 21, 27, 33, 39, 45}) {
       auto v = b.Get(k);
@@ -293,9 +316,10 @@ TEST(CodecTest, SnapshotIsolationIntentionsAreSmaller) {
 
 TEST(CodecTest, ReadOnlyTransactionHasNoWrites) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {1, 2, 3});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {1, 2, 3});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSerializable, nullptr);
+                     IsolationLevel::kSerializable, &registry);
   auto v = b.Get(2);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(**v, "g2");
@@ -304,9 +328,10 @@ TEST(CodecTest, ReadOnlyTransactionHasNoWrites) {
 
 TEST(CodecTest, ReadsSeeOwnWrites) {
   IntentionAssembler assembler;
-  IntentionPtr g = Genesis(assembler, {1, 2, 3});
+  MapRegistry registry;
+  IntentionPtr g = Genesis(assembler, registry, {1, 2, 3});
   IntentionBuilder b(kWorkspaceTagBit | 2, g->seq, g->root,
-                     IsolationLevel::kSerializable, nullptr);
+                     IsolationLevel::kSerializable, &registry);
   ASSERT_TRUE(b.Put(2, "mine").ok());
   auto v = b.Get(2);
   ASSERT_TRUE(v.ok());
@@ -406,14 +431,15 @@ TEST(CodecTest, RandomizedRoundTripMatchesWorkspace) {
   Rng rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
     IntentionAssembler assembler;
+    MapRegistry registry;
     std::vector<Key> base_keys;
     for (Key k = 0; k < 50; ++k) base_keys.push_back(k * 2);
-    IntentionPtr g = Genesis(assembler, base_keys);
+    IntentionPtr g = Genesis(assembler, registry, base_keys);
 
     IntentionBuilder b(kWorkspaceTagBit | 5, g->seq, g->root,
                        rng.Bernoulli(0.5) ? IsolationLevel::kSerializable
                                           : IsolationLevel::kSnapshot,
-                       nullptr);
+                       &registry);
     std::map<Key, std::string> expected;
     for (auto& k : base_keys) expected[k] = "g" + std::to_string(k);
     for (int op = 0; op < 30; ++op) {
@@ -438,7 +464,7 @@ TEST(CodecTest, RandomizedRoundTripMatchesWorkspace) {
       }
     }
     if (!b.has_writes()) continue;
-    auto r = RoundTrip(b, 100 + trial, assembler, nullptr, 384);
+    auto r = RoundTrip(b, 100 + trial, assembler, registry, 384);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     // The deserialized tree, overlaid on the genesis snapshot via its lazy
     // references, is checked by the meld tests; here verify the node count

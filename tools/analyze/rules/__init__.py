@@ -3,17 +3,23 @@
 Each rule module exports a subclass of `Rule`. A rule sees every analyzed
 file once via `check()` and may emit more findings from `finalize()` after
 the whole file set has been seen (cross-file rules like codec-symmetry).
+A whole-tree run walks each rule's `scope` and hands the rule only the
+files found there.
 
-Rule ids are stable: suppression comments (`// hyder-check: allow(<id>)`),
-the committed baseline and the fixture expectations all key on them.
+Rule ids are stable: suppression comments (`// hyder-check: allow(<id>)`)
+and the fixture expectations key on them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import List, Tuple
 
 from structure import SourceFile
+
+# The library: every translation unit and header under src/.
+SRC_SCOPE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("src", (".cc", ".h")),)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,6 +37,9 @@ class Finding:
 class Rule:
     id: str = ""
     description: str = ""
+    # (repo-relative directory, file suffixes) pairs a whole-tree run
+    # walks for this rule.
+    scope: Tuple[Tuple[str, Tuple[str, ...]], ...] = SRC_SCOPE
 
     def check(self, sf: SourceFile) -> List[Finding]:
         return []
@@ -40,8 +49,9 @@ class Rule:
 
 
 def all_rules() -> List[Rule]:
-    from rules import (abort_provenance, codec_symmetry, cow_discipline,
-                       guard_completeness, olc_pairing, ordering_rationale)
+    from rules import (abort_provenance, banned_api, codec_symmetry,
+                       cow_discipline, guard_completeness, lock_inventory,
+                       olc_pairing, ordering_rationale)
     return [
         olc_pairing.OlcPairingRule(),
         cow_discipline.CowDisciplineRule(),
@@ -49,4 +59,6 @@ def all_rules() -> List[Rule]:
         codec_symmetry.CodecSymmetryRule(),
         ordering_rationale.OrderingRationaleRule(),
         abort_provenance.AbortProvenanceRule(),
+        banned_api.BannedApiRule(),
+        lock_inventory.LockInventoryRule(),
     ]

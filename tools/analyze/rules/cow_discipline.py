@@ -18,8 +18,7 @@ therefore only legal:
    optimistic readers retry past it.
 
 The check keys on the mutating method vocabulary of `Node` (all spellings
-are unique to it in this codebase). The libclang frontend sharpens this to
-real receiver types; the text frontend's name-keyed match is exact today
+are unique to it in this codebase), so the name-keyed match is exact
 because the names are not reused.
 """
 

@@ -20,14 +20,16 @@ member must be one of
    documented escape for thread-confined and set-once members.
 
 This closes the gap where `-Wthread-safety` ignores unannotated members:
-after this rule, "unannotated" can only mean "justified in writing".
+after this rule, "unannotated" can only mean "justified in writing". It
+reads the library and the test-support headers (tests/*.h), whose
+Mutex-holding helpers are shared by the multi-threaded suites.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from rules import Finding, Rule
+from rules import SRC_SCOPE, Finding, Rule
 from structure import SourceFile
 
 # Types that synchronize internally (or are the synchronization): holding
@@ -42,6 +44,7 @@ class GuardCompletenessRule(Rule):
     id = "guard-completeness"
     description = ("classes with a Mutex must GUARDED_BY-annotate (or "
                    "justify) every data member")
+    scope = SRC_SCOPE + (("tests", (".h",)),)
 
     def check(self, sf: SourceFile) -> List[Finding]:
         out: List[Finding] = []

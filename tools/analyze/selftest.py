@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """hyder-check self-test: the fixture corpus pins every rule's behavior.
 
-Three layers:
+Two layers:
 
- 1. Per-rule fixtures: for each rule, `fixtures/<rule>_bad.cc` carries
+ 1. Per-rule fixtures: for each rule, `fixtures/<rule>_bad*.cc` carry
     seeded violations marked `// expect: <rule-id>` on the offending line,
-    and `fixtures/<rule>_clean.cc` carries the idioms the rule must accept.
+    and `fixtures/<rule>_clean*.cc` carry the idioms the rule must accept.
     The test asserts the *exact* (rule, line) set — a rule that stops
-    firing, fires on the wrong line, or over-fires fails the test.
+    firing, fires on the wrong line, or over-fires fails the test. A
+    fixture is analyzed under its file name, or under the repo-relative
+    path named by a `// fixture-path: <path>` line, which is how the
+    directory-scoped rules (banned-api, lock-inventory) are pinned.
 
  2. Suppression mechanism: `fixtures/suppression.cc` holds violations in
     every documented suppression form; the full driver must report zero.
-
- 3. Baseline mechanism: --write-baseline over a bad fixture must make the
-    next run clean, --no-baseline must bring the findings back, and an
-    edited line must fall out of the baseline.
 
 Run directly (`python3 tools/analyze/selftest.py`) or via
 `ctest -L analysis`. Exit 0 on success, 1 on any failure.
@@ -22,24 +21,23 @@ Run directly (`python3 tools/analyze/selftest.py`) or via
 
 from __future__ import annotations
 
+import glob
 import io
-import json
 import os
 import re
 import sys
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Set, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import frontend  # noqa: E402
 import hyder_check  # noqa: E402
 from rules import Finding, all_rules  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
 _EXPECT_RE = re.compile(r"//\s*expect:\s*([a-z\-]+)")
+_PATH_RE = re.compile(r"^//\s*fixture-path:\s*(\S+)", re.MULTILINE)
 
 _failures: List[str] = []
 
@@ -63,12 +61,18 @@ def expected_lines(path: str, rule_id: str) -> Set[int]:
     return out
 
 
+def load_fixture(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        m = _PATH_RE.search(f.read())
+    return hyder_check.load(path, m.group(1) if m else os.path.basename(path))
+
+
 def run_rule(rule_id: str, path: str) -> Set[int]:
     """Findings for one rule on one fixture, with driver-level suppression
     filtering applied (the clean fixtures document the suppression escape,
     so they must go through the same filter the driver uses)."""
     rule = next(r for r in all_rules() if r.id == rule_id)
-    sf = frontend.build(path, os.path.basename(path), "text", None)
+    sf = load_fixture(path)
     by_line, file_wide = hyder_check.collect_suppressions(sf)
     findings: List[Finding] = list(rule.check(sf)) + list(rule.finalize())
     return {f.line for f in findings
@@ -79,30 +83,35 @@ def run_rule(rule_id: str, path: str) -> Set[int]:
 def test_rule_fixtures() -> None:
     for rule in all_rules():
         stem = rule.id.replace("-", "_")
-        bad = os.path.join(FIXTURES, f"{stem}_bad.cc")
-        clean = os.path.join(FIXTURES, f"{stem}_clean.cc")
-        for path in (bad, clean):
-            if not os.path.exists(path):
-                fail(f"{rule.id}: missing fixture {os.path.basename(path)}")
-                return
+        bads = sorted(glob.glob(os.path.join(FIXTURES, f"{stem}_bad*.cc")))
+        cleans = sorted(
+            glob.glob(os.path.join(FIXTURES, f"{stem}_clean*.cc")))
+        if not bads or not cleans:
+            fail(f"{rule.id}: needs {stem}_bad*.cc and {stem}_clean*.cc "
+                 "fixtures")
+            continue
 
-        want = expected_lines(bad, rule.id)
-        if not want:
-            fail(f"{rule.id}: {os.path.basename(bad)} has no "
-                 "'// expect:' markers")
-        got = run_rule(rule.id, bad)
-        if got != want:
-            fail(f"{rule.id}: bad fixture mismatch — expected lines "
-                 f"{sorted(want)}, got {sorted(got)}")
-        else:
-            ok(f"{rule.id}: fires on exactly lines {sorted(want)}")
+        for bad in bads:
+            name = os.path.basename(bad)
+            want = expected_lines(bad, rule.id)
+            if not want:
+                fail(f"{rule.id}: {name} has no '// expect:' markers")
+            got = run_rule(rule.id, bad)
+            if got != want:
+                fail(f"{rule.id}: {name} mismatch — expected lines "
+                     f"{sorted(want)}, got {sorted(got)}")
+            else:
+                ok(f"{rule.id}: {name} fires on exactly lines "
+                   f"{sorted(want)}")
 
-        got_clean = run_rule(rule.id, clean)
-        if got_clean:
-            fail(f"{rule.id}: clean fixture raised findings on lines "
-                 f"{sorted(got_clean)}")
-        else:
-            ok(f"{rule.id}: quiet on the clean fixture")
+        for clean in cleans:
+            name = os.path.basename(clean)
+            got_clean = run_rule(rule.id, clean)
+            if got_clean:
+                fail(f"{rule.id}: {name} raised findings on lines "
+                     f"{sorted(got_clean)}")
+            else:
+                ok(f"{rule.id}: quiet on {name}")
 
 
 def run_driver(argv: List[str]) -> Tuple[int, str]:
@@ -122,7 +131,7 @@ def test_suppression_mechanism() -> None:
         ok("suppression fixture: all documented forms silence the driver")
     # The same file with suppressions ignored must fail: proves the
     # fixture actually seeds violations and the comments do the work.
-    sf = frontend.build(path, os.path.basename(path), "text", None)
+    sf = load_fixture(path)
     raw = [f for r in all_rules()
            for f in list(r.check(sf)) + list(r.finalize())]
     if not raw:
@@ -132,45 +141,29 @@ def test_suppression_mechanism() -> None:
         ok(f"suppression fixture seeds {len(raw)} raw violation(s)")
 
 
-def test_baseline_mechanism() -> None:
-    bad = os.path.join(FIXTURES, "ordering_rationale_bad.cc")
-    with tempfile.TemporaryDirectory() as tmp:
-        baseline = os.path.join(tmp, "baseline.json")
-        code, output = run_driver([bad, "--baseline", baseline, "-q"])
-        if code != 1:
-            fail(f"baseline: run without baseline exited {code}, "
-                 f"expected 1; output:\n{output}")
-        code, output = run_driver(
-            [bad, "--baseline", baseline, "--write-baseline", "-q"])
-        if code != 0:
-            fail(f"baseline: --write-baseline exited {code}; "
-                 f"output:\n{output}")
-        code, output = run_driver([bad, "--baseline", baseline, "-q"])
-        if code != 0:
-            fail(f"baseline: baselined run exited {code}, expected 0; "
-                 f"output:\n{output}")
-        else:
-            ok("baseline: accepted findings are carried")
-        code, _ = run_driver(
-            [bad, "--baseline", baseline, "--no-baseline", "-q"])
-        if code != 1:
-            fail(f"baseline: --no-baseline exited {code}, expected 1")
-        else:
-            ok("baseline: --no-baseline brings findings back")
-        # Content-keyed matching: change the offending line's content and
-        # the baseline entry must stop matching.
-        with open(baseline, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        for e in doc["entries"]:
-            e["content"] = e["content"] + " /* edited */"
-        with open(baseline, "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        code, _ = run_driver([bad, "--baseline", baseline, "-q"])
-        if code != 1:
-            fail(f"baseline: stale-content entries still matched "
-                 f"(exit {code}, expected 1)")
-        else:
-            ok("baseline: entries are content-keyed, edits invalidate them")
+def test_tree_scope() -> None:
+    """A whole-tree run reads each rule's directories and nothing else."""
+    root = hyder_check.repo_root(None)
+    rules = {r.id: r for r in all_rules()}
+    wrong = []
+    for rule_id, path, covered in (
+            ("olc-pairing", "src/tree/node.h", True),
+            ("olc-pairing", "tests/test_cluster.h", False),
+            ("guard-completeness", "tests/test_cluster.h", True),
+            ("guard-completeness", "tests/txn_test.cc", False),
+            ("banned-api", "examples/quickstart.cpp", True),
+            ("banned-api", "bench/check.h", True),
+            ("banned-api", "tools/trace_export.cc", False),
+            ("lock-inventory", "src/server/resolver.h", True),
+            ("lock-inventory", "src/common/queue.h", False)):
+        files = hyder_check.tree_file_set(root, [rules[rule_id]])
+        if (os.path.join(root, path) in files) != covered:
+            wrong.append(f"{rule_id} {'misses' if covered else 'reads'} "
+                         f"{path}")
+    if wrong:
+        fail(f"tree scope: {'; '.join(wrong)}")
+    else:
+        ok("tree scope: each rule walks exactly its directories")
 
 
 def test_driver_cli() -> None:
@@ -189,7 +182,7 @@ def main() -> int:
     print(f"hyder-check selftest (fixtures: {FIXTURES})")
     test_rule_fixtures()
     test_suppression_mechanism()
-    test_baseline_mechanism()
+    test_tree_scope()
     test_driver_cli()
     if _failures:
         print(f"\n{len(_failures)} failure(s)")

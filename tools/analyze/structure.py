@@ -13,9 +13,7 @@ Recovers, from the token stream, the pieces the rule modules need:
 
 The recovery is heuristic but conservative: token patterns that do not
 match a known shape are simply skipped, so an exotic construct can at worst
-hide itself from a rule, never crash the analyzer. The optional libclang
-frontend (see frontend.py) replaces the function/class discovery with exact
-AST extents when available and feeds the same model.
+hide itself from a rule, never crash the analyzer.
 """
 
 from __future__ import annotations
