@@ -117,8 +117,8 @@ RunResult RunSequential(StripedLog* log,
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
-    auto intent = DeserializeIntention(li.payload, li.seq, li.block_count,
-                                       &resolver, li.txn_id);
+    auto intent =
+        DeserializeIntention(li.payload, li.seq, li.block_count, li.txn_id);
     HYDER_BENCH_CHECK_OK(intent);
     resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
     HYDER_BENCH_CHECK_OK(pipeline.Process(std::move(*intent)));
@@ -185,8 +185,8 @@ std::vector<double> DecodeLatencies(StripedLog* log,
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
     Stopwatch sw;
-    auto intent = DeserializeIntention(li.payload, li.seq, li.block_count,
-                                       &resolver, li.txn_id);
+    auto intent =
+        DeserializeIntention(li.payload, li.seq, li.block_count, li.txn_id);
     us.push_back(double(sw.ElapsedNanos()) / 1e3);
     HYDER_BENCH_CHECK_OK(intent);
     resolver.CacheIntention(li.seq, (*intent)->flats.front().second);

@@ -18,6 +18,11 @@ class Melder {
     if (!intent_.root.IsNull()) {
       HYDER_ASSIGN_OR_RETURN(melded, Rec(intent_.root, base_root));
     }
+    // Before ApplyTombstones: its path copies take a grafted node's edges
+    // as they stand.
+    for (const auto& [i, l] : grafts_) {
+      HYDER_RETURN_IF_ERROR(Link(i.get(), l.get()));
+    }
     HYDER_RETURN_IF_ERROR(ApplyTombstones(base_root, &melded));
     return melded;
   }
@@ -115,13 +120,16 @@ class Melder {
     return Status::OK();
   }
 
-  /// True when `melded` is the same edge the base node already holds.
+  /// True when `melded` is the same edge the base node already holds. A
+  /// version id names one immutable node, but one id can have several
+  /// Node objects (a view evicted and refetched decodes new ones), and
+  /// whether an edge is materialized yet depends on timing. So edges
+  /// compare by id; only provisional nodes, which have none, by address.
   static bool SameEdge(const Ref& melded, const Ref& base) {
-    if (melded.node && base.node) return melded.node.get() == base.node.get();
     if (!melded.vn.IsNull() || !base.vn.IsNull()) {
       return melded.vn == base.vn;
     }
-    return melded.IsNull() && base.IsNull();
+    return melded.node.get() == base.node.get();
   }
 
   /// The validated node contributes nothing the base node does not already
@@ -339,6 +347,7 @@ class Melder {
       // Otherwise graft the intention subtree; returning *i* (not l) keeps
       // the writes and, for meld outputs that feed another meld, the
       // readset metadata (§3.3's one-line modification).
+      if (ctx_.output_is_state) grafts_.emplace_back(i_edge.node, l);
       return i_edge;
     }
 
@@ -380,6 +389,46 @@ class Melder {
     e->left().Reset(std::move(left));
     e->right().Reset(std::move(right));
     return Ref::To(e);
+  }
+
+  /// Links the edges of grafted intention node `i` into the new state, so
+  /// that it shares the base's nodes instead of naming them by id: every
+  /// intra-intention edge to the node the intention's view decodes, and
+  /// every edge inherited from the snapshot to the base's own node. `l` is the base node that
+  /// `i` was copied from (`i->ssv() == l->vn()`), or null when there is
+  /// none; an inherited edge of `i` is `l`'s child on the same side when
+  /// their ids match. An edge with no such pair that names an ephemeral
+  /// node is resolved from the registry: ephemerals cannot be refetched,
+  /// so a state must hold them (the graft guarantees the base still holds
+  /// the snapshot's nodes under `l`). Other unpaired edges stay lazy.
+  /// Only materializes edges, never rewires one, so no decision or id
+  /// depends on it. Raw pointers: `grafts_` holds both roots, and a
+  /// published slot is never cleared.
+  Status Link(const Node* i, const Node* l) {
+    for (bool right : {false, true}) {
+      const ChildSlot& slot = i->child(right);
+      Node* lc = l != nullptr ? l->child(right).Peek() : nullptr;
+      const Node* c = slot.Peek();
+      if (c == nullptr) {
+        const VersionId vn = slot.vn();
+        if (vn.IsNull()) continue;
+        NodePtr own = intent_.ResolveFlat(vn);
+        if (own == nullptr) {  // Inherited from the snapshot.
+          if (lc != nullptr && lc->vn() == vn) {
+            slot.Memoize(NodePtr::Share(lc));
+          } else if (vn.IsEphemeral()) {
+            HYDER_ASSIGN_OR_RETURN(NodePtr e, Materialize(Ref::Lazy(vn)));
+            slot.Memoize(std::move(e));
+          }
+          continue;
+        }
+        c = slot.Memoize(std::move(own));
+      }
+      if (!Inside(c)) continue;
+      HYDER_RETURN_IF_ERROR(
+          Link(c, lc != nullptr && c->ssv() == lc->vn() ? lc : nullptr));
+    }
+    return Status::OK();
   }
 
   /// Validates tombstones against the base tree, then applies the deletions
@@ -428,6 +477,9 @@ class Melder {
 
   const MeldContext& ctx_;
   const Intention& intent_;
+  /// Final meld only: (grafted intention node, base node it replaced), for
+  /// `Link` once the structural merge has succeeded.
+  std::vector<std::pair<NodePtr, NodePtr>> grafts_;
 };
 
 }  // namespace

@@ -87,7 +87,7 @@ Result<IntentionPtr> ThreadedPipeline::DecodeRaw(
   CpuStopwatch cpu;
   HYDER_ASSIGN_OR_RETURN(
       IntentionPtr intent,
-      DeserializeIntention(raw.payload, raw.seq, raw.block_count, resolver_,
+      DeserializeIntention(raw.payload, raw.seq, raw.block_count,
                            raw.txn_id));
   stats->deserialize.cpu_nanos += cpu.ElapsedNanos();
   stats->deserialize.nodes_visited += intent->node_count;

@@ -76,31 +76,6 @@ Result<NodePtr> ServerResolver::Resolve(VersionId vn) {
   return ResolveLogged(vn);
 }
 
-NodePtr ServerResolver::TryResolveCached(VersionId vn) {
-  if (vn.IsNull()) return nullptr;
-  if (vn.IsEphemeral()) {
-    EphemeralStripe& stripe = StripeFor(vn);
-    CountedLock lock(stripe.mu);
-    auto it = stripe.nodes.find(vn);
-    return it == stripe.nodes.end() ? nullptr : it->second;
-  }
-  Shard& shard = ShardFor(vn.intention_seq());
-  {
-    CountedLock lock(shard.mu);
-    auto it = shard.intentions.find(vn.intention_seq());
-    if (it != shard.intentions.end()) {
-      // NodeAt takes no locks and never calls back into this resolver, so
-      // the lazy materialization is safe under the shard lock.
-      NodePtr n = it->second.view->NodeAt(vn.node_index());
-      if (n == nullptr) return nullptr;
-      TouchLocked(shard, vn.intention_seq());
-      return n;
-    }
-  }
-  // No refetch here; the pinned checkpoint base is still cache-speed.
-  return LookupPinned(vn);
-}
-
 NodePtr ServerResolver::LookupPinned(VersionId vn) const {
   CountedLock lock(pinned_mu_);
   auto it = pinned_nodes_.find(vn);
@@ -193,17 +168,9 @@ Result<std::shared_ptr<FlatIntentionView>> ServerResolver::RefetchIntention(
   }
   std::string payload;
   for (std::string& c : chunks) payload.append(c);
-  // No shard lock is held here, so the decode gets this resolver and
-  // pre-materializes external references cache-only (TryResolveCached may
-  // take any shard's lock, including the caller's). The decode
-  // materializes nothing beyond the root: the cache holds the view, and
-  // nodes appear only if something actually dereferences them.
-  HYDER_ASSIGN_OR_RETURN(
-      IntentionPtr intent,
-      DeserializeIntention(payload, seq,
-                           static_cast<uint32_t>(chunks.size()), this,
-                           dir.txn_id));
-  return intent->flats.front().second;
+  // The cache holds the view; nodes appear only if something actually
+  // dereferences them.
+  return FlatIntentionView::Parse(std::move(payload), seq);
 }
 
 void ServerResolver::TouchLocked(Shard& shard, uint64_t seq) {

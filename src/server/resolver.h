@@ -59,10 +59,6 @@ class ServerResolver : public NodeResolver {
 
   Result<NodePtr> Resolve(VersionId vn) override;
 
-  /// Cache-only lookup (no log refetch): serves decode-time
-  /// pre-materialization of external references. Null on any miss.
-  [[nodiscard]] NodePtr TryResolveCached(VersionId vn) override;
-
   /// Records that intention `seq` lives in the given log block positions
   /// (called by the log reader as intentions complete).
   void RecordIntentionBlocks(uint64_t seq, std::vector<uint64_t> positions,
@@ -86,7 +82,7 @@ class ServerResolver : public NodeResolver {
   /// already alive at S (versions are never resurrected), so the pinned map
   /// answers exactly the lookups truncation made impossible. `Resolve`
   /// falls back to the pin when the log returns `Truncated` or the
-  /// directory entry is gone; `TryResolveCached` consults it on any miss.
+  /// directory entry is gone.
   void ReplacePinnedBase(uint64_t state_seq,
                          std::unordered_map<VersionId, NodePtr> nodes);
   uint64_t pinned_state_seq() const;
@@ -155,11 +151,8 @@ class ServerResolver : public NodeResolver {
 
   Result<NodePtr> ResolveLogged(VersionId vn);
   NodePtr LookupPinned(VersionId vn) const EXCLUDES(pinned_mu_);
-  /// The random log read path (§1): fetches `seq`'s blocks and decodes
-  /// them into a view. Runs with **no shard lock held**, so the decode gets
-  /// `this` as its resolver and pre-materializes external references
-  /// cache-only (TryResolveCached) — the wiring the old
-  /// decode-under-the-lock path had to forgo to stay deadlock-free.
+  /// The random log read path (§1): fetches `seq`'s blocks and parses
+  /// them into a view, with no shard lock held.
   Result<std::shared_ptr<FlatIntentionView>> RefetchIntention(
       uint64_t seq, const DirectoryEntry& dir);
   void TouchLocked(Shard& shard, uint64_t seq) REQUIRES(shard.mu);

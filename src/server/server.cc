@@ -207,7 +207,7 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
       HYDER_ASSIGN_OR_RETURN(
           intent,
           DeserializeIntention(done->payload, done->seq, done->block_count,
-                               &resolver_, done->txn_id));
+                               done->txn_id));
       pipeline_.mutable_stats()->deserialize.cpu_nanos +=
           ds_cpu.ElapsedNanos();
       pipeline_.mutable_stats()->deserialize.nodes_visited +=

@@ -16,9 +16,7 @@ NodePtr MakeNode(Key key, std::string_view payload) {
   return NodePtr::Adopt(new (AllocateNodeSlot()) Node(key, payload));
 }
 
-void NodeUnref(Node* n) {
-  if (n == nullptr) return;
-  if (n->refs_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+void DestroyNode(Node* n) {
   // Destroy iteratively: dropping a large state must not recurse to the
   // tree height times the cascade depth.
   std::vector<Node*> dead;
@@ -84,16 +82,8 @@ Result<NodePtr> ChildSlot::Get(NodeResolver* resolver) const {
   if (!fetched) {
     return Status::Corruption("resolver returned null for " + vn_.ToString());
   }
-  // Memoize. If another thread won the race, drop our fetch and use theirs.
-  Node* expected = nullptr;
-  Node* raw = fetched.get();
-  NodeRef(raw);  // The slot's strong reference.
-  if (node_.compare_exchange_strong(expected, raw,
-                                    std::memory_order_acq_rel)) {
-    return fetched;
-  }
-  NodeUnref(raw);  // Lost the race; release the slot's would-be reference.
-  return NodePtr::Share(expected);
+  // If another thread won the race, our fetch is dropped for theirs.
+  return NodePtr::Share(Memoize(std::move(fetched)));
 }
 
 }  // namespace hyder

@@ -47,7 +47,10 @@ class Node;
 inline void NodeRef(Node* n);
 /// Decrements the reference count, destroying the node (and unreferencing
 /// its children, iteratively) when it reaches zero. `n` may be null.
-void NodeUnref(Node* n);
+inline void NodeUnref(Node* n);
+/// NodeUnref's out-of-line tail: destroys `n`, whose count just reached
+/// zero, and every descendant that only it held (tree/node.cc).
+void DestroyNode(Node* n);
 
 /// Intrusive refcounted smart pointer to an immutable tree node.
 ///
@@ -153,17 +156,6 @@ class NodeResolver {
   ///  * `SnapshotTooOld` — `vn` is ephemeral and retired from the registry;
   ///  * `NotFound` / `Corruption` — log-level failures.
   virtual Result<NodePtr> Resolve(VersionId vn) = 0;
-
-  /// Best-effort lookup that only consults in-memory state — no log IO, no
-  /// refetch, never an error. Returns null when the node is not immediately
-  /// at hand; the caller keeps the reference lazy and `Resolve` handles it
-  /// on first dereference. Deserialization uses this to pre-materialize
-  /// external references on the decode thread, sparing the meld thread the
-  /// resolver lock on first touch (the reference's identity is its version
-  /// id either way, so pre-resolution cannot affect meld decisions).
-  [[nodiscard]] virtual NodePtr TryResolveCached(VersionId vn) {
-    return nullptr;
-  }
 };
 
 /// A child slot inside a node. Holds a strong reference when materialized.
@@ -193,21 +185,28 @@ class ChildSlot {
   /// `resolver` and memoizes on first use.
   Result<NodePtr> Get(NodeResolver* resolver) const;
 
+  /// The materialized target without taking a reference (null when the
+  /// edge is lazy or null). The pointer stays valid while the caller holds
+  /// this slot's node: a published slot is never cleared, only memoized.
+  Node* Peek() const { return node_.load(std::memory_order_acquire); }
+
   /// Publishes `n` as the materialized target of a still-lazy edge — the
-  /// same CAS `Get` performs after resolving, split out so decode can
-  /// pre-materialize edges it already has nodes for without a resolver
-  /// round trip. Legal on published nodes. The caller guarantees `n` is
-  /// the node this slot's vn identifies; a lost race is a no-op (some
-  /// other thread installed the canonical node first).
-  void Memoize(const NodePtr& n) const {
-    Node* raw = n.get();
-    if (raw == nullptr) return;
+  /// same CAS `Get` performs after resolving, split out so final meld can
+  /// link edges it already has nodes for without a resolver round trip.
+  /// Legal on published nodes. The caller guarantees `n` is a node with
+  /// this slot's vn. Adopts the caller's reference; on a lost race `n` is
+  /// dropped. Returns the node the slot holds afterwards (`n` or the
+  /// winner's), with no reference taken, as for `Peek`.
+  Node* Memoize(NodePtr n) const {
     Node* expected = nullptr;
-    NodeRef(raw);
-    if (!node_.compare_exchange_strong(expected, raw,
-                                       std::memory_order_acq_rel)) {
-      NodeUnref(raw);
+    Node* raw = n.get();
+    if (raw == nullptr) return Peek();
+    if (node_.compare_exchange_strong(expected, raw,
+                                      std::memory_order_acq_rel)) {
+      n.Release();  // The slot now owns the caller's reference.
+      return raw;
     }
+    return expected;
   }
 
   /// Rewires the edge. Only for unpublished nodes.
@@ -224,7 +223,7 @@ class ChildSlot {
   }
 
  private:
-  friend void NodeUnref(Node*);
+  friend void DestroyNode(Node*);
 
   mutable std::atomic<Node*> node_{nullptr};
   VersionId vn_{};
@@ -351,12 +350,14 @@ class Node {
   uint32_t RefCount() const { return refs_.load(std::memory_order_acquire); }
 
  private:
-  /// Nodes live only in pool slots: MakeNode constructs one and NodeUnref
-  /// destroys it when the last reference drops (tree/node.cc). Any other
-  /// `new Node`, stack Node or `delete` fails to compile.
+  /// Nodes live only in pool slots: MakeNode constructs one and
+  /// DestroyNode destroys it when NodeUnref drops the last reference
+  /// (tree/node.cc). Any other `new Node`, stack Node or `delete` fails to
+  /// compile.
   friend NodePtr MakeNode(Key key, std::string_view payload);
   friend void NodeRef(Node*);
   friend void NodeUnref(Node*);
+  friend void DestroyNode(Node*);
 
   Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
   ~Node() = default;
@@ -395,6 +396,14 @@ inline void NodeRef(Node* n) {
   // the count can only be raced upward; NodeUnref's release/acquire pair
   // orders destruction.
   if (n != nullptr) n->refs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline void NodeUnref(Node* n) {
+  // Inline so that dropping a reference that is not the last one (nearly
+  // every NodePtr destructor on a descent) costs no call.
+  if (n != nullptr && n->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    DestroyNode(n);
+  }
 }
 
 inline Ref Ref::To(const NodePtr& n) {

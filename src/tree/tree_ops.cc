@@ -40,6 +40,14 @@ void Attach(const std::vector<PathEntry>& path, const NodePtr& n,
   }
 }
 
+/// Attach for a descent step that read `cur` from the last path entry's
+/// slot and made `c = CloneForWrite(cur)`: when `c` is `cur` (already
+/// private) it already sits in that slot, so only the root needs linking.
+void AttachIfCloned(const std::vector<PathEntry>& path, const NodePtr& cur,
+                    const NodePtr& c, Ref* newroot) {
+  if (c.get() != cur.get() || path.empty()) Attach(path, c, newroot);
+}
+
 /// Replaces the node at path position `idx` with `n` in its parent's slot
 /// (or as the root when idx == 0).
 void AttachAt(const std::vector<PathEntry>& path, size_t idx,
@@ -240,7 +248,7 @@ Result<Ref> TreeInsert(const CowContext& ctx, const Ref& root, Key key,
   while (cur) {
     BumpVisited(ctx);
     HYDER_ASSIGN_OR_RETURN(NodePtr c, CloneForWrite(ctx, cur));
-    Attach(path, c, &newroot);
+    AttachIfCloned(path, cur, c, &newroot);
     if (key == c->key()) {
       OlcWriteGuard wg(c.get());
       c->set_payload(std::move(payload));
@@ -424,7 +432,7 @@ Result<Ref> TreeLookup(const CowContext& ctx, const Ref& root, Key key,
   while (true) {
     BumpVisited(ctx);
     HYDER_ASSIGN_OR_RETURN(NodePtr c, CloneForWrite(ctx, cur));
-    Attach(path, c, &newroot);
+    AttachIfCloned(path, cur, c, &newroot);
     if (key == c->key()) {
       c->set_flags(c->flags() | kFlagRead);
       *payload = c->payload();

@@ -23,6 +23,12 @@ Result<int> Walk(WalkState& st, const NodePtr& n, uint32_t depth,
   if ((n->olc_version() & 1) != 0) st.check.olc_stable = false;
   const bool red = n->color() == Color::kRed;
   bool violated = parent_red && red;
+  for (bool right : {false, true}) {
+    const ChildSlot& slot = n->child(right);
+    if (slot.Peek() == nullptr && slot.vn().IsEphemeral()) {
+      st.check.lazy_ephemeral_edges++;
+    }
+  }
 
   HYDER_ASSIGN_OR_RETURN(NodePtr l, n->left().Get(st.resolver));
   if (l && l->key() >= n->key()) st.order_violation = true;

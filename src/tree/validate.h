@@ -20,6 +20,11 @@ struct TreeCheck {
                        ///< equal black heights.
   bool olc_stable = true;  ///< Every node's OLC version word was even (no
                            ///< writer mid-mutation) when visited.
+  /// Edges found lazy (before this walk resolved them) that name an
+  /// ephemeral node. Ephemeral nodes are never logged, so such an edge
+  /// holds nothing up: once the registry sweeps its target, the edge
+  /// answers SnapshotTooOld. Melded states keep this at 0.
+  uint64_t lazy_ephemeral_edges = 0;
 };
 
 /// Walks the whole tree checking key ordering and the red-black invariants.

@@ -180,7 +180,6 @@ Result<std::vector<std::string>> SerializeIntention(
 
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
                                           uint64_t seq, uint32_t block_count,
-                                          NodeResolver* ephemeral_resolver,
                                           uint64_t txn_id) {
   HYDER_ASSIGN_OR_RETURN(
       std::shared_ptr<FlatIntentionView> view,
@@ -196,25 +195,7 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
   intent->isolation = view->isolation();
   intent->tombstones = view->tombstones();
   intent->node_count = view->node_count();
-  if (view->node_count() > 0) {
-    NodePtr root = view->Root();
-    if (ephemeral_resolver != nullptr) {
-      // The root is the only node the meld thread is guaranteed to touch,
-      // so its external references are pre-materialized here, on the
-      // decode thread. Cache-only: a reference's identity is its version
-      // id whether or not the node pointer is populated, so meld decisions
-      // are unaffected. Intra-intention ids miss here (this intention is
-      // not cached yet) and resolve through the view on first touch.
-      for (bool right : {false, true}) {
-        const ChildSlot& slot = root->child(right);
-        const Ref edge = slot.GetLocal();
-        if (!edge.IsLazy()) continue;
-        NodePtr resolved = ephemeral_resolver->TryResolveCached(edge.vn);
-        if (resolved != nullptr) slot.Memoize(resolved);
-      }
-    }
-    intent->root = Ref::To(root);
-  }
+  if (view->node_count() > 0) intent->root = Ref::To(view->Root());
   intent->flats.emplace_back(seq, std::move(view));
   return intent;
 }

@@ -60,13 +60,10 @@ Result<std::vector<std::string>> SerializeIntention(
 /// `VersionId::Logged(seq, i)` and owner tag `seq`. The intention carries
 /// the payload's view in `flats`. Only the root is materialized; every
 /// other node materializes on first touch, through a resolver that knows
-/// the view (`Intention::ResolveFlat`). With `ephemeral_resolver`, the
-/// root's external references are also pre-materialized cache-only. The
-/// whole payload is validated either way; a payload without the format
-/// prefix is DataLoss.
+/// the view (`Intention::ResolveFlat`). The whole payload is validated;
+/// a payload without the format prefix is DataLoss.
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
                                           uint64_t seq, uint32_t block_count,
-                                          NodeResolver* ephemeral_resolver,
                                           uint64_t txn_id = 0);
 
 /// Reassembles intention payloads from the block stream, assigning each

@@ -22,7 +22,8 @@ namespace hyder {
 /// offset monotonicity, every record's field bounds — and from then on
 /// materializes nodes on demand: `NodeAt(i)` decodes record `i` into a pool
 /// node the first time it is asked for and CAS-publishes it, so every
-/// caller observes one canonical Node per version id. Child edges of a
+/// caller of this view observes one Node per version id (a second view
+/// of the same payload decodes its own). Child edges of a
 /// materialized node come out *lazy*, carrying their
 /// `VersionId::Logged(seq, child)` identity, which is the zero-copy
 /// property: walking the conflict zone of an intention materializes only

@@ -111,8 +111,7 @@ struct Intention {
 
   /// Materializes `vn` from this intention's flat views (null when `vn` is
   /// not logged or belongs to none of them). Every call for the same id
-  /// yields the same Node object, which is what lets meld's pointer-based
-  /// edge comparisons keep working on lazily materialized trees.
+  /// yields the same Node object.
   NodePtr ResolveFlat(VersionId vn) const;
 };
 

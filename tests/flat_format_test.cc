@@ -74,7 +74,7 @@ IntentionBuilder MixedBuilder(int keys) {
 IntentionPtr Decode(const IntentionBuilder& b, uint64_t seq) {
   Assembled a = Assemble(b, 40 + seq);
   auto r =
-      DeserializeIntention(a.payload, seq, a.block_count, nullptr, a.txn_id);
+      DeserializeIntention(a.payload, seq, a.block_count, a.txn_id);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? *r : nullptr;
 }
@@ -147,7 +147,7 @@ TEST(FlatFormatTest, RoundTripMatchesWorkspace) {
   Assembled a = Assemble(b, 43);
   const uint64_t seq = 3;
   auto decoded =
-      DeserializeIntention(a.payload, seq, a.block_count, nullptr, a.txn_id);
+      DeserializeIntention(a.payload, seq, a.block_count, a.txn_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const Intention& in = **decoded;
   snapshot.Add(*decoded);
@@ -227,7 +227,7 @@ TEST(FlatFormatTest, LazyMaterializationIsCanonical) {
 /// damage — never a crash, hang, or untyped error.
 void ExpectTypedOrValid(const std::string& payload, uint32_t block_count,
                         const char* what) {
-  auto r = DeserializeIntention(payload, 1, block_count, nullptr, 9);
+  auto r = DeserializeIntention(payload, 1, block_count, 9);
   if (r.ok()) return;  // Flip produced a different but valid intention.
   EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss())
       << what << ": " << r.status().ToString();
@@ -238,7 +238,7 @@ TEST(FlatFormatCorpusTest, EveryTruncationIsTypedDataLoss) {
   Assembled v3 = Assemble(b, 44);
   for (size_t len = 0; len < v3.payload.size(); ++len) {
     std::string cut = v3.payload.substr(0, len);
-    auto r = DeserializeIntention(cut, 1, v3.block_count, nullptr, 9);
+    auto r = DeserializeIntention(cut, 1, v3.block_count, 9);
     // A strict prefix can never satisfy the framing (total-length and
     // offset-table checks), so unlike bit flips every truncation must fail.
     ASSERT_FALSE(r.ok()) << "len " << len;
@@ -262,8 +262,7 @@ TEST(FlatFormatCorpusTest, EveryBitFlipIsTypedOrValid) {
 TEST(FlatFormatCorpusTest, TrailingGarbageRejected) {
   IntentionBuilder b = MixedBuilder(10);
   Assembled v3 = Assemble(b, 47);
-  auto r = DeserializeIntention(v3.payload + "extra", 1, v3.block_count,
-                                nullptr, 9);
+  auto r = DeserializeIntention(v3.payload + "extra", 1, v3.block_count, 9);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption() || r.status().IsDataLoss());
 }
@@ -274,7 +273,7 @@ TEST(FlatFormatCorpusTest, MissingPrefixIsDataLoss) {
   IntentionBuilder b = MixedBuilder(10);
   Assembled a = Assemble(b, 48);
   auto r = DeserializeIntention(a.payload.substr(kWireFlatPrefixBytes), 1,
-                                a.block_count, nullptr, 9);
+                                a.block_count, 9);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
 }
@@ -292,7 +291,7 @@ TEST(FlatFormatCorpusTest, UnknownIsolationByteIsCorruption) {
   for (int v = 0; v < 256; ++v) {
     std::string p = a.payload;
     p[iso_at] = static_cast<char>(v);
-    auto r = DeserializeIntention(p, 1, a.block_count, nullptr, 9);
+    auto r = DeserializeIntention(p, 1, a.block_count, 9);
     if (v == int(IsolationLevel::kSerializable) ||
         v == int(IsolationLevel::kSnapshot)) {
       ASSERT_TRUE(r.ok()) << "isolation byte " << v << ": "

@@ -1102,6 +1102,167 @@ TEST(MeldTest, PremeldOutputsStillCarryReadsets) {
       << "final meld must still see the premelded intention's readset";
 }
 
+/// Edges reachable from `n` through materialized edges that are still
+/// lazy (name a node by id only).
+uint64_t LazyEdges(const Node* n) {
+  if (n == nullptr) return 0;
+  uint64_t lazy = 0;
+  for (bool right : {false, true}) {
+    const ChildSlot& slot = n->child(right);
+    if (slot.Peek() == nullptr) {
+      lazy += slot.vn().IsNull() ? 0 : 1;
+    } else {
+      lazy += LazyEdges(slot.Peek());
+    }
+  }
+  return lazy;
+}
+
+void CollectNodes(const Node* n, std::set<const Node*>* out) {
+  if (n == nullptr || !out->insert(n).second) return;
+  CollectNodes(n->left().Peek(), out);
+  CollectNodes(n->right().Peek(), out);
+}
+
+TEST(MeldTest, FinalMeldLinksGraftedIntentionToBaseNodes) {
+  // A state shares structure with its base (§5.2): the grafted intention's
+  // edges must lead to the base's own in-memory nodes, not name them by id
+  // for readers to resolve again.
+  TestServer server;
+  SeedGenesis(server, {10, 20, 30, 40, 50, 60, 70});
+  const DatabaseState base = server.Latest();
+  ASSERT_EQ(LazyEdges(base.root.node.get()), 0u);
+  auto b = ExecuteTxn(server, 1, IsolationLevel::kSerializable, 2,
+                      {Get(10), Put(70, "x")});
+  ASSERT_TRUE(b.ok());
+  auto d = server.FeedBlocks(*b);
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE((*d)[0].committed);
+  const DatabaseState next = server.Latest();
+  EXPECT_EQ(LazyEdges(next.root.node.get()), 0u);
+  std::set<const Node*> before, after;
+  CollectNodes(base.root.node.get(), &before);
+  CollectNodes(next.root.node.get(), &after);
+  size_t shared = 0;
+  for (const Node* n : after) {
+    if (n->vn().IsEphemeral()) {
+      // Every base node the new state keeps is the base's own object.
+      EXPECT_TRUE(before.count(n) != 0) << n->vn().ToString();
+      shared++;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+}
+
+/// Serves logged ids from one view per intention sequence. When
+/// `race_slot` is set, resolving its id first memoizes that base slot with
+/// `racer`'s object for the id, as a reader that got there first through
+/// another view of the same payload would (after an eviction and a
+/// refetch), and then answers with this resolver's own object.
+class RacingResolver : public NodeResolver {
+ public:
+  Result<NodePtr> Resolve(VersionId vn) override {
+    auto it = views.find(vn.intention_seq());
+    if (!vn.IsLogged() || it == views.end()) {
+      return Status::NotFound("no view for " + vn.ToString());
+    }
+    if (race_slot != nullptr && race_slot->vn() == vn) {
+      race_slot->Memoize(racer->NodeAt(vn.node_index()));
+    }
+    return it->second->NodeAt(vn.node_index());
+  }
+
+  std::map<uint64_t, std::shared_ptr<FlatIntentionView>> views;
+  const ChildSlot* race_slot = nullptr;
+  std::shared_ptr<FlatIntentionView> racer;
+};
+
+std::string PayloadOf(const IntentionBuilder& b, uint64_t txn_id) {
+  auto blocks = SerializeIntention(b, txn_id, kBlockSize);
+  EXPECT_TRUE(blocks.ok());
+  IntentionAssembler assembler;
+  for (const std::string& block : *blocks) {
+    auto fed = assembler.AddBlock(block);
+    EXPECT_TRUE(fed.ok());
+    if (fed->completed.has_value()) return fed->completed->payload;
+  }
+  ADD_FAILURE() << "intention never completed";
+  return "";
+}
+
+TEST(MeldTest, SameVersionInTwoObjectsCollapsesToBase) {
+  // Genesis (seq 1), then two transactions on it: T2 updates the root's
+  // left child x and lands first; T3 reads x's left child y and updates
+  // the root's right child. T3's copy of x is validated but unchanged, so
+  // final meld must collapse it back to T2's x whether or not x's slot to
+  // y holds the same Node object as the one the resolver handed meld.
+  std::vector<Key> keys;
+  for (Key k = 10; k <= 150; k += 10) keys.push_back(k);
+  IntentionBuilder g(kWorkspaceTagBit | 1, 0, Ref::Null(),
+                     IsolationLevel::kSerializable, nullptr);
+  for (Key k : keys) ASSERT_TRUE(g.Put(k, "g").ok());
+  const std::string genesis = PayloadOf(g, 1);
+  RacingResolver exec;
+  exec.views[1] = *FlatIntentionView::Parse(genesis, 1);
+  NodePtr root = exec.views[1]->Root();
+  auto x = root->left().Get(&exec);
+  ASSERT_TRUE(x.ok() && *x);
+  auto y = (*x)->left().Get(&exec);
+  ASSERT_TRUE(y.ok() && *y);
+  auto z = root->right().Get(&exec);
+  ASSERT_TRUE(z.ok() && *z);
+  const Ref snapshot = Ref::To(root);
+  IntentionBuilder t2(kWorkspaceTagBit | 2, 1, snapshot,
+                      IsolationLevel::kSerializable, &exec);
+  ASSERT_TRUE(t2.Put((*x)->key(), "t2").ok());
+  IntentionBuilder t3(kWorkspaceTagBit | 3, 1, snapshot,
+                      IsolationLevel::kSerializable, &exec);
+  ASSERT_TRUE(t3.Get((*y)->key()).ok());
+  ASSERT_TRUE(t3.Put((*z)->key(), "t3").ok());
+  const std::string p2 = PayloadOf(t2, 2);
+  const std::string p3 = PayloadOf(t3, 3);
+
+  struct Outcome {
+    VersionId root_vn;
+    VersionId left_vn;
+    uint64_t next_seq;
+  };
+  // The state after T2 is T2's decoded tree, its slots still lazy.
+  auto meld_t3 = [&](bool two_objects) -> Outcome {
+    RacingResolver r;
+    r.views[1] = *FlatIntentionView::Parse(genesis, 1);
+    r.racer = two_objects ? *FlatIntentionView::Parse(genesis, 1)
+                          : r.views[1];
+    IntentionPtr i2 = *DeserializeIntention(p2, 2, 1, 2);
+    IntentionPtr i3 = *DeserializeIntention(p3, 3, 1, 3);
+    r.views[2] = i2->flats.front().second;
+    r.views[3] = i3->flats.front().second;
+    NodePtr base_x = i2->ResolveFlat(i2->root.node->left().vn());
+    EXPECT_TRUE(base_x && base_x->key() == (*x)->key());
+    if (!base_x) return {};
+    r.race_slot = &base_x->left();
+    EphemeralAllocator alloc(0);
+    MeldContext ctx;
+    ctx.out_tag = 3 | kFinalTagBit;
+    ctx.alloc = &alloc;
+    ctx.resolver = &r;
+    ctx.output_is_state = true;
+    auto melded = Meld(ctx, *i3, i2->root);
+    EXPECT_TRUE(melded.ok() && !melded->conflict);
+    if (!melded.ok() || !melded->root.node) return {};
+    EXPECT_EQ(melded->root.node->left().vn(), base_x->vn())
+        << "x was rebuilt instead of collapsing to the base";
+    return {melded->root.vn, melded->root.node->left().vn(),
+            alloc.next_seq()};
+  };
+  const Outcome one = meld_t3(false);
+  const Outcome two = meld_t3(true);
+  EXPECT_EQ(one.root_vn, two.root_vn);
+  EXPECT_EQ(one.left_vn, two.left_vn);
+  EXPECT_EQ(one.next_seq, two.next_seq);
+  EXPECT_EQ(two.next_seq, 1u) << "only the root is new";
+}
+
 TEST(MeldTest, TombstoneOnlyIntentionMelds) {
   TestServer server;
   SeedGenesis(server, {10});

@@ -52,7 +52,7 @@ class PopulatedLog {
         if (!fed->completed.has_value()) continue;
         auto intent = DeserializeIntention(
             fed->completed->payload, seq, fed->completed->block_count,
-            nullptr, 1000 + seq);
+            1000 + seq);
         ASSERT_TRUE(intent.ok());
         const auto& view = (*intent)->flats.front().second;
         for (uint32_t i = 0; i < view->node_count(); ++i) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "server/cluster.h"
 #include "server/driver.h"
 #include "tree/validate.h"
@@ -256,6 +260,79 @@ TEST(ResolverTest, EphemeralSweepKeepsLiveNodes) {
     auto v = check.Get(k);
     ASSERT_TRUE(v.ok()) << "key " << k << ": " << v.status().ToString();
     EXPECT_TRUE(v->has_value());
+  }
+}
+
+TEST(ResolverTest, SweptStatesHoldNoLazyEphemeralEdges) {
+  StripedLog log(TestLog());
+  ServerOptions options = Opts();
+  options.sweep_interval = 1;  // Sweep after every meld.
+  HyderServer server(&log, options);
+  constexpr Key kKeys = 400;
+  std::map<Key, std::string> expected;
+  Transaction seed = server.Begin();
+  for (Key k = 0; k < kKeys; k += 2) {
+    ASSERT_TRUE(seed.Put(k, "s").ok());
+    expected[k] = "s";
+  }
+  ASSERT_TRUE(server.Commit(std::move(seed)).ok());
+  // Rounds of concurrent writers: each melds against a state the others
+  // changed, so final meld builds ephemeral nodes, and later snapshots
+  // (hence later intentions) name them. Inserts rotate, deletes restructure
+  // and updates copy paths.
+  Rng rng(11);
+  for (int round = 0; round < 150; ++round) {
+    std::vector<Transaction> txns;
+    std::vector<std::pair<Key, std::optional<std::string>>> effects;
+    for (int w = 0; w < 4; ++w) {
+      txns.push_back(server.Begin());
+      const Key k = rng.Uniform(kKeys);
+      const std::string value = "r" + std::to_string(round);
+      if (w == 3 && expected.count(k) != 0) {
+        ASSERT_TRUE(txns.back().Delete(k).ok());
+        effects.emplace_back(k, std::nullopt);
+      } else {
+        ASSERT_TRUE(txns.back().Put(k, value).ok());
+        effects.emplace_back(k, value);
+      }
+    }
+    std::vector<uint64_t> ids;
+    for (Transaction& t : txns) {
+      auto sub = server.Submit(std::move(t));
+      ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+      ids.push_back(sub->txn_id);
+    }
+    auto polled = server.Poll();
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    for (size_t w = 0; w < ids.size(); ++w) {
+      std::optional<bool> committed = server.Outcome(ids[w]);
+      ASSERT_TRUE(committed.has_value());
+      if (!*committed) continue;
+      const auto& [k, v] = effects[w];
+      if (v.has_value()) {
+        expected[k] = *v;
+      } else {
+        expected.erase(k);
+      }
+    }
+  }
+  EXPECT_GT(server.stats().final_meld.ephemeral_created, 0u);
+  // Count before anything reads: reads memoize the edges they resolve.
+  auto check = ValidateTree(&server.resolver(), server.LatestState().root);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->lazy_ephemeral_edges, 0u);
+  EXPECT_TRUE(check->bst_ok);
+  Transaction reader = server.Begin();
+  for (Key k = 0; k < kKeys; ++k) {
+    auto v = reader.Get(k);
+    ASSERT_TRUE(v.ok()) << "key " << k << ": " << v.status().ToString();
+    auto want = expected.find(k);
+    if (want == expected.end()) {
+      EXPECT_FALSE(v->has_value()) << "key " << k;
+    } else {
+      ASSERT_TRUE(v->has_value()) << "key " << k;
+      EXPECT_EQ(**v, want->second) << "key " << k;
+    }
   }
 }
 

@@ -160,7 +160,7 @@ TEST(FaultInjectionTest, BitFlippedPayloadsNeverCrash) {
     for (unsigned char flip : {0x01, 0x80}) {
       std::string mutated = payload;
       mutated[pos] = char(mutated[pos] ^ flip);
-      auto r = DeserializeIntention(mutated, 1, 1, nullptr);
+      auto r = DeserializeIntention(mutated, 1, 1);
       if (r.ok()) {
         parsed++;
       } else {

@@ -36,14 +36,6 @@ class MapRegistry : public NodeResolver {
                                   " not in registry");
   }
 
-  NodePtr TryResolveCached(VersionId vn) override {
-    MutexLock lock(mu_);
-    BumpResolverLockCount();
-    auto it = nodes_.find(vn);
-    if (it != nodes_.end()) return it->second;
-    return FromFlatLocked(vn);
-  }
-
   void Register(const NodePtr& n) {
     MutexLock lock(mu_);
     BumpResolverLockCount();
@@ -98,7 +90,7 @@ class TestServer {
     HYDER_ASSIGN_OR_RETURN(
         IntentionPtr intent,
         DeserializeIntention(done->payload, done->seq, done->block_count,
-                             &registry_, done->txn_id));
+                             done->txn_id));
     registry_.RegisterIntention(intent);
     last_deserialized_ = intent;
     return pipeline_.Process(intent);

@@ -34,8 +34,7 @@ Result<IntentionPtr> RoundTrip(const IntentionBuilder& b, uint64_t txn_id,
   if (!done.has_value()) return Status::Internal("intention never completed");
   HYDER_ASSIGN_OR_RETURN(
       IntentionPtr intent,
-      DeserializeIntention(done->payload, done->seq, done->block_count,
-                           nullptr));
+      DeserializeIntention(done->payload, done->seq, done->block_count));
   registry.RegisterIntention(intent);
   return intent;
 }
@@ -186,8 +185,7 @@ TEST(CodecTest, MultiBlockIntentionReassembles) {
   }
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->block_count, blocks->size());
-  auto intent = DeserializeIntention(done->payload, 1, done->block_count,
-                                     nullptr);
+  auto intent = DeserializeIntention(done->payload, 1, done->block_count);
   ASSERT_TRUE(intent.ok()) << intent.status().ToString();
   EXPECT_EQ((*intent)->node_count, 200u);
   MapRegistry registry;
@@ -356,12 +354,12 @@ TEST(CodecTest, CorruptPayloadRejected) {
   std::string payload = done->completed->payload;
   // Truncate.
   auto r1 = DeserializeIntention(
-      std::string_view(payload).substr(0, payload.size() / 2), 1, 1, nullptr);
+      std::string_view(payload).substr(0, payload.size() / 2), 1, 1);
   EXPECT_FALSE(r1.ok());
   // Trailing garbage. Record-level damage is Corruption; flat (v3) framing
   // damage — the length no longer matches the declared extents — is typed
   // DataLoss. Either way the decode must fail loudly.
-  auto r2 = DeserializeIntention(payload + "junk", 1, 1, nullptr);
+  auto r2 = DeserializeIntention(payload + "junk", 1, 1);
   EXPECT_FALSE(r2.ok());
   EXPECT_TRUE(r2.status().IsCorruption() || r2.status().IsDataLoss());
 }
@@ -399,7 +397,7 @@ TEST(CodecTest, RetiredEphemeralReferenceFailsCleanly) {
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->completed.has_value());
   FailingResolver failing;
-  auto r = DeserializeIntention(done->completed->payload, 3, 1, &failing);
+  auto r = DeserializeIntention(done->completed->payload, 3, 1);
   // Deserialization leaves the unavailable ephemeral reference lazy (the
   // ds stage runs ahead of final meld, Fig. 2); the retirement error
   // surfaces at first dereference.
