@@ -8,7 +8,10 @@
 // resolution goes through the sharded ServerResolver. Alongside wall-clock
 // intentions/sec it reports the meld thread's resolver lock acquisitions
 // per intention (PipelineStats::fm_resolver_locks) and the ring's blocking
-// events — the contention the optimization is meant to remove.
+// events — the contention the optimization is meant to remove — plus the
+// wall time spent in ephemeral sweeps, the live pool nodes at the end of
+// the replay and the log reads (resolver refetches) per intention during
+// it.
 //
 // Run with --json[=path] for machine-readable output; the committed
 // results/BENCH_pipeline_throughput.json holds pre- and post-change runs
@@ -25,6 +28,7 @@
 #include "common/stopwatch.h"
 #include "meld/threaded_pipeline.h"
 #include "server/resolver.h"
+#include "tree/node_pool.h"
 #include "txn/codec.h"
 
 namespace hyder {
@@ -89,6 +93,9 @@ struct RunResult {
   double wall_ms = 0;
   double ips = 0;  ///< Intentions melded per wall second.
   PipelineStats stats;
+  double sweep_ms = 0;      ///< Wall time inside SweepEphemerals.
+  uint64_t arena_live = 0;  ///< Live pool nodes after the replay.
+  uint64_t log_reads = 0;   ///< Log reads during the replay.
 };
 
 PipelineConfig MeldConfig(int threads) {
@@ -105,7 +112,8 @@ PipelineConfig MeldConfig(int threads) {
 }
 
 /// Replays the stream through a SequentialPipeline the way the server's
-/// poll loop does: decode on the feed thread, then Process.
+/// poll loop does: decode on the feed thread, then Process, sweeping the
+/// ephemeral registry every `ServerOptions::sweep_interval` intentions.
 RunResult RunSequential(StripedLog* log,
                         const std::vector<LogIntention>& stream,
                         int threads) {
@@ -114,6 +122,10 @@ RunResult RunSequential(StripedLog* log,
   SequentialPipeline pipeline(
       config, DatabaseState{0, Ref::Null()}, &resolver,
       [&resolver](const NodePtr& n) { resolver.RegisterEphemeral(n); });
+  const uint64_t sweep_interval = ServerOptions{}.sweep_interval;
+  uint64_t since_sweep = 0;
+  uint64_t sweep_nanos = 0;
+  const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
@@ -122,17 +134,32 @@ RunResult RunSequential(StripedLog* log,
     HYDER_BENCH_CHECK_OK(intent);
     resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
     HYDER_BENCH_CHECK_OK(pipeline.Process(std::move(*intent)));
+    if (++since_sweep >= sweep_interval) {
+      since_sweep = 0;
+      Stopwatch sweep;
+      resolver.SweepEphemerals();
+      sweep_nanos += sweep.ElapsedNanos();
+    }
   }
   HYDER_BENCH_CHECK_OK(pipeline.Flush());
   RunResult r;
+  r.sweep_ms = double(sweep_nanos) / 1e6;
   r.wall_ms = double(wall.ElapsedNanos()) / 1e6;
   r.ips = double(stream.size()) / (r.wall_ms / 1e3);
   r.stats = pipeline.stats();
+  r.arena_live = NodeArenaStats().live;
+  r.log_reads = log->stats().reads - reads_before;
   return r;
 }
 
 /// Replays the stream through the threaded pipeline on the raw-payload
 /// path: workers decode, the decode sink feeds the resolver's cache.
+///
+/// Unlike RunSequential this never sweeps the ephemeral registry. No
+/// server runs the threaded engine (HyderServer::Poll drives the
+/// sequential one), so there is no sweep cadence to reproduce, and a sweep
+/// from the feed thread would run while premeld workers are mid-meld, a
+/// schedule no server produces.
 RunResult RunThreaded(StripedLog* log,
                       const std::vector<LogIntention>& stream, int threads) {
   ServerResolver resolver(log, ResolverOptions{});
@@ -145,6 +172,7 @@ RunResult RunThreaded(StripedLog* log,
         resolver.CacheIntention(seq, intent->flats.front().second);
       });
   pipeline.Start();
+  const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
@@ -157,6 +185,8 @@ RunResult RunThreaded(StripedLog* log,
   r.wall_ms = double(wall.ElapsedNanos()) / 1e6;
   r.ips = double(stream.size()) / (r.wall_ms / 1e3);
   r.stats = pipeline.StatsSnapshot();
+  r.arena_live = NodeArenaStats().live;
+  r.log_reads = log->stats().reads - reads_before;
   // Snapshot while the pipeline/resolver/log providers are still
   // registered (last run wins — the t=5 threaded replay).
   MaybeWriteMetricsJson();
@@ -168,10 +198,12 @@ void Report(const std::string& engine, int threads, size_t intentions,
   CheckConfigEcho(MeldConfig(threads), r.stats);
   const double locks_per =
       double(r.stats.fm_resolver_locks) / double(intentions);
-  PrintRow("%s,%d,%zu,%.1f,%.0f,%.2f,%llu,%llu\n", engine.c_str(), threads,
-           intentions, r.wall_ms, r.ips, locks_per,
+  PrintRow("%s,%d,%zu,%.1f,%.0f,%.2f,%llu,%llu,%.1f,%llu,%.3f\n",
+           engine.c_str(), threads, intentions, r.wall_ms, r.ips, locks_per,
            (unsigned long long)r.stats.handoff_blocked_pushes,
-           (unsigned long long)r.stats.handoff_blocked_pops);
+           (unsigned long long)r.stats.handoff_blocked_pops, r.sweep_ms,
+           (unsigned long long)r.arena_live,
+           double(r.log_reads) / double(intentions));
 }
 
 /// Times DeserializeIntention alone for every intention in `stream`, in
@@ -206,7 +238,8 @@ void Run() {
   const uint64_t txns = uint64_t(3000 * BenchScale());
   PrintColumns(
       "engine,threads,intentions,wall_ms,intentions_per_sec,"
-      "fm_locks_per_intention,blocked_pushes,blocked_pops");
+      "fm_locks_per_intention,blocked_pushes,blocked_pops,sweep_ms,"
+      "arena_live,log_reads_per_intention");
   for (int t : {0, 2, 5}) {
     // One log per t: the replay engines must match the generation config
     // (see GenerateLog), so sequential-vs-threaded is compared per t.

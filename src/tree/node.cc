@@ -18,17 +18,34 @@ NodePtr MakeNode(Key key, std::string_view payload) {
 
 void DestroyNode(Node* n) {
   // Destroy iteratively: dropping a large state must not recurse to the
-  // tree height times the cascade depth.
-  std::vector<Node*> dead;
-  dead.push_back(n);
-  while (!dead.empty()) {
-    Node* d = dead.back();
-    dead.pop_back();
+  // tree height times the cascade depth. The worklist is a stack array
+  // that spills to the heap only when full; a depth-first teardown holds
+  // about one pending sibling per tree level, so balanced trees never
+  // spill, and the common case (one node, or a short path) allocates
+  // nothing. `spill` holds the newest entries whenever it is non-empty, so
+  // the two together pop in LIFO order.
+  constexpr size_t kInline = 64;
+  Node* dead[kInline];
+  size_t top = 0;
+  std::vector<Node*> spill;
+  dead[top++] = n;
+  while (top > 0) {
+    Node* d;
+    if (!spill.empty()) {
+      d = spill.back();
+      spill.pop_back();
+    } else {
+      d = dead[--top];
+    }
     for (ChildSlot* slot : {&d->left_, &d->right_}) {
       Node* c = slot->node_.exchange(nullptr, std::memory_order_acq_rel);
       if (c != nullptr &&
           c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        dead.push_back(c);
+        if (top < kInline) {
+          dead[top++] = c;
+        } else {
+          spill.push_back(c);
+        }
       }
     }
     d->~Node();

@@ -69,10 +69,11 @@ struct CowContext {
   uint64_t owner = 0;
   /// Resolves lazy references; may be null for fully materialized trees.
   NodeResolver* resolver = nullptr;
-  /// When true (serializable isolation), reads copy their search path into
-  /// the result tree and annotate it (kFlagRead / kFlagSubtreeRead) so that
-  /// the readset travels in the intention (§2: "its intention also contains
-  /// the nodes in its readset").
+  /// When true (serializable isolation, once the transaction writes; see
+  /// IntentionBuilder), reads copy their search path into the result tree
+  /// and annotate it (kFlagRead / kFlagSubtreeRead) so that the readset
+  /// travels in the intention (§2: "its intention also contains the nodes
+  /// in its readset").
   bool annotate_reads = false;
   /// Optional work counters.
   TreeOpStats* stats = nullptr;

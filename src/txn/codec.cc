@@ -1,7 +1,5 @@
 #include "txn/codec.h"
 
-#include <unordered_map>
-
 #include "common/varint.h"
 #include "txn/flat_view.h"
 #include "txn/wire_format.h"
@@ -28,72 +26,68 @@ struct EdgeEncoding {
   uint64_t value = 0;  // Internal: post-order index. External: raw vn.
 };
 
-Result<EdgeEncoding> EncodeEdge(
-    const Ref& edge, uint64_t workspace_tag,
-    const std::unordered_map<const Node*, uint32_t>& index) {
+Result<uint32_t> SerializeNodes(const Node& n, uint64_t workspace_tag,
+                                std::string* out,
+                                std::vector<uint32_t>* offsets);
+
+/// Encodes one child edge of a workspace node, serializing a workspace
+/// child's subtree first (post-order). Workspace nodes have no version id
+/// until they are deserialized, so a slot with a vn is an external edge,
+/// encoded from the slot without loading or referencing the child; a slot
+/// holding a node but no vn must hold a workspace node.
+Result<EdgeEncoding> EncodeChild(const ChildSlot& slot, uint64_t workspace_tag,
+                                 std::string* out,
+                                 std::vector<uint32_t>* offsets) {
   EdgeEncoding enc;
-  if (edge.IsNull()) return enc;
-  enc.present = true;
-  if (edge.node && edge.node->owner() == workspace_tag) {
-    auto it = index.find(edge.node.get());
-    if (it == index.end()) {
-      return Status::Internal(
-          "post-order violation: child serialized after parent");
-    }
-    enc.internal = true;
-    enc.value = it->second;
+  if (!slot.vn().IsNull()) {
+    enc.present = true;
+    enc.value = slot.vn().raw();
     return enc;
   }
-  // External reference: must have a stable identity.
-  if (edge.vn.IsNull()) {
+  const Node* child = slot.Peek();
+  if (child == nullptr) return enc;
+  if (child->owner() != workspace_tag) {
     return Status::Internal(
         "intention references a foreign node with no version id");
   }
-  enc.value = edge.vn.raw();
+  HYDER_ASSIGN_OR_RETURN(enc.value,
+                         SerializeNodes(*child, workspace_tag, out, offsets));
+  enc.present = true;
+  enc.internal = true;
   return enc;
 }
 
-/// `offsets` receives each record's starting byte offset inside `out` in
-/// post-order: the payload's trailing offset table.
-Status SerializeNodes(const NodePtr& n, uint64_t workspace_tag,
-                      std::unordered_map<const Node*, uint32_t>& index,
-                      std::string* out, std::vector<uint32_t>* offsets) {
-  if (!n || n->owner() != workspace_tag) return Status::OK();
-  // Post-order: children first.
-  HYDER_RETURN_IF_ERROR(SerializeNodes(n->left().GetLocal().node,
-                                       workspace_tag, index, out, offsets));
-  HYDER_RETURN_IF_ERROR(SerializeNodes(n->right().GetLocal().node,
-                                       workspace_tag, index, out, offsets));
-
-  HYDER_ASSIGN_OR_RETURN(
-      EdgeEncoding left,
-      EncodeEdge(n->left().GetLocal(), workspace_tag, index));
-  HYDER_ASSIGN_OR_RETURN(
-      EdgeEncoding right,
-      EncodeEdge(n->right().GetLocal(), workspace_tag, index));
+/// Appends the records of workspace node `n`'s subtree to `out` in
+/// post-order, each record's starting byte offset to `offsets` (the
+/// payload's trailing offset table), and returns `n`'s record index.
+Result<uint32_t> SerializeNodes(const Node& n, uint64_t workspace_tag,
+                                std::string* out,
+                                std::vector<uint32_t>* offsets) {
+  HYDER_ASSIGN_OR_RETURN(EdgeEncoding left,
+                         EncodeChild(n.left(), workspace_tag, out, offsets));
+  HYDER_ASSIGN_OR_RETURN(EdgeEncoding right,
+                         EncodeChild(n.right(), workspace_tag, out, offsets));
 
   offsets->push_back(static_cast<uint32_t>(out->size()));
   uint8_t flags = 0;
-  if (n->altered()) flags |= kWireAltered;
-  if (n->read_dependent()) flags |= kWireRead;
-  if (n->subtree_read()) flags |= kWireSubtreeRead;
-  if (n->color() == Color::kRed) flags |= kWireRed;
+  if (n.altered()) flags |= kWireAltered;
+  if (n.read_dependent()) flags |= kWireRead;
+  if (n.subtree_read()) flags |= kWireSubtreeRead;
+  if (n.color() == Color::kRed) flags |= kWireRed;
   if (left.present) flags |= kWireLeftPresent;
   if (left.internal) flags |= kWireLeftInternal;
   if (right.present) flags |= kWireRightPresent;
   if (right.internal) flags |= kWireRightInternal;
 
   out->push_back(static_cast<char>(flags));
-  PutVarint64(out, n->key());
-  PutVarint64(out, n->ssv().raw());
-  PutVarint64(out, n->base_cv().raw());
-  PutVarint64(out, n->payload().size());
-  out->append(n->payload());
+  PutVarint64(out, n.key());
+  PutVarint64(out, n.ssv().raw());
+  PutVarint64(out, n.base_cv().raw());
+  PutVarint64(out, n.payload().size());
+  out->append(n.payload());
   if (left.present) PutVarint64(out, left.value);
   if (right.present) PutVarint64(out, right.value);
-
-  index[n.get()] = static_cast<uint32_t>(index.size());
-  return Status::OK();
+  return static_cast<uint32_t>(offsets->size() - 1);
 }
 
 }  // namespace
@@ -122,10 +116,11 @@ Result<BlockHeader> DecodeBlockHeader(std::string_view block) {
 }
 
 Result<std::vector<std::string>> SerializeIntention(
-    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size) {
+    IntentionBuilder& builder, uint64_t txn_id, size_t block_size) {
   if (block_size <= kBlockHeaderSize + 16) {
     return Status::InvalidArgument("block size too small");
   }
+  HYDER_RETURN_IF_ERROR(builder.AnnotateDeferredReads());
   // Header + nodes into one contiguous payload, then chop into blocks.
   // Format prefix (magic + version), then the header fields.
   std::string payload;
@@ -143,11 +138,13 @@ Result<std::vector<std::string>> SerializeIntention(
   }
   std::string nodes;
   std::vector<uint32_t> offsets;
-  std::unordered_map<const Node*, uint32_t> index;
-  HYDER_RETURN_IF_ERROR(SerializeNodes(builder.root().node,
-                                       builder.workspace_tag(), index, &nodes,
-                                       &offsets));
-  PutVarint64(&payload, index.size());
+  const Node* root = builder.root().node.get();
+  if (root != nullptr && root->owner() == builder.workspace_tag()) {
+    HYDER_RETURN_IF_ERROR(
+        SerializeNodes(*root, builder.workspace_tag(), &nodes, &offsets)
+            .status());
+  }
+  PutVarint64(&payload, offsets.size());
   // Node-region length plus the trailing fixed32 offset table: what lets
   // FlatIntentionView address record i without decoding records 0..i-1.
   PutVarint64(&payload, nodes.size());

@@ -50,10 +50,12 @@ void EncodeBlockHeader(const BlockHeader& h, std::string* out);
 Result<BlockHeader> DecodeBlockHeader(std::string_view block);
 
 /// Serializes the transaction accumulated in `builder` into intention
-/// blocks of at most `block_size` bytes. Fails if the workspace contains a
-/// foreign provisional node (a bug) or if a single node exceeds a block.
+/// blocks of at most `block_size` bytes, first annotating its deferred
+/// serializable reads (`IntentionBuilder::AnnotateDeferredReads`). Fails if
+/// the workspace contains a foreign provisional node (a bug) or if a single
+/// node exceeds a block.
 Result<std::vector<std::string>> SerializeIntention(
-    const IntentionBuilder& builder, uint64_t txn_id, size_t block_size);
+    IntentionBuilder& builder, uint64_t txn_id, size_t block_size);
 
 /// Parses a reassembled intention payload. `seq` is the deterministic
 /// log-order sequence assigned by the assembler; node `i` receives

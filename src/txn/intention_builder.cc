@@ -11,13 +11,35 @@ IntentionBuilder::IntentionBuilder(uint64_t workspace_tag,
       root_(std::move(snapshot_root)) {
   ctx_.owner = workspace_tag;
   ctx_.resolver = resolver;
-  // Under snapshot isolation reads are not validated, so read paths are not
-  // copied into the intention (§6.4.4).
-  ctx_.annotate_reads = isolation == IsolationLevel::kSerializable;
-  ctx_.stats = &stats_;
+}
+
+Status IntentionBuilder::AnnotateDeferredReads() {
+  if (!defers_reads()) return Status::OK();
+  // The root is still the snapshot's: unannotated reads return it
+  // unchanged. Replay into a local root so a failed read leaves the
+  // builder as it was.
+  CowContext annotate = ctx_;
+  annotate.annotate_reads = true;
+  Ref root = root_;
+  std::optional<std::string> payload;
+  std::vector<std::pair<Key, std::string>> rows;
+  for (const DeferredRead& r : deferred_reads_) {
+    if (r.scan) {
+      rows.clear();
+      HYDER_ASSIGN_OR_RETURN(root,
+                             TreeRangeScan(annotate, root, r.lo, r.hi, &rows));
+    } else {
+      HYDER_ASSIGN_OR_RETURN(root, TreeLookup(annotate, root, r.lo, &payload));
+    }
+  }
+  root_ = std::move(root);
+  ctx_.annotate_reads = true;
+  deferred_reads_.clear();
+  return Status::OK();
 }
 
 Status IntentionBuilder::Put(Key key, std::string value) {
+  HYDER_RETURN_IF_ERROR(AnnotateDeferredReads());
   HYDER_ASSIGN_OR_RETURN(root_,
                          TreeInsert(ctx_, root_, key, std::move(value),
                                     /*existed=*/nullptr));
@@ -45,10 +67,12 @@ Status IntentionBuilder::Put(Key key, std::string value) {
 Result<std::optional<std::string>> IntentionBuilder::Get(Key key) {
   std::optional<std::string> payload;
   HYDER_ASSIGN_OR_RETURN(root_, TreeLookup(ctx_, root_, key, &payload));
+  if (defers_reads()) deferred_reads_.push_back(DeferredRead{key, key, false});
   return payload;
 }
 
 Result<bool> IntentionBuilder::Delete(Key key) {
+  HYDER_RETURN_IF_ERROR(AnnotateDeferredReads());
   bool removed = false;
   VersionId base_cv;
   VersionId ssv;
@@ -68,6 +92,7 @@ Result<std::vector<std::pair<Key, std::string>>> IntentionBuilder::Scan(
     Key lo, Key hi) {
   std::vector<std::pair<Key, std::string>> out;
   HYDER_ASSIGN_OR_RETURN(root_, TreeRangeScan(ctx_, root_, lo, hi, &out));
+  if (defers_reads()) deferred_reads_.push_back(DeferredRead{lo, hi, true});
   return out;
 }
 

@@ -17,6 +17,16 @@ namespace hyder {
 /// copy-on-write overlay of the snapshot tree, producing exactly the node
 /// set the intention must contain — written nodes with their root paths,
 /// and, under serializable isolation, the readset annotations.
+///
+/// A read-only transaction commits locally and never ships its readset
+/// (§1), so serializable reads are annotated only once the transaction
+/// writes. Until then each Get and Scan runs on the snapshot and records
+/// its key or range; `AnnotateDeferredReads` (run by the first Put or
+/// Delete, and by SerializeIntention) replays them, in order, as annotated
+/// reads on the still-unchanged snapshot root. That builds the workspace
+/// eager annotation would have built, so a read-only transaction copies no
+/// node and every intention keeps its bytes. Reads after the first write
+/// annotate eagerly.
 class IntentionBuilder {
  public:
   /// `workspace_tag` must be unique among live transactions on this server
@@ -26,24 +36,9 @@ class IntentionBuilder {
                    Ref snapshot_root, IsolationLevel isolation,
                    NodeResolver* resolver);
 
-  // Movable (the context points at the member stats block, so moves must
-  // re-anchor it); not copyable — a workspace tag must stay unique.
-  IntentionBuilder(IntentionBuilder&& other) noexcept { *this = std::move(other); }
-  IntentionBuilder& operator=(IntentionBuilder&& other) noexcept {
-    if (this != &other) {
-      ctx_ = other.ctx_;
-      snapshot_seq_ = other.snapshot_seq_;
-      isolation_ = other.isolation_;
-      root_ = std::move(other.root_);
-      tombstones_ = std::move(other.tombstones_);
-      stats_ = other.stats_;
-      has_writes_ = other.has_writes_;
-      ctx_.stats = &stats_;
-    }
-    return *this;
-  }
-  IntentionBuilder(const IntentionBuilder&) = delete;
-  IntentionBuilder& operator=(const IntentionBuilder&) = delete;
+  // Movable, not copyable: a workspace tag must stay unique.
+  IntentionBuilder(IntentionBuilder&&) noexcept = default;
+  IntentionBuilder& operator=(IntentionBuilder&&) noexcept = default;
 
   /// Writes `key`. Reads-own-writes is honored by later operations.
   Status Put(Key key, std::string value);
@@ -58,6 +53,11 @@ class IntentionBuilder {
   /// isolation.
   Result<std::vector<std::pair<Key, std::string>>> Scan(Key lo, Key hi);
 
+  /// Annotates the serializable reads deferred so far (see the class
+  /// comment); later reads annotate eagerly. A no-op once done and under
+  /// snapshot isolation. On failure nothing changes.
+  Status AnnotateDeferredReads();
+
   /// True once the transaction has written or deleted anything. Read-only
   /// transactions are never logged or melded (§1).
   bool has_writes() const { return has_writes_; }
@@ -66,16 +66,31 @@ class IntentionBuilder {
   IsolationLevel isolation() const { return isolation_; }
   const Ref& root() const { return root_; }
   const std::vector<Tombstone>& tombstones() const { return tombstones_; }
-  const TreeOpStats& stats() const { return stats_; }
   uint64_t workspace_tag() const { return ctx_.owner; }
 
  private:
+  /// A serializable read run before the first write: Get(lo), or
+  /// Scan(lo, hi) when `scan`.
+  struct DeferredRead {
+    Key lo;
+    Key hi;
+    bool scan;
+  };
+
+  /// True while serializable reads are deferred (before the first write).
+  /// Snapshot-isolation reads are never annotated: they are not validated,
+  /// so their paths never enter the intention (§6.4.4).
+  bool defers_reads() const {
+    return isolation_ == IsolationLevel::kSerializable &&
+           !ctx_.annotate_reads;
+  }
+
   CowContext ctx_;
   uint64_t snapshot_seq_;
   IsolationLevel isolation_;
   Ref root_;
   std::vector<Tombstone> tombstones_;
-  TreeOpStats stats_;
+  std::vector<DeferredRead> deferred_reads_;
   bool has_writes_ = false;
 };
 

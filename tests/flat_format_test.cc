@@ -35,7 +35,7 @@ struct Assembled {
 
 /// Serializes `b` and reassembles the blocks into the payload a server's
 /// poll loop would hand to DeserializeIntention.
-Assembled Assemble(const IntentionBuilder& b, uint64_t txn_id) {
+Assembled Assemble(IntentionBuilder& b, uint64_t txn_id) {
   Assembled out;
   auto blocks = SerializeIntention(b, txn_id, kBlock);
   EXPECT_TRUE(blocks.ok()) << blocks.status().ToString();
@@ -71,7 +71,7 @@ IntentionBuilder MixedBuilder(int keys) {
 /// Serializes, reassembles and decodes `b` as intention `seq`. Only its
 /// root is materialized; the rest resolves through a ViewResolver that
 /// holds it.
-IntentionPtr Decode(const IntentionBuilder& b, uint64_t seq) {
+IntentionPtr Decode(IntentionBuilder& b, uint64_t seq) {
   Assembled a = Assemble(b, 40 + seq);
   auto r =
       DeserializeIntention(a.payload, seq, a.block_count, a.txn_id);
@@ -126,7 +126,8 @@ TEST(FlatFormatTest, RoundTripMatchesWorkspace) {
   // so its path copies carry a content version (base_cv) older than their
   // own id: the records below then have ssv != base_cv.
   ViewResolver snapshot;
-  IntentionPtr g1 = Decode(MixedBuilder(24), 1);
+  IntentionBuilder b1 = MixedBuilder(24);
+  IntentionPtr g1 = Decode(b1, 1);
   ASSERT_TRUE(g1 != nullptr);
   snapshot.Add(g1);
   IntentionBuilder b2(kWorkspaceTagBit | 8, 1, g1->root,

@@ -1177,7 +1177,7 @@ class RacingResolver : public NodeResolver {
   std::shared_ptr<FlatIntentionView> racer;
 };
 
-std::string PayloadOf(const IntentionBuilder& b, uint64_t txn_id) {
+std::string PayloadOf(IntentionBuilder& b, uint64_t txn_id) {
   auto blocks = SerializeIntention(b, txn_id, kBlockSize);
   EXPECT_TRUE(blocks.ok());
   IntentionAssembler assembler;

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "server/cluster.h"
 #include "server/driver.h"
+#include "tree/node_pool.h"
 #include "tree/validate.h"
 #include "workload/workload.h"
 
@@ -62,6 +63,35 @@ TEST(ServerTest, ReadOnlyCommitsWithoutLogging) {
   EXPECT_TRUE(sub->decided);
   EXPECT_TRUE(sub->committed);
   EXPECT_EQ(log.Tail(), tail) << "read-only transactions must not log (§1)";
+}
+
+TEST(ServerTest, ReadOnlyTransactionAllocatesNoNodes) {
+  // A read-only transaction commits locally and never ships its readset
+  // (§1), so serializable reads copy nothing until the transaction writes.
+  StripedLog log(TestLog());
+  HyderServer server(&log, Opts());
+  Transaction load = server.Begin();
+  for (Key k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(load.Put(k, "v" + std::to_string(k)).ok());
+  }
+  ASSERT_TRUE(server.Commit(std::move(load)).ok());
+  // Warm the state: every edge a later read follows is then in memory.
+  Transaction warm = server.Begin(IsolationLevel::kSnapshot);
+  for (Key k = 0; k < 1000; ++k) ASSERT_TRUE(warm.Get(k).ok());
+  ASSERT_TRUE(server.Submit(std::move(warm)).ok());
+
+  const uint64_t before = NodeArenaStats().allocated;
+  Transaction ro = server.Begin(IsolationLevel::kSerializable);
+  for (Key k = 7; k < 1000; k += 100) {
+    auto v = ro.Get(k);
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(v->has_value());
+    EXPECT_EQ(**v, "v" + std::to_string(k));
+  }
+  auto sub = server.Submit(std::move(ro));
+  ASSERT_TRUE(sub.ok());
+  EXPECT_TRUE(sub->committed);
+  EXPECT_EQ(NodeArenaStats().allocated, before);
 }
 
 TEST(ServerTest, ConflictingTransactionAborts) {
