@@ -209,7 +209,7 @@ void BM_MeldClonePath(benchmark::State& state) {
       auto clone = CloneForWrite(ctx, cur);
       benchmark::DoNotOptimize(clone);
       if (key == cur->key()) break;
-      auto next = ResolveChild(cur->child(key > cur->key()), nullptr);
+      auto next = cur->child(key > cur->key()).Get(nullptr);
       cur = next.ok() ? *next : nullptr;
     }
   }

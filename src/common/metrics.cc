@@ -12,44 +12,46 @@ namespace {
 std::string Key(const std::string& prefix, const char* field) {
   return prefix.empty() ? std::string(field) : prefix + "." + field;
 }
+
+/// Renders every field `EmitTo` emits as space-separated `name=value`, so
+/// a printout lists exactly what the registry exports.
+template <typename Stats>
+std::string FieldsToString(const Stats& stats) {
+  std::string out;
+  stats.EmitTo("", [&out](const std::string& name, double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    if (!out.empty()) out += ' ';
+    out += name + "=" + buf;
+  });
+  return out;
+}
 }  // namespace
 
 // Field-count guards: every struct below is a flat bag of uint64_t
 // counters, so its size pins the field count exactly. Adding a field
-// without updating ToString(), EmitTo() and operator+= silently drops it
-// from every stats printout (that happened to fm_resolver_locks and the
-// hand-off counters once) — so the assert fails the build until the
-// companion functions in this file are updated and the expected count
-// below is bumped.
+// without updating EmitTo() and operator+= silently drops it from every
+// export and printout (that happened to fm_resolver_locks and the hand-off
+// counters once) — so the assert fails the build until the companion
+// functions in this file are updated and the expected count below is
+// bumped.
 static_assert(sizeof(MeldWork) == 6 * sizeof(uint64_t),
-              "MeldWork field added: update ToString/EmitTo/operator+= "
-              "and this count");
-static_assert(sizeof(ArenaStats) == 9 * sizeof(uint64_t),
-              "ArenaStats field added: update ToString/EmitTo and this "
+              "MeldWork field added: update EmitTo/operator+= and this "
               "count");
+static_assert(sizeof(ArenaStats) == 9 * sizeof(uint64_t),
+              "ArenaStats field added: update EmitTo and this count");
 static_assert(sizeof(ConfigEcho) == 5 * sizeof(int64_t),
-              "ConfigEcho field added: update Observe/ToString/EmitTo and "
-              "this count");
+              "ConfigEcho field added: update Observe/EmitTo and this count");
 static_assert(
     sizeof(PipelineStats) ==
         (15 + kAbortCauseCount + kAbortStageCount) * sizeof(uint64_t) +
             4 * sizeof(MeldWork) + sizeof(ConfigEcho),
-    "PipelineStats field added: update ToString/EmitTo/"
-    "operator+= and this count");
+    "PipelineStats field added: update EmitTo/operator+= and this count");
 
-std::string MeldWork::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "visited=%llu ephemeral=%llu grafts=%llu checks=%llu "
-                "splits=%llu cpu_us=%.1f",
-                static_cast<unsigned long long>(nodes_visited),
-                static_cast<unsigned long long>(ephemeral_created),
-                static_cast<unsigned long long>(grafts),
-                static_cast<unsigned long long>(conflict_checks),
-                static_cast<unsigned long long>(splits),
-                double(cpu_nanos) / 1e3);
-  return buf;
-}
+std::string MeldWork::ToString() const { return FieldsToString(*this); }
+std::string ArenaStats::ToString() const { return FieldsToString(*this); }
+std::string ConfigEcho::ToString() const { return FieldsToString(*this); }
+std::string PipelineStats::ToString() const { return FieldsToString(*this); }
 
 void MeldWork::EmitTo(const std::string& prefix,
                       const MetricEmit& emit) const {
@@ -59,24 +61,6 @@ void MeldWork::EmitTo(const std::string& prefix,
   emit(Key(prefix, "conflict_checks"), double(conflict_checks));
   emit(Key(prefix, "splits"), double(splits));
   emit(Key(prefix, "cpu_nanos"), double(cpu_nanos));
-}
-
-std::string ArenaStats::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "live=%llu allocated=%llu recycled=%llu slabs=%llu "
-                "slab_kb=%llu carved=%llu free_shared=%llu "
-                "heap_payloads=%llu",
-                static_cast<unsigned long long>(live),
-                static_cast<unsigned long long>(allocated),
-                static_cast<unsigned long long>(recycled),
-                static_cast<unsigned long long>(slabs),
-                static_cast<unsigned long long>(slab_bytes / 1024),
-                static_cast<unsigned long long>(carved),
-                static_cast<unsigned long long>(free_shared),
-                static_cast<unsigned long long>(payload_heap_allocs -
-                                                payload_heap_frees));
-  return buf;
 }
 
 void ArenaStats::EmitTo(const std::string& prefix,
@@ -99,19 +83,6 @@ void ConfigEcho::Observe(const ConfigEcho& o) {
   state_retention = std::max(state_retention, o.state_retention);
   disable_graft_fastpath =
       std::max(disable_graft_fastpath, o.disable_graft_fastpath);
-}
-
-std::string ConfigEcho::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "pm_threads=%lld pm_distance=%lld group=%lld retention=%lld "
-                "no_graft=%lld",
-                static_cast<long long>(premeld_threads),
-                static_cast<long long>(premeld_distance),
-                static_cast<long long>(group_meld),
-                static_cast<long long>(state_retention),
-                static_cast<long long>(disable_graft_fastpath));
-  return buf;
 }
 
 void ConfigEcho::EmitTo(const std::string& prefix,
@@ -151,47 +122,6 @@ PipelineStats& PipelineStats::operator+=(const PipelineStats& o) {
   }
   config_echo.Observe(o.config_echo);
   return *this;
-}
-
-std::string PipelineStats::ToString() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "intentions=%llu committed=%llu aborted=%llu (premeld_aborts=%llu "
-      "premeld_skips=%llu singletons=%llu) "
-      "pm_killed_nodes=%llu/%llu ds[%s] pm[%s] gm[%s] fm[%s] "
-      "final_melds=%llu avg_conflict_zone=%.1f fm_resolver_locks=%llu "
-      "handoff_blocked=%llu/%llu (%.1f/%.1f ms) echo[%s]",
-      static_cast<unsigned long long>(intentions),
-      static_cast<unsigned long long>(committed),
-      static_cast<unsigned long long>(aborted),
-      static_cast<unsigned long long>(premeld_aborts),
-      static_cast<unsigned long long>(premeld_skips),
-      static_cast<unsigned long long>(group_singletons),
-      static_cast<unsigned long long>(premeld_killed_nodes_materialized),
-      static_cast<unsigned long long>(premeld_killed_nodes),
-      deserialize.ToString().c_str(), premeld.ToString().c_str(),
-      group_meld.ToString().c_str(), final_meld.ToString().c_str(),
-      static_cast<unsigned long long>(final_melds),
-      final_melds == 0 ? 0.0
-                       : double(conflict_zone_sum) / double(final_melds),
-      static_cast<unsigned long long>(fm_resolver_locks),
-      static_cast<unsigned long long>(handoff_blocked_pushes),
-      static_cast<unsigned long long>(handoff_blocked_pops),
-      double(handoff_blocked_push_nanos) / 1e6,
-      double(handoff_blocked_pop_nanos) / 1e6,
-      config_echo.ToString().c_str());
-  std::string s = buf;
-  bool any = false;
-  for (int i = 1; i < kAbortCauseCount; ++i) {
-    if (aborts_by_cause[i] == 0) continue;
-    s += any ? " " : " abort_causes[";
-    any = true;
-    s += AbortCauseName(static_cast<AbortCause>(i));
-    s += "=" + std::to_string(aborts_by_cause[i]);
-  }
-  if (any) s += "]";
-  return s;
 }
 
 void PipelineStats::EmitTo(const std::string& prefix,

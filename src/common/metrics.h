@@ -10,9 +10,10 @@
 namespace hyder {
 
 /// Snapshot-time field emitter (see common/registry.h): stats structs
-/// publish every field through `EmitTo(prefix, emit)` so the registry's
-/// exporters, ToString() and the field-count guards in metrics.cc stay one
-/// audited list per struct.
+/// publish every field through `EmitTo(prefix, emit)`, the one audited
+/// list per struct that the registry's exporters and `ToString()` (one
+/// `name=value` per field) both read; the field-count guards in
+/// metrics.cc keep it complete.
 using MetricEmit = std::function<void(const std::string&, double)>;
 
 /// Work counters for one meld execution (one call of the meld operator).

@@ -1,5 +1,6 @@
 #include "tree/node.h"
 
+#include <cstddef>
 #include <cstring>
 #include <new>
 #include <vector>
@@ -10,9 +11,17 @@ namespace hyder {
 
 // DESIGN.md "Memory management" documents this size: the pool's slot
 // stride.
-static_assert(sizeof(Node) == 136, "Node slot size changed");
+static_assert(sizeof(Node) == 128, "Node slot size changed");
 
 NodePtr MakeNode(Key key, std::string_view payload) {
+  // DESIGN.md "Node layout & concurrency contract": a descent step reads
+  // the key and one child slot, so they lead the node, ahead of the
+  // version ids. (Checked here because MakeNode may name private fields.)
+  static_assert(offsetof(Node, key_) < offsetof(Node, left_) &&
+                    offsetof(Node, left_) < offsetof(Node, right_) &&
+                    offsetof(Node, right_) < offsetof(Node, vn_),
+                "Node field order changed: key_, left_, right_ must precede "
+                "the version ids");
   return NodePtr::Adopt(new (AllocateNodeSlot()) Node(key, payload));
 }
 

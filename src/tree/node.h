@@ -264,6 +264,12 @@ class PayloadStore {
 
 /// One immutable version of one key's node in the multi-versioned tree.
 ///
+/// Concurrency contract (DESIGN.md "Node layout & concurrency contract"):
+/// a node is mutated in place only while private — by the context whose
+/// owner tag it carries (see `CloneForWrite`) or by the code building it;
+/// a published node changes only through the memoization CAS of its
+/// child slots, so readers need no validation.
+///
 /// Metadata semantics (see DESIGN.md "The meld operator"):
 ///  * `vn`      — this version's identity.
 ///  * `ssv`     — id of the same-key node in the base state this version was
@@ -323,30 +329,6 @@ class Node {
     return right_side ? right_ : left_;
   }
 
-  /// Optimistic read validation (OLC-style seqlock). The version word is
-  /// even when the node is stable and odd while a writer mutates it in
-  /// place. In-place mutation is only legal on unpublished (executor- or
-  /// meld-private) nodes, but a snapshot reader can race the *executor's
-  /// own* later writes inside one transaction when reads are not
-  /// annotated, and validate.cc probes stability; readers take a version
-  /// before reading and re-check it after instead of locking.
-  [[nodiscard]] uint64_t OlcReadBegin() const {
-    uint64_t v = olc_.load(std::memory_order_acquire);
-    while (v & 1) v = olc_.load(std::memory_order_acquire);
-    return v;
-  }
-  [[nodiscard]] bool OlcReadValidate(uint64_t v) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    // relaxed: the fence above orders the preceding data reads against
-    // this re-check; the load itself needs no edge of its own.
-    return olc_.load(std::memory_order_relaxed) == v;
-  }
-  void OlcWriteBegin() { olc_.fetch_add(1, std::memory_order_acq_rel); }
-  void OlcWriteEnd() { olc_.fetch_add(1, std::memory_order_release); }
-  uint64_t olc_version() const {
-    return olc_.load(std::memory_order_acquire);
-  }
-
   uint32_t RefCount() const { return refs_.load(std::memory_order_acquire); }
 
  private:
@@ -362,33 +344,21 @@ class Node {
   Node(Key key, std::string_view payload) : key_(key) { payload_.Set(payload); }
   ~Node() = default;
 
+  // A descent step compares the key and then loads one child slot, so the
+  // key sits beside both slots in the node's first 48 bytes (DESIGN.md
+  // "Node layout & concurrency contract"; node.cc checks the order).
   std::atomic<uint32_t> refs_{1};
   Color color_ = Color::kRed;
   uint8_t flags_ = 0;
   Key key_;
+  ChildSlot left_;
+  ChildSlot right_;
   VersionId vn_{};
   VersionId ssv_{};
   VersionId base_cv_{};
   VersionId cv_{};
   uint64_t owner_ = 0;
   PayloadStore payload_;
-  /// OLC version word; see OlcReadBegin.
-  mutable std::atomic<uint64_t> olc_{0};
-  ChildSlot left_;
-  ChildSlot right_;
-};
-
-/// RAII writer bump around in-place mutation of a private node, pairing
-/// OlcWriteBegin/OlcWriteEnd so concurrent optimistic readers retry.
-class OlcWriteGuard {
- public:
-  explicit OlcWriteGuard(Node* n) : n_(n) { n_->OlcWriteBegin(); }
-  ~OlcWriteGuard() { n_->OlcWriteEnd(); }
-  OlcWriteGuard(const OlcWriteGuard&) = delete;
-  OlcWriteGuard& operator=(const OlcWriteGuard&) = delete;
-
- private:
-  Node* const n_;
 };
 
 inline void NodeRef(Node* n) {

@@ -235,10 +235,6 @@ Result<NodePtr> CloneForWrite(const CowContext& ctx, const NodePtr& n) {
   return m;
 }
 
-Result<NodePtr> ResolveChild(const ChildSlot& slot, NodeResolver* resolver) {
-  return slot.Get(resolver);
-}
-
 Result<Ref> TreeInsert(const CowContext& ctx, const Ref& root, Key key,
                        std::string_view payload, bool* existed) {
   std::vector<PathEntry> path;
@@ -250,7 +246,6 @@ Result<Ref> TreeInsert(const CowContext& ctx, const Ref& root, Key key,
     HYDER_ASSIGN_OR_RETURN(NodePtr c, CloneForWrite(ctx, cur));
     AttachIfCloned(path, cur, c, &newroot);
     if (key == c->key()) {
-      OlcWriteGuard wg(c.get());
       c->set_payload(std::move(payload));
       c->set_flags(c->flags() | kFlagAltered);
       c->set_cv(VersionId());  // Provisional; becomes the node's own logged
@@ -343,14 +338,12 @@ Result<Ref> TreeRemove(const CowContext& ctx, const Ref& root, Key key,
     // Relocate y's key, payload and transaction metadata into z. z keeps its
     // color and children; the relocated version keeps its provenance so the
     // successor key's conflict history is preserved.
-    Node* d = z.get();
-    OlcWriteGuard wg(d);
-    d->set_payload(y->payload());
-    d->set_ssv(y->ssv());
-    d->set_base_cv(y->base_cv());
-    d->set_cv(y->cv());
-    d->set_flags(y->flags());
-    d->set_key_for_relocation(y->key());
+    z->set_payload(y->payload());
+    z->set_ssv(y->ssv());
+    z->set_base_cv(y->base_cv());
+    z->set_cv(y->cv());
+    z->set_flags(y->flags());
+    z->set_key_for_relocation(y->key());
   }
 
   // Splice out the node at the end of the path (≤ 1 child).
@@ -398,24 +391,12 @@ Result<Ref> TreeLookup(const CowContext& ctx, const Ref& root, Key key,
     HYDER_ASSIGN_OR_RETURN(NodePtr cur, ResolveRefValue(root, ctx.resolver));
     while (cur) {
       BumpVisited(ctx);
-      // Optimistic read validation: take the node's version, read, then
-      // re-check before trusting the values (OLC-style seqlock; see
-      // Node::OlcReadBegin).
-      for (;;) {
-        const uint64_t v = cur->OlcReadBegin();
-        const Key k = cur->key();
-        if (k == key) {
-          std::string val(cur->payload());
-          if (!cur->OlcReadValidate(v)) continue;
-          *payload = std::move(val);
-          return root;
-        }
-        HYDER_ASSIGN_OR_RETURN(NodePtr nxt,
-                               cur->child(key > k).Get(ctx.resolver));
-        if (!cur->OlcReadValidate(v)) continue;
-        cur = std::move(nxt);
-        break;
+      if (key == cur->key()) {
+        *payload = cur->payload();
+        return root;
       }
+      HYDER_ASSIGN_OR_RETURN(cur,
+                             cur->child(key > cur->key()).Get(ctx.resolver));
     }
     return root;
   }
@@ -462,13 +443,14 @@ Status CollectAll(NodeResolver* resolver, const NodePtr& n,
   return CollectAll(resolver, r, out);
 }
 
-/// Recursive scan worker. `lb`/`ub` are the exclusive key bounds implied by
-/// the ancestors. Returns the (possibly annotated-copy) replacement edge.
-Result<Ref> ScanRec(const CowContext& ctx, const Ref& edge, Key lo, Key hi,
-                    std::optional<Key> lb, std::optional<Key> ub,
-                    std::vector<std::pair<Key, std::string>>* out) {
-  if (edge.IsNull()) return edge;
-  HYDER_ASSIGN_OR_RETURN(NodePtr n, ResolveRefValue(edge, ctx.resolver));
+/// Recursive scan worker over the subtree rooted at `n` (non-null).
+/// `lb`/`ub` are the exclusive key bounds implied by the ancestors. Child
+/// edges resolve through `ChildSlot::Get`, so a repeated scan resolves
+/// nothing. Returns the annotated copy of `n` when `ctx.annotate_reads`,
+/// else null.
+Result<NodePtr> ScanRec(const CowContext& ctx, const NodePtr& n, Key lo,
+                        Key hi, std::optional<Key> lb, std::optional<Key> ub,
+                        std::vector<std::pair<Key, std::string>>* out) {
   BumpVisited(ctx);
 
   if (ctx.annotate_reads) {
@@ -485,7 +467,7 @@ Result<Ref> ScanRec(const CowContext& ctx, const Ref& edge, Key lo, Key hi,
       out->emplace_back(n->key(), n->payload());
       HYDER_ASSIGN_OR_RETURN(NodePtr r, n->right().Get(ctx.resolver));
       HYDER_RETURN_IF_ERROR(CollectAll(ctx.resolver, r, out));
-      return Ref::To(c);
+      return c;
     }
   }
 
@@ -495,16 +477,16 @@ Result<Ref> ScanRec(const CowContext& ctx, const Ref& edge, Key lo, Key hi,
   }
   // Left.
   if (lo < n->key()) {
-    if (n->left().IsNullEdge()) {
+    HYDER_ASSIGN_OR_RETURN(NodePtr l, n->left().Get(ctx.resolver));
+    if (!l) {
       // A null gap that intersects the scanned range: a concurrent insert
       // here would be a phantom, and it creates a new version of *this*
       // node, so depend on this node's structure.
       if (c) c->set_flags(c->flags() | kFlagSubtreeRead);
     } else {
-      HYDER_ASSIGN_OR_RETURN(
-          Ref nl,
-          ScanRec(ctx, n->left().GetLocal(), lo, hi, lb, n->key(), out));
-      if (c) c->left().Reset(std::move(nl));
+      HYDER_ASSIGN_OR_RETURN(NodePtr cl,
+                             ScanRec(ctx, l, lo, hi, lb, n->key(), out));
+      if (c) c->left().Reset(Ref::To(cl));
     }
   }
   // Self.
@@ -514,16 +496,16 @@ Result<Ref> ScanRec(const CowContext& ctx, const Ref& edge, Key lo, Key hi,
   }
   // Right.
   if (hi > n->key()) {
-    if (n->right().IsNullEdge()) {
+    HYDER_ASSIGN_OR_RETURN(NodePtr r, n->right().Get(ctx.resolver));
+    if (!r) {
       if (c) c->set_flags(c->flags() | kFlagSubtreeRead);
     } else {
-      HYDER_ASSIGN_OR_RETURN(
-          Ref nr,
-          ScanRec(ctx, n->right().GetLocal(), lo, hi, n->key(), ub, out));
-      if (c) c->right().Reset(std::move(nr));
+      HYDER_ASSIGN_OR_RETURN(NodePtr cr,
+                             ScanRec(ctx, r, lo, hi, n->key(), ub, out));
+      if (c) c->right().Reset(Ref::To(cr));
     }
   }
-  return c ? Ref::To(c) : edge;
+  return c;
 }
 
 }  // namespace
@@ -532,7 +514,11 @@ Result<Ref> TreeRangeScan(const CowContext& ctx, const Ref& root, Key lo,
                           Key hi,
                           std::vector<std::pair<Key, std::string>>* out) {
   if (lo > hi) return root;
-  return ScanRec(ctx, root, lo, hi, std::nullopt, std::nullopt, out);
+  HYDER_ASSIGN_OR_RETURN(NodePtr n, ResolveRefValue(root, ctx.resolver));
+  if (!n) return root;
+  HYDER_ASSIGN_OR_RETURN(
+      NodePtr c, ScanRec(ctx, n, lo, hi, std::nullopt, std::nullopt, out));
+  return c ? Ref::To(c) : root;
 }
 
 }  // namespace hyder

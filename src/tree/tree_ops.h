@@ -128,10 +128,6 @@ Result<Ref> TreeRangeScan(const CowContext& ctx, const Ref& root, Key lo,
                           Key hi,
                           std::vector<std::pair<Key, std::string>>* out);
 
-/// Resolves `slot` through `resolver`, which may be null for materialized
-/// trees. Convenience used across the library.
-Result<NodePtr> ResolveChild(const ChildSlot& slot, NodeResolver* resolver);
-
 }  // namespace hyder
 
 #endif  // HYDER2_TREE_TREE_OPS_H_

@@ -20,7 +20,6 @@ Result<int> Walk(WalkState& st, const NodePtr& n, uint32_t depth,
   if (!n) return 1;  // Null leaves are black.
   st.check.node_count++;
   st.check.height = std::max(st.check.height, depth);
-  if ((n->olc_version() & 1) != 0) st.check.olc_stable = false;
   const bool red = n->color() == Color::kRed;
   bool violated = parent_red && red;
   for (bool right : {false, true}) {

@@ -18,8 +18,6 @@ struct TreeCheck {
   bool bst_ok = false;
   bool rb_ok = false;  ///< Red-black invariants: root black, no red-red,
                        ///< equal black heights.
-  bool olc_stable = true;  ///< Every node's OLC version word was even (no
-                           ///< writer mid-mutation) when visited.
   /// Edges found lazy (before this walk resolved them) that name an
   /// ephemeral node. Ephemeral nodes are never logged, so such an edge
   /// holds nothing up: once the registry sweeps its target, the edge

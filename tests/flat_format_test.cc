@@ -222,6 +222,44 @@ TEST(FlatFormatTest, LazyMaterializationIsCanonical) {
   EXPECT_EQ((*view)->NodeAt((*view)->node_count()), nullptr);
 }
 
+/// Counts the lazy edges a walk resolves.
+class CountingResolver : public NodeResolver {
+ public:
+  explicit CountingResolver(NodeResolver* inner) : inner_(inner) {}
+  Result<NodePtr> Resolve(VersionId vn) override {
+    ++calls;
+    return inner_->Resolve(vn);
+  }
+  uint64_t calls = 0;
+
+ private:
+  NodeResolver* inner_;
+};
+
+// A scan memoizes every edge it resolves into its slot, as a lookup does:
+// the same scan over the same decoded intention resolves nothing twice.
+TEST(FlatFormatTest, RepeatedScanResolvesNothing) {
+  IntentionBuilder writer = MixedBuilder(1000);
+  IntentionPtr in = Decode(writer, 1);
+  ASSERT_TRUE(in != nullptr);
+  ViewResolver view;
+  view.Add(in);
+  CountingResolver counting(&view);
+  // A serializable reader before its first write scans the snapshot
+  // unannotated, as snapshot isolation does.
+  IntentionBuilder reader(kWorkspaceTagBit | 2, 1, in->root,
+                          IsolationLevel::kSerializable, &counting);
+  auto first = reader.Scan(100, 900);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->size(), 801u);
+  EXPECT_GT(counting.calls, 0u);
+  counting.calls = 0;
+  auto second = reader.Scan(100, 900);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, *first);
+  EXPECT_EQ(counting.calls, 0u);
+}
+
 /// Decodes `payload` and asserts the no-UB contract: either a well-formed
 /// intention (a flip can land in a value byte) or a *typed* corruption
 /// status — DataLoss for flat-framing damage, Corruption for record-level

@@ -626,45 +626,6 @@ TEST(TreeBalanceTest, SequentialInsertionStaysBalanced) {
   EXPECT_LE(check->height, 26u);
 }
 
-TEST(OlcTest, ValidateReportsOlcInstability) {
-  Ref root = BuildTree(1, {1, 2, 3, 4, 5, 6, 7, 8});
-  auto stable = ValidateTree(nullptr, root);
-  ASSERT_TRUE(stable.ok());
-  EXPECT_TRUE(stable->olc_stable);
-
-  // An in-flight writer (odd OLC word) is visible to the validator, on
-  // the root and below it.
-  Node* inner = root.node->left().GetLocal().node.get();
-  ASSERT_NE(inner, nullptr);
-  for (Node* n : {root.node.get(), inner}) {
-    n->OlcWriteBegin();
-    auto unstable = ValidateTree(nullptr, root);
-    ASSERT_TRUE(unstable.ok());
-    EXPECT_FALSE(unstable->olc_stable) << "key " << n->key();
-    n->OlcWriteEnd();
-  }
-
-  auto again = ValidateTree(nullptr, root);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->olc_stable);
-}
-
-TEST(OlcTest, OptimisticReadRetriesAcrossWriterBump) {
-  // The seqlock protocol itself: a read that straddles a writer bump
-  // invalidates; a clean read validates.
-  NodePtr n = MakeNode(1, "x");
-  const uint64_t v = n->OlcReadBegin();
-  EXPECT_EQ(v & 1, 0u) << "read never begins inside a writer section";
-  EXPECT_TRUE(n->OlcReadValidate(v));
-  {
-    OlcWriteGuard wg(n.get());
-    EXPECT_FALSE(n->OlcReadValidate(v)) << "mid-write reads must retry";
-  }
-  EXPECT_FALSE(n->OlcReadValidate(v)) << "version advanced by the writer";
-  const uint64_t v2 = n->OlcReadBegin();
-  EXPECT_TRUE(n->OlcReadValidate(v2));
-}
-
 TEST(TreeLeakTest, RandomChurnFreesEverything) {
   uint64_t before = LiveNodeCount();
   {

@@ -1,25 +1,22 @@
 // hyder-check fixture: seeded cow-discipline violations. This file is
 // outside the COW/meld/build allowlists, so in-place node mutation here
-// must be flagged unless an OlcWriteGuard is in scope. Analyzed by
-// selftest.py; never compiled.
+// must be flagged. Analyzed by selftest.py; never compiled.
+#include <cstdint>
 #include <string>
 
 struct Node {
   void set_payload(const std::string& p);
-  void OlcWriteBegin();
-  void OlcWriteEnd();
+  void set_flags(uint8_t f);
 };
 
-// A published node mutated in place, no guard anywhere: readers can see
-// the torn write with no way to detect it.
+// A published node mutated in place: readers can see the torn write with
+// no way to detect it.
 void PatchPublished(Node* n) {
   n->set_payload("x");  // expect: cow-discipline
 }
 
-// Hand-rolled write section outside the allowlist: the guard RAII type is
-// the only sanctioned spelling.
-void HandRolledWriteSection(Node* n) {
-  n->OlcWriteBegin();  // expect: cow-discipline
-  n->set_payload("y");  // expect: cow-discipline
-  n->OlcWriteEnd();  // expect: cow-discipline
+// Transaction metadata is node content too: a flag set in place on a
+// shared node leaks into every state that holds it.
+void FlagPublished(Node* n) {
+  n->set_flags(1);  // expect: cow-discipline
 }

@@ -1,26 +1,28 @@
-// hyder-check fixture: node mutation under an OlcWriteGuard in a lexically
-// enclosing scope, which cow-discipline must accept even outside the
-// allowlisted files. Analyzed by selftest.py; never compiled.
-#include <string>
+// hyder-check fixture: what cow-discipline accepts outside the
+// COW/meld/build allowlists — reading a node, and the one change a
+// published node allows, memoizing a lazy child edge through its slot.
+// Analyzed by selftest.py; never compiled.
+#include <cstdint>
+
+struct Node;
+struct NodeResolver;
+
+struct ChildSlot {
+  Node* Get(NodeResolver* resolver) const;
+  Node* Memoize(Node* n) const;
+};
 
 struct Node {
-  void set_payload(const std::string& p);
-};
-struct OlcWriteGuard {
-  explicit OlcWriteGuard(Node* n);
-  ~OlcWriteGuard();
+  uint64_t key() const;
+  const ChildSlot& child(bool right) const;
 };
 
-// Guard declared in the same block.
-void PatchUnderGuard(Node* n) {
-  OlcWriteGuard guard(n);
-  n->set_payload("x");
+// A descent step: compare the key, resolve (and memoize) one child.
+Node* Descend(const Node* n, uint64_t key, NodeResolver* resolver) {
+  return n->child(key > n->key()).Get(resolver);
 }
 
-// Guard declared in an enclosing block still covers nested scopes.
-void PatchUnderOuterGuard(Node* n, bool flag) {
-  OlcWriteGuard guard(n);
-  if (flag) {
-    n->set_payload("y");
-  }
+// Final meld's link: publish a node it already holds into a lazy edge.
+Node* Link(const Node* n, Node* target) {
+  return n->child(false).Memoize(target);
 }

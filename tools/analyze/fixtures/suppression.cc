@@ -4,20 +4,20 @@
 // driver feature, not a rule feature); never compiled.
 //
 // File-wide form:
-// hyder-check: allow-file(olc-pairing): fixture exercises other rules
+// hyder-check: allow-file(cow-discipline): fixture exercises other rules
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 std::atomic<uint64_t> g_counter{0};
 
 struct Node {
-  uint64_t OlcReadBegin() const;
-  bool OlcReadValidate(uint64_t v) const;
+  void set_payload(const std::string& p);
 };
 
-// Covered by the allow-file(olc-pairing) above.
-void DiscardedBeginFileWide(const Node* n) {
-  n->OlcReadBegin();
+// Covered by the allow-file(cow-discipline) above.
+void PatchInPlaceFileWide(Node* n) {
+  n->set_payload("x");
 }
 
 uint64_t PrecedingLineForm() {

@@ -4,10 +4,8 @@
 Enforces the invariants clang `-Wthread-safety` and clang-tidy cannot
 express (see DESIGN.md, "Static analysis & protocol invariants"):
 
-  olc-pairing         every OlcReadBegin has a consumed OlcReadValidate on
-                      all return paths
-  cow-discipline      published nodes are only mutated in the COW/meld
-                      allowlist or under an OlcWriteGuard
+  cow-discipline      nodes are only mutated in place in the COW/meld/build
+                      allowlist
   guard-completeness  Mutex-holding classes annotate (or justify) every
                       data member
   codec-symmetry      kWire*/kCheckpoint* constants are referenced on both

@@ -51,9 +51,8 @@ class Rule:
 def all_rules() -> List[Rule]:
     from rules import (abort_provenance, banned_api, codec_symmetry,
                        cow_discipline, guard_completeness, lock_inventory,
-                       olc_pairing, ordering_rationale)
+                       ordering_rationale)
     return [
-        olc_pairing.OlcPairingRule(),
         cow_discipline.CowDisciplineRule(),
         guard_completeness.GuardCompletenessRule(),
         codec_symmetry.CodecSymmetryRule(),

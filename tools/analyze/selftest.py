@@ -147,8 +147,8 @@ def test_tree_scope() -> None:
     rules = {r.id: r for r in all_rules()}
     wrong = []
     for rule_id, path, covered in (
-            ("olc-pairing", "src/tree/node.h", True),
-            ("olc-pairing", "tests/test_cluster.h", False),
+            ("cow-discipline", "src/tree/node.h", True),
+            ("cow-discipline", "tests/test_cluster.h", False),
             ("guard-completeness", "tests/test_cluster.h", True),
             ("guard-completeness", "tests/txn_test.cc", False),
             ("banned-api", "examples/quickstart.cpp", True),
