@@ -1,21 +1,23 @@
-// Meld hot-path throughput: sequential engine vs. the threaded pipeline at
-// t in {0, 2, 5}, replaying one identical log through each.
+// Meld hot-path throughput: the sequential driver against the threaded
+// driver at t in {0, 2, 5}, replaying one identical log through each.
 //
-// This is the bench behind the de-serialized hot path work (see DESIGN.md,
-// "Meld hot path"): intentions are fed to the threaded engine as *raw
-// payloads* (FeedRaw), so deserialization runs on the premeld workers, the
-// premeld -> final-meld hand-off is the lock-free sequence ring, and node
-// resolution goes through the sharded ServerResolver. Alongside wall-clock
-// intentions/sec it reports the meld thread's resolver lock acquisitions
-// per intention (PipelineStats::fm_resolver_locks) and the ring's blocking
-// events — the contention the optimization is meant to remove — plus the
-// wall time spent in ephemeral sweeps, the live pool nodes at the end of
-// the replay and the log reads (resolver refetches) per intention during
-// it.
+// Both drivers run the same engine stages (SequentialPipeline's Decode,
+// Premeld and Meld); the threaded one runs decode and premeld on t premeld
+// workers (the feeder at t = 0) and group + final meld on a meld thread,
+// handing intentions over per-worker FIFOs (DESIGN.md, "Meld hot path").
+// Both replays do the same work: `wall_ms` and `intentions_per_sec` time the
+// replay without the sequential driver's ephemeral sweeps, which it runs
+// every `ServerOptions::sweep_interval` intentions as the server does and
+// reports separately in `sweep_ms` (the threaded replay never sweeps). The
+// other columns are the meld thread's resolver lock acquisitions per
+// intention (PipelineStats::fm_resolver_locks: group + final meld only),
+// the hand-off FIFOs' sleeps (threaded only), the live pool nodes at the
+// end of the replay and the log reads (resolver refetches) per intention
+// during it.
 //
 // Run with --json[=path] for machine-readable output; the committed
-// results/BENCH_pipeline_throughput.json holds pre- and post-change runs
-// from the same machine.
+// results/BENCH_pipeline_throughput.json holds runs of this bench with
+// their machine notes.
 
 #include <algorithm>
 #include <string>
@@ -112,8 +114,9 @@ PipelineConfig MeldConfig(int threads) {
 }
 
 /// Replays the stream through a SequentialPipeline the way the server's
-/// poll loop does: decode on the feed thread, then Process, sweeping the
-/// ephemeral registry every `ServerOptions::sweep_interval` intentions.
+/// poll loop does: Decode on the feed thread, then Process, sweeping the
+/// ephemeral registry every `ServerOptions::sweep_interval` intentions. The
+/// reported wall time excludes the sweeps.
 RunResult RunSequential(StripedLog* log,
                         const std::vector<LogIntention>& stream,
                         int threads) {
@@ -129,8 +132,7 @@ RunResult RunSequential(StripedLog* log,
   Stopwatch wall;
   for (const LogIntention& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
-    auto intent =
-        DeserializeIntention(li.payload, li.seq, li.block_count, li.txn_id);
+    auto intent = pipeline.Decode(li, pipeline.mutable_stats());
     HYDER_BENCH_CHECK_OK(intent);
     resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
     HYDER_BENCH_CHECK_OK(pipeline.Process(std::move(*intent)));
@@ -144,7 +146,7 @@ RunResult RunSequential(StripedLog* log,
   HYDER_BENCH_CHECK_OK(pipeline.Flush());
   RunResult r;
   r.sweep_ms = double(sweep_nanos) / 1e6;
-  r.wall_ms = double(wall.ElapsedNanos()) / 1e6;
+  r.wall_ms = double(wall.ElapsedNanos() - sweep_nanos) / 1e6;
   r.ips = double(stream.size()) / (r.wall_ms / 1e3);
   r.stats = pipeline.stats();
   r.arena_live = NodeArenaStats().live;
@@ -156,7 +158,7 @@ RunResult RunSequential(StripedLog* log,
 /// path: workers decode, the decode sink feeds the resolver's cache.
 ///
 /// Unlike RunSequential this never sweeps the ephemeral registry. No
-/// server runs the threaded engine (HyderServer::Poll drives the
+/// server runs the threaded driver (HyderServer::Poll drives the
 /// sequential one), so there is no sweep cadence to reproduce, and a sweep
 /// from the feed thread would run while premeld workers are mid-meld, a
 /// schedule no server produces.
@@ -234,7 +236,8 @@ double Percentile(std::vector<double>* sorted, double p) {
 
 void Run() {
   PrintHeader("pipeline_throughput", "meld hot path (DESIGN.md)",
-              "threaded >= sequential; fm lock rate drops with t > 0");
+              "same engine, two drivers: threaded within noise of "
+              "sequential at each t");
   const uint64_t txns = uint64_t(3000 * BenchScale());
   PrintColumns(
       "engine,threads,intentions,wall_ms,intentions_per_sec,"

@@ -114,16 +114,17 @@ struct PipelineStats {
   uint64_t conflict_zone_sum = 0;
   uint64_t final_melds = 0;
 
-  /// Resolver-internal lock acquisitions performed by the meld (group +
-  /// final) thread while processing intentions, measured via the
-  /// thread-local counter in common/lock_counter.h. The meld hot path's
-  /// contention budget: parallel decode and the sharded resolver exist to
-  /// drive this down per intention.
+  /// Resolver-internal lock acquisitions performed by the group and final
+  /// meld stages (`SequentialPipeline::Meld`/`Flush`), measured via the
+  /// thread-local counter in common/lock_counter.h. Premeld is never
+  /// charged, on either driver, even when it runs inline on the same
+  /// thread. The meld hot path's contention budget: parallel decode and
+  /// the sharded resolver exist to drive this down per intention.
   uint64_t fm_resolver_locks = 0;
 
-  /// Hand-off ring contention (threaded pipeline only): premeld workers
-  /// that slept because the ring was full (back-pressure), and final-meld
-  /// pops that slept on a sequence gap (pipeline bubbles).
+  /// Hand-off FIFO contention (threaded pipeline only): premeld workers
+  /// that slept because their output FIFO was full (back-pressure), and
+  /// meld-thread pops that slept on an empty one (pipeline bubbles).
   uint64_t handoff_blocked_pushes = 0;
   uint64_t handoff_blocked_pops = 0;
   /// Time those sleeps cost, in nanoseconds (the pipeline-latency shape of

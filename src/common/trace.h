@@ -45,7 +45,7 @@ enum class TraceStage : uint8_t {
   kDurable,      ///< All blocks acknowledged by the log (instant).
   kDecode,       ///< DeserializeIntention (span).
   kPremeld,      ///< Premeld stage (span, Algorithm 1).
-  kHandoffWait,  ///< Blocked on the premeld->final-meld ring (span).
+  kHandoffWait,  ///< Blocked on a full or empty stage FIFO (span).
   kGroupMeld,    ///< Group-meld pairing (span, §4).
   kFinalMeld,    ///< Final meld decision (span).
   kPublish,      ///< Last-committed-state publication (instant).

@@ -104,12 +104,71 @@ void SequentialPipeline::RestoreEphemeralCounters(
 
 Result<std::vector<MeldDecision>> SequentialPipeline::Process(
     IntentionPtr intent) {
-  MeldThreadLockDelta lock_delta(&stats_);
-  if (intent->seq != block_prefix_.size()) {
-    return Status::InvalidArgument(
-        "pipeline requires consecutive sequences; got " +
-        std::to_string(intent->seq));
+  // Checked ahead of premeld too: at t > 0 premeld of an out-of-order
+  // sequence would wait for a state this thread never publishes.
+  HYDER_RETURN_IF_ERROR(CheckNextSeq(intent->seq));
+  HYDER_ASSIGN_OR_RETURN(intent, Premeld(std::move(intent), &stats_));
+  return Meld(std::move(intent));
+}
+
+Result<IntentionPtr> SequentialPipeline::Decode(
+    const IntentionAssembler::Completed& raw, PipelineStats* stats) const {
+  if (config_.stage_probe) {
+    HYDER_RETURN_IF_ERROR(
+        config_.stage_probe(PipelineStage::kDecode, raw.seq));
   }
+  TraceSpan span(TraceStage::kDecode, raw.seq);
+  CpuStopwatch cpu;
+  HYDER_ASSIGN_OR_RETURN(
+      IntentionPtr intent,
+      DeserializeIntention(raw.payload, raw.seq, raw.block_count,
+                           raw.txn_id));
+  stats->deserialize.cpu_nanos += cpu.ElapsedNanos();
+  stats->deserialize.nodes_visited += intent->node_count;
+  return intent;
+}
+
+Result<IntentionPtr> SequentialPipeline::Premeld(IntentionPtr intent,
+                                                 PipelineStats* stats) {
+  {
+    ConfigEcho echo;
+    echo.premeld_threads = config_.premeld_threads;
+    echo.premeld_distance = config_.premeld_distance;
+    stats->config_echo.Observe(echo);
+  }
+  if (config_.premeld_threads == 0 || intent->known_aborted) return intent;
+  if (config_.stage_probe) {
+    HYDER_RETURN_IF_ERROR(
+        config_.stage_probe(PipelineStage::kPremeld, intent->seq));
+  }
+  const int thread = PremeldThreadFor(intent->seq, config_.premeld_threads);
+  TraceSpan span(TraceStage::kPremeld, intent->seq);
+  CpuStopwatch cpu;
+  MeldWork work;
+  HYDER_ASSIGN_OR_RETURN(
+      PremeldOutcome out,
+      RunPremeld(intent, states_, config_.premeld_threads,
+                 config_.premeld_distance, pm_allocs_[thread].get(),
+                 resolver_, &work, config_.disable_graft_fastpath));
+  work.cpu_nanos = cpu.ElapsedNanos();
+  stats->premeld += work;
+  if (out.skipped) stats->premeld_skips++;
+  if (out.intention->known_aborted) stats->premeld_aborts++;
+  stats->premeld_killed_nodes += out.killed_nodes;
+  stats->premeld_killed_nodes_materialized += out.killed_nodes_materialized;
+  return std::move(out.intention);
+}
+
+Status SequentialPipeline::CheckNextSeq(uint64_t seq) const {
+  if (seq == block_prefix_.size()) return Status::OK();
+  return Status::InvalidArgument(
+      "pipeline requires consecutive sequences; got " + std::to_string(seq));
+}
+
+Result<std::vector<MeldDecision>> SequentialPipeline::Meld(
+    IntentionPtr intent) {
+  MeldThreadLockDelta lock_delta(&stats_);
+  HYDER_RETURN_IF_ERROR(CheckNextSeq(intent->seq));
   // (Txn id 0 is only used by codec-level tests that feed bare intentions;
   // real servers always stamp a nonzero (server id, local seq) id.)
   if (intent->txn_id != 0 && !fed_txns_.insert(intent->txn_id).second) {
@@ -120,45 +179,6 @@ Result<std::vector<MeldDecision>> SequentialPipeline::Process(
   }
   block_prefix_.push_back(block_prefix_.back() + intent->block_count);
   stats_.intentions++;
-
-  // --- Premeld stage (Algorithm 1). ---
-  {
-    ConfigEcho echo;
-    echo.premeld_threads = config_.premeld_threads;
-    echo.premeld_distance = config_.premeld_distance;
-    stats_.config_echo.Observe(echo);
-  }
-  if (config_.premeld_threads > 0 && !intent->known_aborted) {
-    // The probe guards the stage actually running: the threaded engine runs
-    // premeld in its own workers (its embedded engine has t == 0) and fires
-    // this boundary there, so the two engines see one schedule.
-    if (config_.stage_probe) {
-      HYDER_RETURN_IF_ERROR(
-          config_.stage_probe(PipelineStage::kPremeld, intent->seq));
-    }
-    const int thread =
-        PremeldThreadFor(intent->seq, config_.premeld_threads);
-    TraceSpan span(TraceStage::kPremeld, intent->seq);
-    CpuStopwatch cpu;
-    MeldWork work;
-    HYDER_ASSIGN_OR_RETURN(
-        PremeldOutcome out,
-        RunPremeld(intent, states_, config_.premeld_threads,
-                   config_.premeld_distance, pm_allocs_[thread].get(),
-                   resolver_, &work, config_.disable_graft_fastpath));
-    work.cpu_nanos = cpu.ElapsedNanos();
-    stats_.premeld += work;
-    if (out.skipped) stats_.premeld_skips++;
-    if (out.intention->known_aborted) stats_.premeld_aborts++;
-    stats_.premeld_killed_nodes += out.killed_nodes;
-    stats_.premeld_killed_nodes_materialized += out.killed_nodes_materialized;
-    intent = out.intention;
-  }
-  return AfterPremeld(std::move(intent));
-}
-
-Result<std::vector<MeldDecision>> SequentialPipeline::AfterPremeld(
-    IntentionPtr intent) {
   if (config_.stage_probe) {
     HYDER_RETURN_IF_ERROR(
         config_.stage_probe(PipelineStage::kHandoff, intent->seq));
@@ -282,7 +302,8 @@ Result<std::vector<MeldDecision>> SequentialPipeline::FinalMeld(
     stats_.config_echo.Observe(echo);
   }
   CpuStopwatch cpu;
-  HYDER_ASSIGN_OR_RETURN(MeldResult melded, Meld(ctx, *intent, latest.root));
+  HYDER_ASSIGN_OR_RETURN(MeldResult melded,
+                         hyder::Meld(ctx, *intent, latest.root));
   work.cpu_nanos = cpu.ElapsedNanos();
   stats_.final_meld += work;
   stats_.final_melds++;

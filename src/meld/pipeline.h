@@ -13,6 +13,7 @@
 #include "meld/meld.h"
 #include "meld/premeld.h"
 #include "meld/state_table.h"
+#include "txn/codec.h"
 #include "txn/intention.h"
 
 namespace hyder {
@@ -57,12 +58,13 @@ struct PipelineConfig {
   bool group_meld = false;
   /// States retained for premeld and executor snapshots.
   uint64_t state_retention = 4096;
-  /// Capacity of each inter-stage hand-off structure in the threaded
-  /// pipeline (per-worker input queues and the premeld → final-meld ring).
-  /// Bounds in-flight intentions per stage — this is the back-pressure that
-  /// ultimately throttles the executors (§5.2). Larger values amortize
-  /// wakeups on oversubscribed hosts at the cost of memory and decision
-  /// latency. Ignored by the sequential engine.
+  /// Capacity of each of the threaded pipeline's stage FIFOs: every premeld
+  /// worker has an input FIFO and an output FIFO to the meld thread (at
+  /// t == 0, the feeder has the one output FIFO). Bounds in-flight
+  /// intentions per stage — this is the back-pressure that ultimately
+  /// throttles the executors (§5.2). Larger values amortize wakeups on
+  /// oversubscribed hosts at the cost of memory and decision latency.
+  /// Ignored by the sequential engine.
   size_t stage_queue_capacity = 64;
   /// Ablation only (bench/ablation_graft_fastpath): turn off the meld
   /// operator's subtree-graft fast path.
@@ -92,17 +94,23 @@ struct MeldDecision {
 /// exactly one producing subsystem (the hyder-check abort-provenance rule).
 AbortInfo MakeAdmissionRejectAbort();
 
-/// Deterministic single-threaded driver of the meld pipeline.
+/// The meld engine (Fig. 2): the decode, premeld and group/final-meld
+/// stages, and the state table they share.
 ///
-/// Runs the premeld → group-meld → final-meld stages as ordinary calls in
-/// dependency order, which produces *bit-identical states and decisions* to
-/// the multithreaded pipeline (that is the paper's determinism requirement,
-/// §3.4 — the stages are deterministic functions of (intention, state)
-/// pairs chosen by index arithmetic, so thread interleaving cannot matter).
-/// Each stage's CPU time and tree-node work is recorded per stage, which is
-/// what the evaluation's figures plot and what the calibrated throughput
-/// model consumes (see DESIGN.md, "Substitutions"). It is the engine
-/// `HyderServer::Poll` runs.
+/// Each stage is a deterministic function of (intention, state) pairs chosen
+/// by index arithmetic (§3.4), so any thread may run it and the result is
+/// bit-identical however the stages are scheduled. `Process` runs them as
+/// ordinary calls in dependency order (the engine `HyderServer::Poll`
+/// drives); `ThreadedPipeline` runs the same stages on premeld workers and a
+/// meld thread. Each stage's CPU time and tree-node work is recorded per
+/// stage, which is what the evaluation's figures plot and what the
+/// calibrated throughput model consumes (see DESIGN.md, "Substitutions").
+///
+/// Threading contract: `Decode` may run on any thread. `Premeld` may run on
+/// t threads at once provided each intention v runs on the thread owning
+/// `v mod t` and each thread runs its intentions in log order; it writes
+/// only the caller's stats and the allocator of `v mod t`. `Meld`, `Flush`
+/// and the remaining members are confined to one thread.
 class SequentialPipeline {
  public:
   /// `eph_registrar` is invoked for every ephemeral node created by any
@@ -112,10 +120,26 @@ class SequentialPipeline {
                      NodeResolver* resolver,
                      std::function<void(const NodePtr&)> eph_registrar);
 
-  /// Feeds the next intention in log order (seq must be consecutive).
-  /// Returns the decisions completed by this step — none while a group
-  /// pair's first member is buffered, possibly two when a pair flushes.
+  /// Feeds the next intention in log order (seq must be consecutive):
+  /// `Premeld` into this engine's stats, then `Meld`.
   Result<std::vector<MeldDecision>> Process(IntentionPtr intent);
+
+  /// Decode stage: fires the kDecode probe and deserializes `raw`, booking
+  /// its CPU time and node count in `stats->deserialize`.
+  Result<IntentionPtr> Decode(const IntentionAssembler::Completed& raw,
+                              PipelineStats* stats) const;
+
+  /// Premeld stage (Algorithm 1) on the allocator of `seq mod t`, blocking
+  /// until its input state is published. Returns the intention final meld
+  /// should process; books premeld work and the premeld knobs' config echo
+  /// in `stats` (at t == 0 it only stamps the echo).
+  Result<IntentionPtr> Premeld(IntentionPtr intent, PipelineStats* stats);
+
+  /// Group and final meld stages for the next intention in log order (seq
+  /// must be consecutive). Returns the decisions completed by this step —
+  /// none while a group pair's first member is buffered, possibly two when
+  /// a pair flushes.
+  Result<std::vector<MeldDecision>> Meld(IntentionPtr intent);
 
   /// Flushes a buffered unpaired intention (end of stream).
   Result<std::vector<MeldDecision>> Flush();
@@ -157,7 +181,7 @@ class SequentialPipeline {
   void RestoreEphemeralCounters(const std::vector<uint64_t>& counters);
 
  private:
-  Result<std::vector<MeldDecision>> AfterPremeld(IntentionPtr intent);
+  Status CheckNextSeq(uint64_t seq) const;
   Result<std::vector<MeldDecision>> FinalMeld(IntentionPtr intent);
   void PublishUpTo(uint64_t seq, const Ref& root);
   /// Books one abort decision into the forensic surfaces: per-cause /

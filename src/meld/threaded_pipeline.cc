@@ -8,21 +8,15 @@
 namespace hyder {
 
 namespace {
-PipelineConfig EngineConfig(const PipelineConfig& config) {
-  PipelineConfig engine = config;
-  engine.premeld_threads = 0;  // Premeld runs in this class's workers.
-  return engine;
-}
-
 /// Upper bound on sequences in flight between FeedRaw and their decision:
-/// every premeld input queue (t * qcap) plus one item held by each premeld
-/// worker (t), the hand-off ring (qcap), the meld thread's in-hand item and
-/// pending group member, with slack. Sizes the feed-timestamp ring so a
+/// every lane's input and hand-off FIFO (2t * qcap, or qcap at t == 0),
+/// one item held by each premeld worker (t), the meld thread's in-hand item
+/// and pending group member, with slack. Sizes the feed-timestamp ring so a
 /// slot is never overwritten before its stamp is consumed.
 size_t FeedTsSlots(const PipelineConfig& config) {
   const size_t qcap = std::max<size_t>(1, config.stage_queue_capacity);
   const size_t t = size_t(std::max(0, config.premeld_threads));
-  return (t + 1) * qcap + t + 8;
+  return (2 * t + 1) * qcap + t + 8;
 }
 }  // namespace
 
@@ -31,31 +25,22 @@ ThreadedPipeline::ThreadedPipeline(
     NodeResolver* resolver, std::function<void(const NodePtr&)> registrar,
     DecisionCallback on_decision, DecodeSink on_decode)
     : config_(config),
-      engine_(EngineConfig(config), initial, resolver, registrar),
-      resolver_(resolver),
+      engine_(config, initial, resolver, std::move(registrar)),
       on_decision_(std::move(on_decision)),
       on_decode_(std::move(on_decode)),
-      ring_(std::max<size_t>(1, config.stage_queue_capacity),
-            initial.seq + 1),
       feed_ts_(FeedTsSlots(config)),
       durable_to_decision_us_(MetricsRegistry::Global().histogram(
           "pipeline.durable_to_decision_us")),
       fed_seq_(initial.seq) {
-  for (int t = 0; t < config_.premeld_threads; ++t) {
-    // Premeld thread ids 2..t+1, matching SequentialPipeline's fixed slots
-    // so both engines generate identical ephemeral identities (§3.4).
-    pm_allocs_.push_back(
-        std::make_unique<EphemeralAllocator>(2 + uint32_t(t)));
-    pm_allocs_.back()->registrar = registrar;
-    pm_queues_.push_back(
-        std::make_unique<BoundedQueue<IntentionAssembler::Completed>>(
-            std::max<size_t>(1, config.stage_queue_capacity)));
-    worker_stats_.push_back(std::make_unique<WorkerStats>());
-  }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  ring_.SetBlockedHistograms(
-      registry.histogram("pipeline.handoff_push_blocked_us"),
-      registry.histogram("pipeline.handoff_pop_blocked_us"));
+  LatencyHistogram* push_us =
+      registry.histogram("pipeline.handoff_push_blocked_us");
+  LatencyHistogram* pop_us =
+      registry.histogram("pipeline.handoff_pop_blocked_us");
+  const size_t qcap = std::max<size_t>(1, config.stage_queue_capacity);
+  for (int t = 0; t < std::max(1, config_.premeld_threads); ++t) {
+    lanes_.push_back(std::make_unique<Lane>(qcap, push_us, pop_us));
+  }
   metrics_ = registry.RegisterProvider(
       "pipeline", [this](const MetricsRegistry::Emit& emit) {
         StatsSnapshot().EmitTo("", emit);
@@ -72,27 +57,21 @@ ThreadedPipeline::~ThreadedPipeline() {
 void ThreadedPipeline::Start() {
   started_ = true;
   for (int t = 0; t < config_.premeld_threads; ++t) {
-    threads_.emplace_back([this, t] { PremeldWorker(t); });
+    threads_.emplace_back([this, t] { PremeldWorker(lanes_[t].get()); });
   }
-  threads_.emplace_back([this] { MeldWorker(); });
+  threads_.emplace_back([this, first = fed_seq_ + 1] { MeldWorker(first); });
 }
 
-Result<IntentionPtr> ThreadedPipeline::DecodeRaw(
-    const IntentionAssembler::Completed& raw, WorkerStats* stats) {
-  if (config_.stage_probe) {
-    HYDER_RETURN_IF_ERROR(
-        config_.stage_probe(PipelineStage::kDecode, raw.seq));
-  }
-  TraceSpan span(TraceStage::kDecode, raw.seq);
-  CpuStopwatch cpu;
-  HYDER_ASSIGN_OR_RETURN(
-      IntentionPtr intent,
-      DeserializeIntention(raw.payload, raw.seq, raw.block_count,
-                           raw.txn_id));
-  stats->deserialize.cpu_nanos += cpu.ElapsedNanos();
-  stats->deserialize.nodes_visited += intent->node_count;
+ThreadedPipeline::Lane& ThreadedPipeline::LaneFor(uint64_t seq) {
+  if (config_.premeld_threads == 0) return *lanes_[0];
+  return *lanes_[PremeldThreadFor(seq, config_.premeld_threads)];
+}
+
+Result<IntentionPtr> ThreadedPipeline::DecodeAndPremeld(
+    const IntentionAssembler::Completed& raw, PipelineStats* stats) {
+  HYDER_ASSIGN_OR_RETURN(IntentionPtr intent, engine_.Decode(raw, stats));
   if (on_decode_) on_decode_(raw.seq, intent);
-  return intent;
+  return engine_.Premeld(std::move(intent), stats);
 }
 
 Status ThreadedPipeline::FeedRaw(IntentionAssembler::Completed raw) {
@@ -109,40 +88,39 @@ Status ThreadedPipeline::FeedRaw(IntentionAssembler::Completed raw) {
   // (read back from the log) when it reaches the pipeline.
   feed_ts_[seq % feed_ts_.size()].store(Stopwatch::NowNanos(),
                                         std::memory_order_release);
-  if (config_.premeld_threads == 0) {
-    // No premeld stage: decode inline on the feeder (the single-threaded
-    // path) and hand straight to the meld thread.
-    auto decoded = DecodeRaw(raw, &feeder_stats_);
-    if (!decoded.ok()) {
-      Poison(decoded.status());
-      return decoded.status();
-    }
-    if (!ring_.Push(seq, std::move(*decoded))) return FirstError();
+  Lane& lane = LaneFor(seq);
+  if (config_.premeld_threads > 0) {
+    if (!lane.input.Push(std::move(raw), seq)) return FirstError();
     return Status::OK();
   }
-  const int thread = PremeldThreadFor(seq, config_.premeld_threads);
-  if (!pm_queues_[thread]->Push(std::move(raw))) return FirstError();
+  // No premeld workers: the feeder is lane 0's thread.
+  auto intent = DecodeAndPremeld(raw, &lane.stats);
+  if (!intent.ok()) {
+    Poison(intent.status());
+    return intent.status();
+  }
+  if (!lane.handoff.Push(std::move(*intent), seq)) return FirstError();
   return Status::OK();
 }
 
 void ThreadedPipeline::Close() {
   if (closed_.exchange(true)) return;
-  if (config_.premeld_threads == 0) {
-    ring_.Close();
-  } else {
-    for (auto& q : pm_queues_) q->Close();
+  for (auto& lane : lanes_) {
+    // A worker closes its hand-off once its input drains; at t == 0 the
+    // feeder was the hand-off's only producer.
+    if (config_.premeld_threads == 0) {
+      lane->handoff.Close();
+    } else {
+      lane->input.Close();
+    }
   }
 }
 
 void ThreadedPipeline::Join() {
   if (!started_) return;
-  const size_t pm_count = pm_queues_.size();
-  for (size_t i = 0; i < pm_count; ++i) {
-    if (threads_[i].joinable()) threads_[i].join();
+  for (std::thread& thread : threads_) {
+    if (thread.joinable()) thread.join();
   }
-  // All premeld outputs are in the hand-off ring now.
-  ring_.Close();
-  if (threads_.back().joinable()) threads_.back().join();
   // Workers are gone: StatsSnapshot may merge their counters from now on
   // (the joins above ordered the writes before this store).
   joined_.store(true, std::memory_order_release);
@@ -154,8 +132,10 @@ void ThreadedPipeline::Poison(const Status& status) {
     if (first_error_.ok()) first_error_ = status;
   }
   poisoned_.store(true, std::memory_order_release);
-  for (auto& q : pm_queues_) q->Close();
-  ring_.Close();
+  for (auto& lane : lanes_) {
+    lane->input.Close();
+    lane->handoff.Close();
+  }
   engine_.states().Shutdown();  // Wake premeld waiters.
 }
 
@@ -166,59 +146,25 @@ Status ThreadedPipeline::FirstError() const {
              : first_error_;
 }
 
-void ThreadedPipeline::PremeldWorker(int thread_index) {
-  BoundedQueue<IntentionAssembler::Completed>& queue =
-      *pm_queues_[thread_index];
-  WorkerStats& ws = *worker_stats_[thread_index];
-  while (auto raw = queue.Pop()) {
+void ThreadedPipeline::PremeldWorker(Lane* lane) {
+  while (auto raw = lane->input.Pop()) {
     const uint64_t seq = raw->seq;
-    auto decoded = DecodeRaw(*raw, &ws);
-    if (!decoded.ok()) {
-      Poison(decoded.status());
-      return;
+    auto intent = DecodeAndPremeld(*raw, &lane->stats);
+    if (!intent.ok()) {
+      Poison(intent.status());
+      break;
     }
-    IntentionPtr intent = std::move(*decoded);
-    if (config_.stage_probe) {
-      // Same boundary the sequential engine probes before its premeld
-      // stage; the embedded engine (t == 0) does not re-fire it.
-      Status probed = config_.stage_probe(PipelineStage::kPremeld, seq);
-      if (!probed.ok()) {
-        Poison(probed);
-        return;
-      }
-    }
-    TraceSpan span(TraceStage::kPremeld, seq);
-    CpuStopwatch cpu;
-    MeldWork work;
-    auto out = RunPremeld(intent, engine_.states(), config_.premeld_threads,
-                          config_.premeld_distance,
-                          pm_allocs_[thread_index].get(), resolver_, &work,
-                          config_.disable_graft_fastpath);
-    if (!out.ok()) {
-      if (!out.status().IsTimedOut()) Poison(out.status());
-      return;
-    }
-    work.cpu_nanos = cpu.ElapsedNanos();
-    ws.premeld += work;
-    if (out->skipped) ws.skips++;
-    if (out->intention->known_aborted) ws.aborts++;
-    ws.killed_nodes += out->killed_nodes;
-    ws.killed_nodes_materialized += out->killed_nodes_materialized;
-    {
-      // The knobs this worker just consumed; the embedded engine cannot
-      // stamp them (it runs with premeld_threads == 0).
-      ConfigEcho echo;
-      echo.premeld_threads = config_.premeld_threads;
-      echo.premeld_distance = config_.premeld_distance;
-      echo.disable_graft_fastpath = config_.disable_graft_fastpath ? 1 : 0;
-      ws.echo.Observe(echo);
-    }
-    if (!ring_.Push(seq, std::move(out->intention))) return;
+    if (!lane->handoff.Push(std::move(*intent), seq)) break;
   }
+  // Every intention of this lane is on the hand-off: the meld thread pops
+  // nullopt exactly at the first sequence that was never fed.
+  lane->handoff.Close();
 }
 
-void ThreadedPipeline::MeldWorker() {
-  while (auto item = ring_.PopNext()) {
+void ThreadedPipeline::MeldWorker(uint64_t first_seq) {
+  for (uint64_t seq = first_seq;; ++seq) {
+    auto item = LaneFor(seq).handoff.Pop(seq);
+    if (!item) break;
     // Snapshot-consistency contract (see StatsSnapshot): bump intentions
     // before melding, the decision counters after, so a concurrent reader
     // never sees committed + aborted > intentions.
@@ -227,7 +173,7 @@ void ThreadedPipeline::MeldWorker() {
     // counters, which program order on this single worker already gives
     // the snapshot's paired acquire loads.
     meld_intentions_.fetch_add(1, std::memory_order_relaxed);
-    auto decisions = engine_.Process(std::move(*item));
+    auto decisions = engine_.Meld(std::move(*item));
     if (!decisions.ok()) {
       Poison(decisions.status());
       return;
@@ -274,49 +220,31 @@ void ThreadedPipeline::DeliverDecisions(
 }
 
 PipelineStats ThreadedPipeline::StatsSnapshot() const {
+  PipelineStats out;
   if (!joined_.load(std::memory_order_acquire)) {
-    // Mid-run: the engine's PipelineStats and the per-worker counters are
-    // thread-confined until Join, so report only the atomically mirrored
-    // headline counters plus the (internally locked) ring counters.
+    // Mid-run: the engine's and the lanes' PipelineStats are thread-confined
+    // until Join, so report only the atomically mirrored headline counters
+    // plus the (internally locked) hand-off counters.
     // Read order matters: decision counters first (acquire), intentions
     // last — paired with MeldWorker's intentions-before / decisions-after
     // stores, this guarantees committed + aborted <= intentions.
-    PipelineStats out;
     out.committed = meld_committed_.load(std::memory_order_acquire);
     out.aborted = meld_aborted_.load(std::memory_order_acquire);
     // relaxed: intentions only needs monotonicity here; the acquire loads
     // above pair with the worker's release stores for the <= invariant.
     out.intentions = meld_intentions_.load(std::memory_order_relaxed);
-    const SeqRing<IntentionPtr>::Stats ring_stats = ring_.stats();
-    out.handoff_blocked_pushes = ring_stats.blocked_pushes;
-    out.handoff_blocked_pops = ring_stats.blocked_pops;
-    out.handoff_blocked_push_nanos = ring_stats.blocked_push_nanos;
-    out.handoff_blocked_pop_nanos = ring_stats.blocked_pop_nanos;
-    return out;
+  } else {
+    // Valid after Join: the joins provide the happens-before edges.
+    out = engine_.stats();
+    for (const auto& lane : lanes_) out += lane->stats;
   }
-  PipelineStats out = engine_.stats();
-  // Per-worker counters, merged on snapshot (valid after Join; the joins
-  // provide the happens-before edges). The embedded engine also tallies
-  // premeld aborts when known-aborted intentions reach final meld; keep the
-  // engine's count for decisions and report the stage-detected counts here.
-  out.deserialize = feeder_stats_.deserialize;
-  out.premeld = MeldWork{};
-  out.premeld_skips = 0;
-  out.premeld_aborts = 0;
-  for (const auto& ws : worker_stats_) {
-    out.deserialize += ws->deserialize;
-    out.premeld += ws->premeld;
-    out.premeld_skips += ws->skips;
-    out.premeld_aborts += ws->aborts;
-    out.premeld_killed_nodes += ws->killed_nodes;
-    out.premeld_killed_nodes_materialized += ws->killed_nodes_materialized;
-    out.config_echo.Observe(ws->echo);
+  for (const auto& lane : lanes_) {
+    const BoundedQueue<IntentionPtr>::Stats q = lane->handoff.stats();
+    out.handoff_blocked_pushes += q.blocked_pushes;
+    out.handoff_blocked_pops += q.blocked_pops;
+    out.handoff_blocked_push_nanos += q.blocked_push_nanos;
+    out.handoff_blocked_pop_nanos += q.blocked_pop_nanos;
   }
-  const SeqRing<IntentionPtr>::Stats ring_stats = ring_.stats();
-  out.handoff_blocked_pushes = ring_stats.blocked_pushes;
-  out.handoff_blocked_pops = ring_stats.blocked_pops;
-  out.handoff_blocked_push_nanos = ring_stats.blocked_push_nanos;
-  out.handoff_blocked_pop_nanos = ring_stats.blocked_pop_nanos;
   return out;
 }
 

@@ -8,38 +8,36 @@
 
 #include "common/queue.h"
 #include "common/registry.h"
-#include "common/seq_ring.h"
 #include "common/thread_annotations.h"
 #include "meld/pipeline.h"
 #include "txn/codec.h"
 
 namespace hyder {
 
-/// The real multithreaded meld pipeline of Fig. 2: premeld worker threads
-/// run in parallel with a group-meld/final-meld thread, exactly the
-/// structure the paper deploys. The deterministic index arithmetic of §3.4
-/// guarantees the outputs are bit-identical to `SequentialPipeline` under
-/// the same configuration — a property the tests verify — so the two
-/// engines are interchangeable. This engine is the one that can overlap
-/// premeld with final meld on several cores; `pipeline_throughput`
-/// measures it against the sequential engine the server runs.
+/// The multithreaded driver of the meld pipeline of Fig. 2: premeld worker
+/// threads run in parallel with a group-meld/final-meld thread, the
+/// structure the paper deploys. It runs no stage body of its own: workers
+/// call the engine's `Decode` and `Premeld`, the meld thread calls its
+/// `Meld`, so decisions and states are the sequential engine's by
+/// construction (§3.4; the equivalence tests check it bit for bit).
 ///
-/// Stage layout (t = premeld threads):
+/// Stage layout (t = premeld threads; intention v belongs to lane v mod t):
 ///   FeedRaw (caller thread, log order)
-///     -> per-thread premeld input queues (intention v to thread v mod t)
-///     -> premeld workers: decode + premeld
-///        (block on StateTable::WaitFor, Algorithm 1)
-///     -> seq-indexed hand-off ring (common/seq_ring.h; slot occupancy is
-///        the reorder buffer, so no locks on the common path)
-///     -> group-meld + final-meld thread (an embedded SequentialPipeline
-///        with premeld disabled, preserving the gm/fm semantics verbatim)
+///     -> lane input FIFOs
+///     -> premeld workers, one per lane: Decode + Premeld, in log order
+///        (Premeld blocks on StateTable::WaitFor, Algorithm 1)
+///     -> lane hand-off FIFOs
+///     -> meld thread: pops v from lane v mod t, so it meets the
+///        intentions in log order without a reorder buffer, and runs Meld
+/// At t == 0 the feeder runs Decode and Premeld inline and feeds the one
+/// hand-off FIFO.
 ///
 /// Decode placement does not affect determinism: DeserializeIntention is a
 /// pure function of (payload, seq) — node identities are computed from the
 /// log address, and external references stay lazy — so decoding in a worker
 /// yields the same intention the feeder would have produced.
 ///
-/// Decisions are delivered through the callback from the fm thread.
+/// Decisions are delivered through the callback from the meld thread.
 class ThreadedPipeline {
  public:
   using DecisionCallback = std::function<void(const MeldDecision&)>;
@@ -84,10 +82,10 @@ class ThreadedPipeline {
   /// Aggregated stats. Safe to call from any thread at any time:
   ///
   ///  * After `Join`, the full per-stage detail (decode/premeld/gm/fm
-  ///    MeldWork, resolver locks, ...) is merged from the worker-owned
-  ///    counters — the joins provide the happens-before edges.
+  ///    MeldWork, resolver locks, ...) is the engine's stats plus every
+  ///    lane's — the joins provide the happens-before edges.
   ///  * Mid-run, only the headline counters (intentions / committed /
-  ///    aborted) and the hand-off ring counters are populated, read from
+  ///    aborted) and the hand-off FIFO counters are populated, read from
   ///    atomic mirrors maintained by the meld worker. Invariant: a mid-run
   ///    snapshot never reports committed + aborted > intentions, because
   ///    the worker bumps `intentions` before melding and the decision
@@ -100,64 +98,54 @@ class ThreadedPipeline {
   Status FirstError() const EXCLUDES(error_mu_);
 
  private:
-  /// Per-worker stage counters, written only by the owning worker thread
-  /// while it runs and read by StatsSnapshot after Join (the join provides
-  /// the happens-before edge). Merge-on-snapshot replaces the old
-  /// stats_mu_-per-intention accounting on the hot path.
-  struct WorkerStats {
-    MeldWork deserialize;
-    MeldWork premeld;
-    uint64_t skips = 0;
-    uint64_t aborts = 0;
-    uint64_t killed_nodes = 0;
-    uint64_t killed_nodes_materialized = 0;
-    /// Knob values as this worker consumed them (see ConfigEcho); merged
-    /// into the snapshot's config_echo after Join.
-    ConfigEcho echo;
+  /// Intention v's lane is v mod t (lane 0 at t == 0). Each lane's thread —
+  /// its premeld worker, or the feeder at t == 0 — runs Decode and Premeld
+  /// for the lane's intentions in log order and emits them on `handoff` in
+  /// that order.
+  struct Lane {
+    Lane(size_t capacity, LatencyHistogram* push_blocked_us,
+         LatencyHistogram* pop_blocked_us)
+        : input(capacity),
+          handoff(capacity, push_blocked_us, pop_blocked_us) {}
+    BoundedQueue<IntentionAssembler::Completed> input;  ///< Unused at t == 0.
+    BoundedQueue<IntentionPtr> handoff;
+    /// Decode and premeld stats, written only by the lane's thread and read
+    /// by StatsSnapshot after Join; on cache lines of their own, away from
+    /// the FIFOs other threads touch.
+    alignas(64) PipelineStats stats;
   };
 
-  void PremeldWorker(int thread_index);
-  void MeldWorker();
+  Lane& LaneFor(uint64_t seq);
+  void PremeldWorker(Lane* lane);
+  void MeldWorker(uint64_t first_seq);
+  /// Decode + premeld stages for one intention, on the lane's thread.
+  Result<IntentionPtr> DecodeAndPremeld(
+      const IntentionAssembler::Completed& raw, PipelineStats* stats);
   /// Meld-thread decision fan-out: updates the mid-run counters and the
   /// durable->decision histogram, then invokes the callback.
   void DeliverDecisions(const std::vector<MeldDecision>& decisions);
   void Poison(const Status& status) EXCLUDES(error_mu_);
-  Result<IntentionPtr> DecodeRaw(const IntentionAssembler::Completed& raw,
-                                 WorkerStats* stats);
 
   const PipelineConfig config_;
-  /// gm + fm stages, with premeld handled by this class's workers. Confined
-  /// to the meld worker thread while it runs (plus the internally locked
-  /// StateTable); the caller may touch it again only after Join.
-  // hyder-check: allow(guard-completeness): meld-thread confined, see above
+  /// The stages. Meld/Flush run on the meld thread only, each lane's
+  /// Premeld on that lane's thread, Decode anywhere (see SequentialPipeline's
+  /// threading contract); the caller may touch the rest only after Join.
+  // hyder-check: allow(guard-completeness): stage confinement, see above
   SequentialPipeline engine_;
-  NodeResolver* const resolver_;
   // hyder-check: allow(guard-completeness): set before Start, read-only after
   DecisionCallback on_decision_;
   // hyder-check: allow(guard-completeness): set before Start, read-only after
   DecodeSink on_decode_;
-
-  /// Per-premeld-worker resources: slot t is touched only by worker t
-  /// (the vectors themselves are sized in the constructor and never
-  /// resized while threads run).
-  // hyder-check: allow(guard-completeness): per-worker slot confinement
-  std::vector<std::unique_ptr<EphemeralAllocator>> pm_allocs_;
-  std::vector<std::unique_ptr<BoundedQueue<IntentionAssembler::Completed>>>
-      pm_queues_;
-  // hyder-check: allow(guard-completeness): per-worker slot confinement
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
-  /// Decode counters for the t == 0 inline path (feeder thread only).
-  // hyder-check: allow(guard-completeness): feeder-thread confined
-  WorkerStats feeder_stats_;
-  /// Premeld → final-meld hand-off; slot occupancy doubles as the sequence
-  /// reorder buffer (see common/seq_ring.h).
-  SeqRing<IntentionPtr> ring_;
+  /// Sized in the constructor and never resized; the FIFOs are internally
+  /// locked and each lane's stats are confined to its thread until Join.
+  // hyder-check: allow(guard-completeness): per-lane confinement
+  std::vector<std::unique_ptr<Lane>> lanes_;
 
   /// Feed-timestamp ring for the durable→decision latency histogram: slot
   /// `seq % size` holds the NowNanos stamp taken when FeedRaw accepted the
-  /// sequence. Sized past the pipeline's in-flight bound (premeld queues +
-  /// workers + hand-off ring + the meld thread's pending group member), so
-  /// a slot's stamp is consumed before the next lap overwrites it.
+  /// sequence. Sized past the pipeline's in-flight bound (both FIFO sets +
+  /// workers + the meld thread's pending group member), so a slot's stamp is
+  /// consumed before the next lap overwrites it.
   // hyder-check: allow(guard-completeness): fixed-size array of atomics
   std::vector<std::atomic<uint64_t>> feed_ts_;
   /// Global-registry instruments (process lifetime; see common/registry.h).

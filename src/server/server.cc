@@ -193,28 +193,10 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
     // All of the intention's blocks are durable and assembled: stamp for
     // the durable->decision histogram (consumed below once meld decides).
     durable_ts_[done->seq] = Stopwatch::NowNanos();
-    if (options_.pipeline.stage_probe) {
-      // Chaos probe at the decode boundary (the other boundaries live
-      // inside the pipeline). A non-OK return is a simulated crash: the
-      // caller must discard this server, not re-Poll it.
-      HYDER_RETURN_IF_ERROR(
-          options_.pipeline.stage_probe(PipelineStage::kDecode, done->seq));
-    }
-    CpuStopwatch ds_cpu;
-    IntentionPtr intent;
-    {
-      TraceSpan decode_span(TraceStage::kDecode, done->seq);
-      HYDER_ASSIGN_OR_RETURN(
-          intent,
-          DeserializeIntention(done->payload, done->seq, done->block_count,
-                               done->txn_id));
-      pipeline_.mutable_stats()->deserialize.cpu_nanos +=
-          ds_cpu.ElapsedNanos();
-      pipeline_.mutable_stats()->deserialize.nodes_visited +=
-          intent->node_count;
-      // Cached lookups materialize nodes through the view on demand.
-      resolver_.CacheIntention(done->seq, intent->flats.front().second);
-    }
+    HYDER_ASSIGN_OR_RETURN(IntentionPtr intent,
+                           pipeline_.Decode(*done, pipeline_.mutable_stats()));
+    // Cached lookups materialize nodes through the view on demand.
+    resolver_.CacheIntention(done->seq, intent->flats.front().second);
 
     HYDER_ASSIGN_OR_RETURN(std::vector<MeldDecision> decisions,
                            pipeline_.Process(std::move(intent)));

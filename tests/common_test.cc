@@ -255,6 +255,25 @@ TEST(QueueTest, BlockingHandoffAcrossThreads) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(got[i], i);
 }
 
+// Only a push or pop that sleeps is booked, counted as its sleep starts.
+TEST(QueueTest, CountsOnlySleepingPushesAndPops) {
+  BoundedQueue<int> q(1);
+  std::optional<int> first;
+  std::thread consumer([&] { first = q.Pop(); });
+  while (q.stats().blocked_pops == 0) std::this_thread::yield();
+  ASSERT_TRUE(q.Push(1));
+  consumer.join();
+  ASSERT_TRUE(q.Push(2));
+  std::thread producer([&] { EXPECT_TRUE(q.Push(3)); });
+  while (q.stats().blocked_pushes == 0) std::this_thread::yield();
+  EXPECT_EQ(q.Pop(), 2);
+  producer.join();
+  EXPECT_EQ(q.Pop(), 3);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(q.stats().blocked_pops, 1u);
+  EXPECT_EQ(q.stats().blocked_pushes, 1u);
+}
+
 TEST(SimClockTest, RunsEventsInTimeOrder) {
   SimClock clock;
   std::vector<int> order;

@@ -87,10 +87,8 @@ class TestServer {
     HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(block));
     auto& done = fed.completed;
     if (!done.has_value()) return std::vector<MeldDecision>{};
-    HYDER_ASSIGN_OR_RETURN(
-        IntentionPtr intent,
-        DeserializeIntention(done->payload, done->seq, done->block_count,
-                             done->txn_id));
+    HYDER_ASSIGN_OR_RETURN(IntentionPtr intent,
+                           pipeline_.Decode(*done, pipeline_.mutable_stats()));
     registry_.RegisterIntention(intent);
     last_deserialized_ = intent;
     return pipeline_.Process(intent);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -207,6 +208,72 @@ TEST(ThreadedPipelineTest, BackpressureDoesNotDeadlock) {
   }
   threaded.Finish();
   EXPECT_EQ(threaded.decisions().size(), sequential.decisions.size());
+}
+
+// Log order comes from the lanes, not from workers finishing in order: the
+// worker of lane 0 (seq mod t == 0) lags about 1 ms on each of its
+// intentions, so the others run ahead, and the meld thread must still take
+// the intentions in log order and decide exactly as the sequential engine.
+TEST(ThreadedPipelineTest, LaggingPremeldWorkerKeepsLogOrder) {
+  for (int threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    PipelineConfig config;
+    config.premeld_threads = threads;
+    config.premeld_distance = 2;
+    config.group_meld = true;
+    SequentialRun sequential(config);
+    BuildWorkload(config, 40 + uint64_t(threads), 120, &sequential);
+
+    // The kHandoff boundary fires on the meld thread as Meld takes each
+    // intention, so `taken` is the meld thread's intake order.
+    Mutex mu;
+    std::vector<uint64_t> taken;  // Guarded by mu.
+    config.stage_probe = [&, threads](PipelineStage stage, uint64_t seq) {
+      if (stage == PipelineStage::kPremeld && seq % uint64_t(threads) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (stage == PipelineStage::kHandoff) {
+        MutexLock lock(mu);
+        taken.push_back(seq);
+      }
+      return Status::OK();
+    };
+    ThreadedHarness threaded(config);
+    for (const auto& blocks : sequential.blocks) {
+      ASSERT_TRUE(threaded.FeedBlocks(blocks).ok());
+    }
+    threaded.Finish();
+    ASSERT_EQ(threaded.pipeline().FirstError().message(), "pipeline closed");
+
+    {
+      MutexLock lock(mu);
+      ASSERT_EQ(taken.size(), sequential.blocks.size());
+      for (size_t i = 0; i < taken.size(); ++i) {
+        ASSERT_EQ(taken[i], i + 1) << "meld thread took seq " << taken[i]
+                                   << " out of log order";
+      }
+    }
+    // A pair whose later member aborts inside the pair decides that member
+    // first, on both engines, so decision order is compared, not sorted.
+    std::vector<MeldDecision> td = threaded.decisions();
+    ASSERT_EQ(td.size(), sequential.decisions.size());
+    for (size_t i = 0; i < td.size(); ++i) {
+      EXPECT_EQ(td[i].seq, sequential.decisions[i].seq) << i;
+      EXPECT_EQ(td[i].txn_id, sequential.decisions[i].txn_id) << i;
+      EXPECT_EQ(td[i].committed, sequential.decisions[i].committed) << i;
+      EXPECT_TRUE(td[i].abort == sequential.decisions[i].abort)
+          << "seq " << td[i].seq << ": " << td[i].reason() << " vs "
+          << sequential.decisions[i].reason();
+    }
+    std::string diff;
+    auto same = PhysicallyEqual(
+        &threaded.registry(), threaded.pipeline().states().Latest().root,
+        &sequential.server.registry(), sequential.server.Latest().root,
+        &diff);
+    ASSERT_TRUE(same.ok()) << same.status().ToString();
+    EXPECT_TRUE(*same) << diff;
+    EXPECT_GT(threaded.pipeline().StatsSnapshot().handoff_blocked_pops, 0u);
+  }
 }
 
 // StatsSnapshot() taken mid-run reports only the atomically mirrored

@@ -35,7 +35,7 @@ from structure import SourceFile
 # Types that synchronize internally (or are the synchronization): holding
 # them unguarded next to a Mutex is the normal pattern, not a gap.
 _SYNC_TYPES = {
-    "Mutex", "CondVar", "MutexLock", "BoundedQueue", "SeqRing", "Tracer",
+    "Mutex", "CondVar", "MutexLock", "BoundedQueue", "Tracer",
     "MetricsRegistry", "ProviderHandle", "LatencyHistogram", "Counter",
 }
 

@@ -5,7 +5,7 @@ path"), so every `Mutex` and `CondVar` declared in src/meld or src/server
 is listed below as `file:name`, counted per declaration. Any other
 declaration — member, local or global — fails until this allowlist and
 DESIGN.md's lock inventory say, in the same change, why it cannot be a
-SeqRing hand-off or a resolver shard/stripe.
+BoundedQueue hand-off or a resolver shard/stripe.
 """
 
 from __future__ import annotations
@@ -48,6 +48,6 @@ class LockInventoryRule(Rule):
                     self.id, sf.rel_path, t.line,
                     f"new {t.text} '{name.text}' in the meld/server hot "
                     "path: list it in lock_inventory.py and DESIGN.md's "
-                    "lock inventory with why it cannot be a SeqRing "
-                    "hand-off or a resolver shard/stripe"))
+                    "lock inventory with why it cannot be a "
+                    "BoundedQueue hand-off or a resolver shard/stripe"))
         return out

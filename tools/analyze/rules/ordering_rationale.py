@@ -28,7 +28,6 @@ from structure import SourceFile
 # Files whose whole design is a documented lock-free protocol; per-site
 # comments there would restate the file header. Reviewed additions only.
 ALLOWLIST = (
-    "src/common/seq_ring.h",
     "src/common/trace.h",
     "src/common/trace.cc",
 )
