@@ -13,7 +13,9 @@
 // intention (PipelineStats::fm_resolver_locks: group + final meld only),
 // the hand-off FIFOs' sleeps (threaded only), the live pool nodes at the
 // end of the replay and the log reads (resolver refetches) per intention
-// during it.
+// during it. With --metrics-json, the dump carries each replay resolver's
+// registry counters: `resolver.threaded.*` live from the last threaded
+// replay, `resolver.sequential.*` as the sequential replay before it ended.
 //
 // Run with --json[=path] for machine-readable output; the committed
 // results/BENCH_pipeline_throughput.json holds runs of this bench with
@@ -22,11 +24,13 @@
 #include <algorithm>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "check.h"
 #include "common/random.h"
+#include "common/registry.h"
 #include "common/stopwatch.h"
 #include "meld/threaded_pipeline.h"
 #include "server/resolver.h"
@@ -98,6 +102,8 @@ struct RunResult {
   double sweep_ms = 0;      ///< Wall time inside SweepEphemerals.
   uint64_t arena_live = 0;  ///< Live pool nodes after the replay.
   uint64_t log_reads = 0;   ///< Log reads during the replay.
+  /// The replay resolver's metrics as the replay ended.
+  std::vector<std::pair<std::string, double>> resolver_metrics;
 };
 
 PipelineConfig MeldConfig(int threads) {
@@ -151,6 +157,9 @@ RunResult RunSequential(StripedLog* log,
   r.stats = pipeline.stats();
   r.arena_live = NodeArenaStats().live;
   r.log_reads = log->stats().reads - reads_before;
+  resolver.EmitMetrics("", [&r](const std::string& name, double value) {
+    r.resolver_metrics.emplace_back(name, value);
+  });
   return r;
 }
 
@@ -165,6 +174,10 @@ RunResult RunSequential(StripedLog* log,
 RunResult RunThreaded(StripedLog* log,
                       const std::vector<LogIntention>& stream, int threads) {
   ServerResolver resolver(log, ResolverOptions{});
+  ProviderHandle resolver_metrics = MetricsRegistry::Global().RegisterProvider(
+      "resolver.threaded", [&resolver](const MetricsRegistry::Emit& emit) {
+        resolver.EmitMetrics("", emit);
+      });
   PipelineConfig config = MeldConfig(threads);
   ThreadedPipeline pipeline(
       config, DatabaseState{0, Ref::Null()}, &resolver,
@@ -254,7 +267,18 @@ void Run() {
                    stream.size(), (unsigned long long)appended);
       std::abort();
     }
-    Report("sequential", t, stream.size(), RunSequential(&log, stream, t));
+    const RunResult sequential = RunSequential(&log, stream, t);
+    Report("sequential", t, stream.size(), sequential);
+    // That replay's resolver is gone: publish its final counters for the
+    // metrics dump the threaded replay writes.
+    ProviderHandle sequential_metrics =
+        MetricsRegistry::Global().RegisterProvider(
+            "resolver.sequential",
+            [&sequential](const MetricsRegistry::Emit& emit) {
+              for (const auto& [name, value] : sequential.resolver_metrics) {
+                emit(name, value);
+              }
+            });
     Report("threaded", t, stream.size(), RunThreaded(&log, stream, t));
   }
 

@@ -8,7 +8,7 @@ namespace hyder {
 /// Thread-local count of resolver-internal lock acquisitions.
 ///
 /// Every NodeResolver implementation bumps this counter once per internal
-/// mutex acquisition (shard locks, ephemeral-registry stripe locks, the
+/// mutex acquisition (shard locks, ephemeral-registry lane locks, the
 /// test registry's map lock). Because the counter is thread-local, a stage
 /// can charge itself exactly the resolver locking it performed — the meld
 /// pipeline snapshots the delta across final meld to expose how much shared-

@@ -165,18 +165,37 @@ Status SequentialPipeline::CheckNextSeq(uint64_t seq) const {
       "pipeline requires consecutive sequences; got " + std::to_string(seq));
 }
 
+Status SequentialPipeline::NoteFed(uint64_t txn_id) {
+  FedTxns& fed = fed_txns_[txn_id >> 40];
+  if (txn_id > fed.mark) {
+    // Slide the window up to txn_id, clearing the ids it leaves behind.
+    if (txn_id - fed.mark >= kFedTxnWindow) {
+      fed.seen.reset();
+    } else {
+      for (uint64_t id = fed.mark + 1; id < txn_id; ++id) {
+        fed.seen.reset(id % kFedTxnWindow);
+      }
+    }
+    fed.mark = txn_id;
+  } else if (fed.mark - txn_id >= kFedTxnWindow) {
+    return Status::OK();
+  } else if (fed.seen.test(txn_id % kFedTxnWindow)) {
+    return Status::Internal(
+        "transaction " + std::to_string(txn_id) +
+        " reached the meld pipeline twice — a retried append was not "
+        "deduplicated and would commit twice");
+  }
+  fed.seen.set(txn_id % kFedTxnWindow);
+  return Status::OK();
+}
+
 Result<std::vector<MeldDecision>> SequentialPipeline::Meld(
     IntentionPtr intent) {
   MeldThreadLockDelta lock_delta(&stats_);
   HYDER_RETURN_IF_ERROR(CheckNextSeq(intent->seq));
   // (Txn id 0 is only used by codec-level tests that feed bare intentions;
   // real servers always stamp a nonzero (server id, local seq) id.)
-  if (intent->txn_id != 0 && !fed_txns_.insert(intent->txn_id).second) {
-    return Status::Internal(
-        "transaction " + std::to_string(intent->txn_id) +
-        " reached the meld pipeline twice — a retried append was not "
-        "deduplicated and would commit twice");
-  }
+  if (intent->txn_id != 0) HYDER_RETURN_IF_ERROR(NoteFed(intent->txn_id));
   block_prefix_.push_back(block_prefix_.back() + intent->block_count);
   stats_.intentions++;
   if (config_.stage_probe) {

@@ -1,10 +1,11 @@
 #ifndef HYDER2_MELD_PIPELINE_H_
 #define HYDER2_MELD_PIPELINE_H_
 
+#include <bitset>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -202,8 +203,20 @@ class SequentialPipeline {
   /// Backstop against the duplicate-append ambiguity: the assembler filters
   /// retried copies before they reach the pipeline, so a transaction id
   /// arriving twice here means a layering bug that would decide (and could
-  /// commit) one transaction twice — fail loudly instead.
-  std::unordered_set<uint64_t> fed_txns_;
+  /// commit) one transaction twice — fail loudly instead. A retried copy
+  /// lands right behind its original, so the check keeps, per origin
+  /// (`txn_id >> 40`, the issuing server), only the ids fed among the
+  /// `kFedTxnWindow` below its highest: memory stays O(origins) however
+  /// long the log. Ids are not appended in id order (a transaction begun
+  /// earlier may commit later), so an id below the window passes unchecked.
+  static constexpr uint64_t kFedTxnWindow = 4096;
+  struct FedTxns {
+    uint64_t mark = 0;  ///< Highest id fed from this origin.
+    std::bitset<kFedTxnWindow> seen;  ///< Bit id % window, ids near mark.
+  };
+  /// Records `txn_id` as fed; Internal if it was fed before.
+  Status NoteFed(uint64_t txn_id);
+  std::unordered_map<uint64_t, FedTxns> fed_txns_;
 };
 
 }  // namespace hyder

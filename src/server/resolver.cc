@@ -10,11 +10,19 @@ namespace hyder {
 
 namespace {
 /// Lock stripes of the intention cache + directory (keyed by intention
-/// sequence) and of the ephemeral registry (keyed by VersionId hash).
-/// Premeld workers, the final-meld thread and the executors resolve
-/// concurrently; striping keeps them off one mutex.
+/// sequence). Premeld workers, the final-meld thread and the executors
+/// resolve concurrently; striping keeps them off one mutex.
 constexpr size_t kIntentionShards = 8;
-constexpr size_t kEphemeralStripes = 8;
+/// Ephemeral registry lanes with a window of their own: thread ids 0..15
+/// cover final meld, group meld and up to 14 premeld workers. Higher ids
+/// share the one overflow lane after them.
+constexpr uint32_t kWindowedLanes = 16;
+bool HasWindow(VersionId vn) { return vn.thread_id() < kWindowedLanes; }
+/// A sweep moves the survivors of the window's longest prefix that is at
+/// most 1/kSlotsPerLive live to the spill table, so a lane's window never
+/// holds more than kSlotsPerLive slots per live entry, however long a few
+/// old nodes survive.
+constexpr size_t kSlotsPerLive = 16;
 
 /// A MutexLock that also charges the acquisition to the thread-local
 /// resolver-lock counter (see common/lock_counter.h): the pipeline's
@@ -48,15 +56,112 @@ ServerResolver::ServerResolver(SharedLog* log, ResolverOptions options)
         capacity / shard_count + (s < capacity % shard_count ? 1 : 0);
     shards_.push_back(std::move(shard));
   }
-  eph_stripes_.reserve(kEphemeralStripes);
-  for (size_t s = 0; s < kEphemeralStripes; ++s) {
-    eph_stripes_.push_back(std::make_unique<EphemeralStripe>());
+  lanes_.reserve(kWindowedLanes + 1);
+  for (uint32_t l = 0; l <= kWindowedLanes; ++l) {
+    lanes_.push_back(std::make_unique<Lane>());
   }
 }
 
-ServerResolver::EphemeralStripe& ServerResolver::StripeFor(
-    VersionId vn) const {
-  return *eph_stripes_[std::hash<VersionId>{}(vn) % eph_stripes_.size()];
+ServerResolver::Lane& ServerResolver::LaneFor(VersionId vn) const {
+  return *lanes_[HasWindow(vn) ? vn.thread_id() : kWindowedLanes];
+}
+
+const NodePtr* ServerResolver::Lane::Find(VersionId vn) const {
+  const uint64_t seq = vn.sequence();
+  if (HasWindow(vn) && seq >= base) {
+    if (seq - base >= window.size()) return nullptr;
+    const NodePtr& slot = window[seq - base];
+    return slot ? &slot : nullptr;
+  }
+  auto it = spill.find(vn.raw());
+  return it == spill.end() ? nullptr : &it->second;
+}
+
+void ServerResolver::Lane::Register(const NodePtr& n) {
+  counters.registrations++;
+  const VersionId vn = n->vn();
+  const uint64_t seq = vn.sequence();
+  if (!HasWindow(vn) || seq < base) {
+    if (spill.insert_or_assign(vn.raw(), n).second) live++;
+    return;
+  }
+  const uint64_t end = base + window.size();
+  if (seq < end) {
+    NodePtr& slot = window[seq - base];
+    if (!slot) live++;
+    slot = n;
+    return;
+  }
+  if (seq > end) {
+    // A jump: a counter restored forward, or bootstrap's post-order. The
+    // window restarts at `seq`; what it held moves to the spill table in
+    // ascending order, so each entry appends there.
+    for (size_t i = 0; i < window.size(); ++i) {
+      if (!window[i]) continue;
+      spill.emplace_hint(spill.end(),
+                         VersionId::Ephemeral(vn.thread_id(), base + i).raw(),
+                         std::move(window[i]));
+    }
+    window.clear();
+    base = seq;
+  }
+  window.push_back(n);
+  live++;
+}
+
+size_t ServerResolver::Lane::Sweep() {
+  // RefCount == 1 means only the registry still holds the node: it is
+  // unreachable from every retained state, live intention and cache, so
+  // nothing can ever reference it again except a transaction whose
+  // snapshot has itself been retired (which is answered with
+  // SnapshotTooOld, the same as in the real system).
+  //
+  // One pass, oldest entry first. A node mostly holds older nodes, so
+  // dropping a dead parent leaves its dead children for the next sweep:
+  // each sweep frees one level of a dead cascade. That delay is
+  // load-bearing. The criterion is sound only while no retained state
+  // reaches an ephemeral node through a lazy logged edge, and Melder::Link
+  // can leave such edges behind (ROADMAP direction 1); sweeping until
+  // nothing drops frees whole cascades and makes
+  // `HYDER_BENCH_SCALE=10 pipeline_throughput` read a swept node.
+  size_t dropped = 0;
+  for (auto it = spill.begin(); it != spill.end();) {
+    counters.sweep_visited++;
+    if (it->second->RefCount() == 1) {
+      it = spill.erase(it);
+      dropped++;
+    } else {
+      ++it;
+    }
+  }
+  size_t kept = 0;
+  size_t cut = 0;  // Longest prefix at most 1/kSlotsPerLive live.
+  for (size_t i = 0; i < window.size(); ++i) {
+    NodePtr& slot = window[i];
+    if (slot) {
+      counters.sweep_visited++;
+      if (slot->RefCount() == 1) {
+        slot.Reset();
+        dropped++;
+      } else {
+        kept++;
+      }
+    }
+    if (kept * kSlotsPerLive <= i + 1) cut = i + 1;
+  }
+  for (size_t i = 0; i < cut; ++i) {
+    NodePtr& slot = window[i];
+    if (!slot) continue;
+    const uint32_t thread_id = slot->vn().thread_id();
+    spill.emplace_hint(spill.end(),
+                       VersionId::Ephemeral(thread_id, base + i).raw(),
+                       std::move(slot));
+  }
+  window.erase(window.begin(), window.begin() + std::ptrdiff_t(cut));
+  base += cut;
+  counters.sweep_dropped += dropped;
+  live -= dropped;
+  return dropped;
 }
 
 Result<NodePtr> ServerResolver::Resolve(VersionId vn) {
@@ -64,14 +169,13 @@ Result<NodePtr> ServerResolver::Resolve(VersionId vn) {
     return Status::InvalidArgument("cannot resolve a null version id");
   }
   if (vn.IsEphemeral()) {
-    EphemeralStripe& stripe = StripeFor(vn);
-    CountedLock lock(stripe.mu);
-    auto it = stripe.nodes.find(vn);
-    if (it == stripe.nodes.end()) {
-      return Status::SnapshotTooOld("ephemeral node " + vn.ToString() +
-                                    " has been retired");
-    }
-    return it->second;
+    Lane& lane = LaneFor(vn);
+    CountedLock lock(lane.mu);
+    lane.counters.lookups++;
+    if (const NodePtr* n = lane.Find(vn)) return *n;
+    lane.counters.retired_lookups++;
+    return Status::SnapshotTooOld("ephemeral node " + vn.ToString() +
+                                  " has been retired");
   }
   return ResolveLogged(vn);
 }
@@ -233,28 +337,16 @@ size_t ServerResolver::pinned_node_count() const {
 }
 
 void ServerResolver::RegisterEphemeral(const NodePtr& n) {
-  EphemeralStripe& stripe = StripeFor(n->vn());
-  CountedLock lock(stripe.mu);
-  stripe.nodes[n->vn()] = n;
+  Lane& lane = LaneFor(n->vn());
+  CountedLock lock(lane.mu);
+  lane.Register(n);
 }
 
 size_t ServerResolver::SweepEphemerals() {
   size_t dropped = 0;
-  for (auto& stripe : eph_stripes_) {
-    CountedLock lock(stripe->mu);
-    for (auto it = stripe->nodes.begin(); it != stripe->nodes.end();) {
-      // RefCount == 1 means only the registry still holds the node: it is
-      // unreachable from every retained state, live intention and cache, so
-      // nothing can ever reference it again except a transaction whose
-      // snapshot has itself been retired (which is answered with
-      // SnapshotTooOld, the same as in the real system).
-      if (it->second->RefCount() == 1) {
-        it = stripe->nodes.erase(it);
-        dropped++;
-      } else {
-        ++it;
-      }
-    }
+  for (auto& lane : lanes_) {
+    CountedLock lock(lane->mu);
+    dropped += lane->Sweep();
   }
   return dropped;
 }
@@ -300,9 +392,9 @@ size_t ServerResolver::cached_intentions() const {
 
 size_t ServerResolver::ephemeral_count() const {
   size_t total = 0;
-  for (const auto& stripe : eph_stripes_) {
-    CountedLock lock(stripe->mu);
-    total += stripe->nodes.size();
+  for (const auto& lane : lanes_) {
+    CountedLock lock(lane->mu);
+    total += lane->live;
   }
   return total;
 }
@@ -310,8 +402,29 @@ size_t ServerResolver::ephemeral_count() const {
 void ServerResolver::EmitMetrics(const std::string& prefix,
                                  const MetricEmit& emit) const {
   const std::string dot = prefix.empty() ? "" : prefix + ".";
+  LaneCounters sum;
+  size_t live = 0;
+  size_t slots = 0;
+  for (const auto& lane : lanes_) {
+    CountedLock lock(lane->mu);
+    sum.registrations += lane->counters.registrations;
+    sum.lookups += lane->counters.lookups;
+    sum.retired_lookups += lane->counters.retired_lookups;
+    sum.sweep_visited += lane->counters.sweep_visited;
+    sum.sweep_dropped += lane->counters.sweep_dropped;
+    live += lane->live;
+    slots += lane->window.size() + lane->spill.size();
+  }
   emit(dot + "cached_intentions", double(cached_intentions()));
-  emit(dot + "ephemeral_count", double(ephemeral_count()));
+  emit(dot + "ephemeral_count", double(live));
+  // Window slots (swept holes included) plus spill entries: what the
+  // registry's memory grows with, next to the live count.
+  emit(dot + "ephemeral_slots", double(slots));
+  emit(dot + "ephemeral_registrations", double(sum.registrations));
+  emit(dot + "ephemeral_lookups", double(sum.lookups));
+  emit(dot + "ephemeral_retired_lookups", double(sum.retired_lookups));
+  emit(dot + "ephemeral_sweep_visited", double(sum.sweep_visited));
+  emit(dot + "ephemeral_sweep_dropped", double(sum.sweep_dropped));
   emit(dot + "refetches", double(refetches()));
   emit(dot + "pinned_state_seq", double(pinned_state_seq()));
   emit(dot + "pinned_nodes", double(pinned_node_count()));

@@ -2,7 +2,9 @@
 #define HYDER2_SERVER_RESOLVER_H_
 
 #include <atomic>
+#include <deque>
 #include <list>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,17 +35,23 @@ struct ResolverOptions {
 /// materialized-intention cache backed by the shared log, ephemeral
 /// references through the registry fed by the meld pipeline's allocators.
 ///
-/// Both structures are lock-striped, into 8 shards and 8 stripes
-/// (constants in resolver.cc; the shard count is clamped to
-/// `intention_cache_capacity` so each shard holds at least one intention):
-/// an intention sequence maps to one shard holding its cache entry, LRU
-/// position and directory entry, so `Resolve` takes exactly one shard lock,
-/// and calls for different sequences from the premeld workers, the
-/// final-meld thread and the executors proceed in parallel.
-/// Eviction is LRU per shard; with capacity split evenly across shards and
-/// sequences striped round-robin (`seq % shards`), the aggregate behaves
-/// like a global LRU for the sequential access patterns that matter, and
-/// the global capacity bound is exact.
+/// The intention cache is lock-striped into 8 shards (a constant in
+/// resolver.cc, clamped to `intention_cache_capacity` so each shard holds
+/// at least one intention): an intention sequence maps to one shard holding
+/// its cache entry, LRU position and directory entry, so `Resolve` takes
+/// exactly one shard lock, and calls for different sequences from the
+/// premeld workers, the final-meld thread and the executors proceed in
+/// parallel. Eviction is LRU per shard; with capacity split evenly across
+/// shards and sequences striped round-robin (`seq % shards`), the aggregate
+/// behaves like a global LRU for the sequential access patterns that
+/// matter, and the global capacity bound is exact.
+///
+/// The ephemeral registry has one lane per allocator thread id (§3.4 names
+/// an ephemeral node by its meld thread and that thread's sequence number):
+/// final meld registers into lane 0, group meld into lane 1 and premeld
+/// worker w into lane 2 + w, each behind its own lock. A lane is an array
+/// indexed by sequence, so registering a freshly minted node is an append
+/// and a lookup is index arithmetic.
 ///
 /// Ephemeral nodes cannot be refetched (they are never logged, §2); a
 /// reference to a swept ephemeral yields `SnapshotTooOld`, which surfaces to
@@ -71,7 +79,9 @@ class ServerResolver : public NodeResolver {
   /// concurrently.
   void CacheIntention(uint64_t seq, std::shared_ptr<FlatIntentionView> view);
 
-  /// Registers an ephemeral node (meld allocator registrar hook).
+  /// Registers an ephemeral node (meld allocator registrar hook). Ids may
+  /// arrive in any order (checkpoint bootstrap registers a restored state's
+  /// nodes in post-order); registering an id again replaces its node.
   void RegisterEphemeral(const NodePtr& n);
 
   /// Installs the checkpoint-anchored resolution floor: the complete
@@ -88,10 +98,11 @@ class ServerResolver : public NodeResolver {
   uint64_t pinned_state_seq() const;
   size_t pinned_node_count() const;
 
-  /// Drops ephemeral entries that nothing else references. Safe at any
-  /// time; affects only this server's memory, never cross-server state.
+  /// Drops ephemeral entries that nothing else references, in one pass
+  /// over each lane from its oldest entry to its newest. Safe at any time;
+  /// affects only this server's memory, never cross-server state.
   /// `HyderServer::Poll` calls it every `ServerOptions::sweep_interval`
-  /// melds.
+  /// melds. Returns the number of entries dropped.
   size_t SweepEphemerals();
 
   struct DirectoryExport {
@@ -138,16 +149,43 @@ class ServerResolver : public NodeResolver {
     // hyder-check: allow(guard-completeness): set at construction, read-only
     size_t capacity = 0;
   };
-  /// One lock stripe of the ephemeral registry.
-  struct EphemeralStripe {
+  /// Work counters of one registry lane, summed by EmitMetrics.
+  struct LaneCounters {
+    uint64_t registrations = 0;
+    uint64_t lookups = 0;
+    uint64_t retired_lookups = 0;  ///< Lookups answered SnapshotTooOld.
+    uint64_t sweep_visited = 0;
+    uint64_t sweep_dropped = 0;
+  };
+  /// The registry entries of one allocator thread id. `window[i]` holds
+  /// sequence `base + i` (null once swept), so an allocator's mint order
+  /// appends. Registered ids below `base` live in `spill`, keyed by raw
+  /// id: the window only ever moves forward, so the two never overlap. An
+  /// id past the window's end restarts the window there, and a sweep cuts
+  /// the window's mostly-dead prefix; both move the entries they pass to
+  /// `spill`, so neither a gap in the ids nor a long-lived node costs
+  /// window slots. The overflow lane (thread ids without a lane of their
+  /// own) keeps everything in `spill`.
+  struct alignas(64) Lane {
     mutable Mutex mu;
-    std::unordered_map<VersionId, NodePtr> nodes GUARDED_BY(mu);
+    uint64_t base GUARDED_BY(mu) = 0;
+    std::deque<NodePtr> window GUARDED_BY(mu);
+    std::map<uint64_t, NodePtr> spill GUARDED_BY(mu);
+    /// Non-null window slots plus spill entries: the exact registry size.
+    size_t live GUARDED_BY(mu) = 0;
+    LaneCounters counters GUARDED_BY(mu);
+
+    /// The entry for `vn`, or null when it is absent or swept.
+    const NodePtr* Find(VersionId vn) const REQUIRES(mu);
+    void Register(const NodePtr& n) REQUIRES(mu);
+    /// One oldest-to-newest pass; then cuts the window's sparse prefix.
+    size_t Sweep() REQUIRES(mu);
   };
 
   Shard& ShardFor(uint64_t seq) const {
     return *shards_[seq % shards_.size()];
   }
-  EphemeralStripe& StripeFor(VersionId vn) const;
+  Lane& LaneFor(VersionId vn) const;
 
   Result<NodePtr> ResolveLogged(VersionId vn);
   NodePtr LookupPinned(VersionId vn) const EXCLUDES(pinned_mu_);
@@ -161,17 +199,17 @@ class ServerResolver : public NodeResolver {
   SharedLog* const log_;
   const ResolverOptions options_;
 
-  /// Lock order: at most one shard or stripe lock is ever held at a time
-  /// (the intention shards and the ephemeral stripes are disjoint id
-  /// spaces, and no operation spans two sequences' shards while holding
-  /// both). `pinned_mu_` is likewise only ever taken alone: the pinned
-  /// fallback runs after the shard lock is released.
+  /// Lock order: at most one shard or lane lock is ever held at a time
+  /// (the intention shards and the ephemeral lanes are disjoint id spaces,
+  /// and no operation spans two sequences' shards or two lanes while
+  /// holding both). `pinned_mu_` is likewise only ever taken alone: the
+  /// pinned fallback runs after the shard lock is released.
   /// Both vectors are sized at construction and never resized; each
   /// element synchronizes through its own embedded mutex.
   // hyder-check: allow(guard-completeness): fixed topology, per-element mu
   std::vector<std::unique_ptr<Shard>> shards_;
   // hyder-check: allow(guard-completeness): fixed topology, per-element mu
-  std::vector<std::unique_ptr<EphemeralStripe>> eph_stripes_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   mutable Mutex pinned_mu_;
   /// Checkpoint state S backing truncated-prefix resolution (see
   /// ReplacePinnedBase). 0 = nothing pinned.

@@ -90,6 +90,49 @@ TEST(PipelineTest, RejectsNonConsecutiveSequences) {
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
+/// Feeds a one-write intention straight to the engine with sequence `seq`,
+/// past the assembler (whose exact duplicate filter would otherwise drop a
+/// repeated transaction id), so the engine's own backstop answers.
+Result<std::vector<MeldDecision>> FeedTxn(TestServer& server, uint64_t seq,
+                                          uint64_t txn_id) {
+  IntentionBuilder b(kWorkspaceTagBit | txn_id, 0, Ref::Null(),
+                     IsolationLevel::kSerializable, nullptr);
+  HYDER_RETURN_IF_ERROR(b.Put(Key(seq), "v"));
+  HYDER_ASSIGN_OR_RETURN(std::vector<std::string> blocks,
+                         SerializeIntention(b, txn_id, kBlockSize));
+  IntentionAssembler assembler(seq);
+  for (const std::string& block : blocks) {
+    HYDER_ASSIGN_OR_RETURN(auto fed, assembler.AddBlock(block));
+    if (!fed.completed.has_value()) continue;
+    HYDER_ASSIGN_OR_RETURN(
+        IntentionPtr intent,
+        server.pipeline().Decode(*fed.completed,
+                                 server.pipeline().mutable_stats()));
+    server.registry().RegisterIntention(intent);
+    return server.pipeline().Process(intent);
+  }
+  return Status::Internal("intention never completed");
+}
+
+TEST(PipelineTest, RepeatedTxnIdIsInternal) {
+  TestServer server;
+  const uint64_t origin1 = uint64_t(1) << 40;
+  const uint64_t origin2 = uint64_t(2) << 40;
+  ASSERT_TRUE(FeedTxn(server, 1, origin1 | 1).ok());
+  ASSERT_TRUE(FeedTxn(server, 2, origin1 | 3).ok());
+  // A transaction begun earlier may commit later: a lower id is fine.
+  ASSERT_TRUE(FeedTxn(server, 3, origin1 | 2).ok());
+  // The same local sequence from another origin is another transaction.
+  ASSERT_TRUE(FeedTxn(server, 4, origin2 | 3).ok());
+  // A repeat of the origin's highest id, or of any id below it, is not.
+  for (uint64_t id : {origin1 | 3, origin1 | 2, origin1 | 1, origin2 | 3}) {
+    auto again = FeedTxn(server, 5, id);
+    EXPECT_TRUE(again.status().IsInternal()) << id << ": "
+                                             << again.status().ToString();
+  }
+  ASSERT_TRUE(FeedTxn(server, 5, origin1 | 4).ok());
+}
+
 TEST(PipelineTest, BlockPrefixTracksCumulativeBlocks) {
   TestServer server;
   Seed(server, nullptr, 50);

@@ -5,7 +5,7 @@ path"), so every `Mutex` and `CondVar` declared in src/meld or src/server
 is listed below as `file:name`, counted per declaration. Any other
 declaration — member, local or global — fails until this allowlist and
 DESIGN.md's lock inventory say, in the same change, why it cannot be a
-BoundedQueue hand-off or a resolver shard/stripe.
+BoundedQueue hand-off, a resolver shard or a registry lane.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ ALLOWLIST = collections.Counter({
     "src/meld/state_table.h:mu_": 1,
     "src/meld/state_table.h:published_": 1,
     "src/meld/threaded_pipeline.h:error_mu_": 1,
-    "src/server/resolver.h:mu": 2,  # Shard::mu, EphemeralStripe::mu
+    "src/server/resolver.h:mu": 2,  # Shard::mu, Lane::mu
     "src/server/resolver.h:pinned_mu_": 1,
 })
 
@@ -49,5 +49,6 @@ class LockInventoryRule(Rule):
                     f"new {t.text} '{name.text}' in the meld/server hot "
                     "path: list it in lock_inventory.py and DESIGN.md's "
                     "lock inventory with why it cannot be a "
-                    "BoundedQueue hand-off or a resolver shard/stripe"))
+                    "BoundedQueue hand-off, a resolver shard or a "
+                    "registry lane"))
         return out

@@ -24,8 +24,9 @@ REQUIRED_HISTOGRAMS = [
 HISTOGRAM_FIELDS = ["count", "mean", "min", "p50", "p90", "p99", "p999",
                     "max"]
 
-# Subsystem counter prefixes expected from a pipeline_throughput run.
-REQUIRED_METRIC_PREFIXES = ["pipeline.", "log.", "arena."]
+# Subsystem counter prefixes expected from a pipeline_throughput run
+# ("resolver." carries its replay resolvers' registry counters).
+REQUIRED_METRIC_PREFIXES = ["pipeline.", "log.", "arena.", "resolver."]
 
 # Tracks a traced pipeline run must produce (tools/trace_export names
 # sub-tracks "<stage>.tN" when a stage records on several threads).
