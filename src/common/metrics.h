@@ -118,13 +118,13 @@ struct PipelineStats {
   /// meld stages (`SequentialPipeline::Meld`/`Flush`), measured via the
   /// thread-local counter in common/lock_counter.h. Premeld is never
   /// charged, on either driver, even when it runs inline on the same
-  /// thread. The meld hot path's contention budget: parallel decode and
-  /// the sharded resolver exist to drive this down per intention.
+  /// thread. The meld hot path's contention budget per intention.
   uint64_t fm_resolver_locks = 0;
 
-  /// Hand-off FIFO contention (threaded pipeline only): premeld workers
-  /// that slept because their output FIFO was full (back-pressure), and
-  /// meld-thread pops that slept on an empty one (pipeline bubbles).
+  /// Lane FIFO contention (threaded pipeline only): pushes that slept on a
+  /// full FIFO, the caller's onto a lane's input or a worker's onto its
+  /// hand-off (the lanes are sized so that none does), and the caller's
+  /// pops that slept on an empty hand-off (pipeline bubbles).
   uint64_t handoff_blocked_pushes = 0;
   uint64_t handoff_blocked_pops = 0;
   /// Time those sleeps cost, in nanoseconds (the pipeline-latency shape of

@@ -59,14 +59,6 @@ struct PipelineConfig {
   bool group_meld = false;
   /// States retained for premeld and executor snapshots.
   uint64_t state_retention = 4096;
-  /// Capacity of each of the threaded pipeline's stage FIFOs: every premeld
-  /// worker has an input FIFO and an output FIFO to the meld thread (at
-  /// t == 0, the feeder has the one output FIFO). Bounds in-flight
-  /// intentions per stage — this is the back-pressure that ultimately
-  /// throttles the executors (§5.2). Larger values amortize wakeups on
-  /// oversubscribed hosts at the cost of memory and decision latency.
-  /// Ignored by the sequential engine.
-  size_t stage_queue_capacity = 64;
   /// Ablation only (bench/ablation_graft_fastpath): turn off the meld
   /// operator's subtree-graft fast path.
   bool disable_graft_fastpath = false;
@@ -102,10 +94,11 @@ AbortInfo MakeAdmissionRejectAbort();
 /// by index arithmetic (§3.4), so any thread may run it and the result is
 /// bit-identical however the stages are scheduled. `Process` runs them as
 /// ordinary calls in dependency order (the engine `HyderServer::Poll`
-/// drives); `ThreadedPipeline` runs the same stages on premeld workers and a
-/// meld thread. Each stage's CPU time and tree-node work is recorded per
-/// stage, which is what the evaluation's figures plot and what the
-/// calibrated throughput model consumes (see DESIGN.md, "Substitutions").
+/// drives); `ThreadedPipeline` runs decode and premeld on worker threads and
+/// the meld stages on its caller. Each stage's CPU time and tree-node work
+/// is recorded per stage, which is what the evaluation's figures plot and
+/// what the calibrated throughput model consumes (see DESIGN.md,
+/// "Substitutions").
 ///
 /// Threading contract: `Decode` may run on any thread. `Premeld` may run on
 /// t threads at once provided each intention v runs on the thread owning
