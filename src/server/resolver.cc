@@ -10,7 +10,7 @@ namespace hyder {
 
 namespace {
 /// Lock stripes of the intention cache + directory (keyed by intention
-/// sequence). Premeld workers, the final-meld thread and the executors
+/// sequence). The threaded driver's premeld workers and melding thread
 /// resolve concurrently; striping keeps them off one mutex.
 constexpr size_t kIntentionShards = 8;
 /// Ephemeral registry lanes with a window of their own: thread ids 0..15

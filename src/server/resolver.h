@@ -39,12 +39,15 @@ struct ResolverOptions {
 /// resolver.cc, clamped to `intention_cache_capacity` so each shard holds
 /// at least one intention): an intention sequence maps to one shard holding
 /// its cache entry, LRU position and directory entry, so `Resolve` takes
-/// exactly one shard lock, and calls for different sequences from the
-/// premeld workers, the final-meld thread and the executors proceed in
-/// parallel. Eviction is LRU per shard; with capacity split evenly across
-/// shards and sequences striped round-robin (`seq % shards`), the aggregate
-/// behaves like a global LRU for the sequential access patterns that
-/// matter, and the global capacity bound is exact.
+/// exactly one shard lock. A server resolves on its poll thread, where the
+/// meld stages and the executors both run, so the shards pay only under
+/// `ThreadedPipeline`, whose premeld workers resolve and cache in parallel
+/// with the melding thread (folded into one lock, its t = 2 and t = 5 rows
+/// ran 6–8% slower; EXPERIMENTS.md "The caller melds"). Eviction is LRU per
+/// shard; with capacity split evenly across shards and sequences striped
+/// round-robin (`seq % shards`), the aggregate behaves like a global LRU
+/// for the sequential access patterns that matter, and the global capacity
+/// bound is exact.
 ///
 /// The ephemeral registry has one lane per allocator thread id (§3.4 names
 /// an ephemeral node by its meld thread and that thread's sequence number):

@@ -19,7 +19,6 @@ from structure import SourceFile
 ALLOWLIST = collections.Counter({
     "src/meld/state_table.h:mu_": 1,
     "src/meld/state_table.h:published_": 1,
-    "src/meld/threaded_pipeline.h:error_mu_": 1,
     "src/server/resolver.h:mu": 2,  # Shard::mu, Lane::mu
     "src/server/resolver.h:pinned_mu_": 1,
 })
