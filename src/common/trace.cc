@@ -215,10 +215,11 @@ Result<std::vector<TraceEvent>> ParseTraceDump(const std::string& dump) {
     lineno++;
     if (line.empty()) continue;
     if (line[0] == '#') {
-      if (line.find("hyder-trace v1") != std::string::npos ||
-          line.find("hyder-trace v2") != std::string::npos) {
-        saw_header = true;
+      if (line.find("hyder-trace v1") != std::string::npos) {
+        return Status::NotSupported(
+            "trace dump: v1 dumps (no arg column) are no longer parsed");
       }
+      if (line.find("hyder-trace v2") != std::string::npos) saw_header = true;
       continue;
     }
     char stage_buf[32];
@@ -226,12 +227,10 @@ Result<std::vector<TraceEvent>> ParseTraceDump(const std::string& dump) {
     TraceEvent ev;
     unsigned tid = 0;
     unsigned arg = 0;
-    // v2 lines carry a trailing arg column; v1 lines (five fields) parse
-    // with arg = 0.
     const int fields =
         std::sscanf(line.c_str(), "%" SCNu64 " %u %31s %c %" SCNu64 " %u",
                     &ev.ts_nanos, &tid, stage_buf, &phase_ch, &ev.id, &arg);
-    if (fields != 5 && fields != 6) {
+    if (fields != 6) {
       return Status::InvalidArgument("trace dump: unparseable line " +
                                      std::to_string(lineno));
     }

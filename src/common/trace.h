@@ -145,8 +145,8 @@ inline void TraceInstant(TraceStage stage, uint64_t id, uint32_t arg = 0) {
 
 /// Raw dump, one line per event: `ts_nanos tid stage phase id arg`, with a
 /// `# hyder-trace v2` header. The stable on-disk hand-off between a traced
-/// run and tools/trace_export. The parser also accepts v1 dumps (five
-/// columns, no arg — arg reads as 0).
+/// run and tools/trace_export. The parser rejects v1 dumps (five columns,
+/// no arg) with NotSupported.
 std::string SerializeTraceDump(const std::vector<TraceEvent>& events);
 Result<std::vector<TraceEvent>> ParseTraceDump(const std::string& dump);
 

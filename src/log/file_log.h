@@ -18,13 +18,13 @@ namespace hyder {
 /// the paper prescribes for SSD-backed logs (§1: "the log should be stored
 /// on solid state disks").
 ///
-/// Slot layout (v2, current): [u32 len|kCrcFlag][u32 crc32c(payload)][payload]
-/// [zero padding]. The high bit of the length word marks the v2 format; the
-/// CRC covers the payload, so a slot whose stored bytes decayed surfaces as
-/// `DataLoss` on read instead of feeding garbage to meld. Files written by
-/// the pre-CRC layout ([u32 len][payload], no flag bit) are detected on open
-/// and keep working — reads skip the CRC check and appends continue the
-/// legacy layout so the file stays self-consistent.
+/// Slot layout: [u32 len|kCrcFlag][u32 crc32c(payload)][payload]
+/// [zero padding]. The high bit of the length word marks a written slot;
+/// the CRC covers the payload, so a slot whose stored bytes decayed
+/// surfaces as `DataLoss` on read instead of feeding garbage to meld. A file
+/// whose first slot is written without the flag bit (the retired pre-CRC
+/// layout, [u32 len][payload]) fails `Open` with `NotSupported` rather than
+/// being read as an empty log and overwritten.
 ///
 /// A length word of 0 marks an unwritten slot. Recovery derives the count of
 /// complete slots from the file size (one fstat), then walks the 4-byte
@@ -37,9 +37,10 @@ namespace hyder {
 /// mark is persisted to a tiny CRC'd sidecar (`<path>.lwm`) *before* the
 /// discarded slots are hole-punched (Linux `fallocate`), so a crash between
 /// the two steps loses space, never data — recovery trusts the sidecar and
-/// starts its tail walk at the mark. The sidecar also records the slot
-/// format, because once slot 0 is punched the length-word sniff would read
-/// zeros. Positions below the mark read as `Truncated`, never garbage.
+/// starts its tail walk at the mark. The sidecar also carries a format
+/// word, which must be 1 (the CRC'd slot layout); a sidecar with format 0,
+/// written for a pre-CRC log, fails `Open` with `NotSupported`. Positions
+/// below the mark read as `Truncated`, never garbage.
 ///
 /// Single-process writer; all servers in the process share one instance
 /// (matching the in-process cluster model). `Sync` controls whether each
@@ -53,7 +54,7 @@ class FileLog : public SharedLog {
     bool sync_each_append = false;
   };
 
-  /// High bit of the slot length word: set for the CRC'd v2 slot layout.
+  /// High bit of the slot length word: set on every written slot.
   static constexpr uint32_t kCrcFlag = 0x80000000u;
 
   /// Opens or creates the log at `path`, recovering the tail.
@@ -74,26 +75,20 @@ class FileLog : public SharedLog {
 
   LogStats stats() const EXCLUDES(mu_) override;
 
-  /// False when the file predates the CRC'd slot layout.
-  bool crc_protected() const { return format_v2_; }
-
   /// Sidecar file magic: "LWM" + format version 1.
   static constexpr uint32_t kLwmMagic = 0x4C574D31u;
 
  private:
   FileLog(std::string path, std::FILE* file, Options options, uint64_t tail,
-          bool format_v2, uint64_t low_water);
+          uint64_t low_water);
 
-  /// Writes `<path>.lwm` (magic, format flag, mark, CRC) via tmp+rename.
+  /// Writes `<path>.lwm` (magic, format word, mark, CRC) via tmp+rename.
   Status PersistLowWaterLocked(uint64_t low_water) REQUIRES(mu_);
 
-  /// v2 slots carry [len][crc]; legacy slots only [len].
-  size_t HeaderSize() const { return format_v2_ ? 8 : 4; }
-  size_t SlotSize() const { return options_.block_size + HeaderSize(); }
+  size_t SlotSize() const;
 
   const std::string path_;
   const Options options_;
-  const bool format_v2_;
   mutable Mutex mu_;
   std::FILE* file_ GUARDED_BY(mu_);
   uint64_t tail_ GUARDED_BY(mu_);  // Next position to assign (1-based).

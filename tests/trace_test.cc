@@ -159,17 +159,18 @@ TEST_F(TraceTest, DumpRoundTrip) {
 
 TEST_F(TraceTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseTraceDump("not a trace").ok());
-  EXPECT_FALSE(ParseTraceDump("# hyder-trace v1\n1 0 bogus B 1\n").ok());
-  EXPECT_TRUE(ParseTraceDump("# hyder-trace v1\n").ok());
+  EXPECT_FALSE(ParseTraceDump("# hyder-trace v2\n1 0 bogus B 1 0\n").ok());
+  EXPECT_TRUE(ParseTraceDump("# hyder-trace v2\n").ok());
 }
 
-TEST_F(TraceTest, ParseAcceptsV1DumpsWithoutArgColumn) {
-  // Pre-arg dumps (5 columns) parse with arg = 0; the header names v1.
-  auto parsed = ParseTraceDump("# hyder-trace v1\n1000 0 submit I 42\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].id, 42u);
-  EXPECT_EQ((*parsed)[0].arg, 0u);
+TEST_F(TraceTest, ParseRejectsV1Dumps) {
+  // Pre-arg dumps (5 columns, `# hyder-trace v1`) are refused by their
+  // header, and a 5-column line is unparseable under the v2 one.
+  auto v1 = ParseTraceDump("# hyder-trace v1\n1000 0 submit I 42\n");
+  EXPECT_TRUE(v1.status().IsNotSupported()) << v1.status().ToString();
+  auto short_line = ParseTraceDump("# hyder-trace v2\n1000 0 submit I 42\n");
+  EXPECT_TRUE(short_line.status().IsInvalidArgument())
+      << short_line.status().ToString();
 }
 
 TEST_F(TraceTest, StageNamesRoundTrip) {
