@@ -146,7 +146,7 @@ RunResult RunSequential(StripedLog* log,
   const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
   for (const LogIntention& li : stream) {
-    resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
+    resolver.RecordIntentionBlocks(li.seq, li.positions);
     auto intent = pipeline.Decode(li, pipeline.mutable_stats());
     HYDER_BENCH_CHECK_OK(intent);
     resolver.CacheIntention(li.seq, (*intent)->flats.front().second);
@@ -198,7 +198,7 @@ RunResult RunThreaded(StripedLog* log,
   const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
   for (const LogIntention& li : stream) {
-    resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
+    resolver.RecordIntentionBlocks(li.seq, li.positions);
     // Feeds a copy of the payload, as the log-poll thread hands it over.
     HYDER_BENCH_CHECK_OK(pipeline.Feed(li, &decisions));
     decisions.clear();
@@ -248,7 +248,7 @@ std::vector<double> DecodeLatencies(StripedLog* log,
   std::vector<double> us;
   us.reserve(stream.size());
   for (const LogIntention& li : stream) {
-    resolver.RecordIntentionBlocks(li.seq, li.positions, li.txn_id);
+    resolver.RecordIntentionBlocks(li.seq, li.positions);
     Stopwatch sw;
     auto intent =
         DeserializeIntention(li.payload, li.seq, li.block_count, li.txn_id);

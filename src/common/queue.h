@@ -55,15 +55,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push; returns false when full or closed.
-  bool TryPush(T item) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.Signal();
-    return true;
-  }
-
   /// Blocks while empty. Returns nullopt once closed *and* drained.
   std::optional<T> Pop(uint64_t trace_id = 0) EXCLUDES(mu_) {
     MutexLock lock(mu_);
@@ -81,27 +72,12 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> TryPop() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.Signal();
-    return item;
-  }
-
   /// Wakes all waiters; further pushes fail, pops drain remaining items.
   void Close() EXCLUDES(mu_) {
     MutexLock lock(mu_);
     closed_ = true;
     not_empty_.SignalAll();
     not_full_.SignalAll();
-  }
-
-  bool closed() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
   }
 
   size_t size() const EXCLUDES(mu_) {

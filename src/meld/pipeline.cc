@@ -166,7 +166,7 @@ Status SequentialPipeline::CheckNextSeq(uint64_t seq) const {
 }
 
 Status SequentialPipeline::NoteFed(uint64_t txn_id) {
-  FedTxns& fed = fed_txns_[txn_id >> 40];
+  FedTxns& fed = fed_txns_[TxnOrigin(txn_id)];
   if (txn_id > fed.mark) {
     // Slide the window up to txn_id, clearing the ids it leaves behind.
     if (txn_id - fed.mark >= kFedTxnWindow) {

@@ -198,7 +198,7 @@ class SequentialPipeline {
   /// arriving twice here means a layering bug that would decide (and could
   /// commit) one transaction twice — fail loudly instead. A retried copy
   /// lands right behind its original, so the check keeps, per origin
-  /// (`txn_id >> 40`, the issuing server), only the ids fed among the
+  /// (`TxnOrigin`, the issuing server), only the ids fed among the
   /// `kFedTxnWindow` below its highest: memory stays O(origins) however
   /// long the log. Ids are not appended in id order (a transaction begun
   /// earlier may commit later), so an id below the window passes unchecked.

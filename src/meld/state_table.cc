@@ -8,10 +8,18 @@ StateTable::StateTable(uint64_t capacity, DatabaseState initial)
 }
 
 void StateTable::Publish(DatabaseState state) {
-  MutexLock lock(mu_);
-  states_.push_back(std::move(state));
-  while (states_.size() > capacity_) states_.pop_front();
-  published_.SignalAll();
+  // Destroy the state that leaves the window outside the lock, as
+  // RetireBelow does: dropping its root can free many nodes.
+  DatabaseState retired;
+  {
+    MutexLock lock(mu_);
+    states_.push_back(std::move(state));
+    if (states_.size() > capacity_) {
+      retired = std::move(states_.front());
+      states_.pop_front();
+    }
+    published_.SignalAll();
+  }
 }
 
 Result<DatabaseState> StateTable::WaitFor(uint64_t seq) {

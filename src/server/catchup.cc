@@ -121,7 +121,7 @@ Status CatchUpSession::StepReplay() {
   }
   report_.replayed_decisions += polled->size();
   if (server_->next_read_position() >= log_->Tail() &&
-      server_->assembler_pending() == 0) {
+      server_->assembler().pending() == 0) {
     // Caught up to the tail as observed now; later appends are ordinary
     // tailing work. Open for business.
     server_->set_serve_state(HyderServer::ServeState::kServing);

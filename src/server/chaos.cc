@@ -227,7 +227,7 @@ void ChaosDriver::PollServing() {
     for (const MeldDecision& d : *polled) {
       // Count each decision once, at its owning server (approximate when
       // the owner is down: orphans are decided but unattributed).
-      if ((d.txn_id >> 40) == uint64_t(r.id) + 1) {
+      if (TxnOrigin(d.txn_id) == TxnOrigin(MakeTxnId(r.id, 0))) {
         if (d.committed) {
           report_.txns_committed++;
         } else {
@@ -243,7 +243,7 @@ void ChaosDriver::MaybeCheckpoint() {
   std::vector<HyderServer*> ready;
   for (HyderServer* s : ServingServers()) {
     if (s->next_read_position() >= log_.Tail() &&
-        s->assembler_pending() == 0 && !s->pipeline().has_pending_group()) {
+        s->assembler().pending() == 0 && !s->pipeline().has_pending_group()) {
       ready.push_back(s);
     }
   }
@@ -375,7 +375,7 @@ Status ChaosDriver::Epilogue() {
     bool inflight = false;
     for (HyderServer* s : ServingServers()) {
       if (s->next_read_position() < log_.Tail() ||
-          s->assembler_pending() != 0) {
+          s->assembler().pending() != 0) {
         at_tail = false;
       }
       // A buffered group-pair member also needs draining: checkpoints are

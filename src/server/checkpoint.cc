@@ -105,7 +105,7 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
 }  // namespace
 
 Result<CheckpointInfo> WriteCheckpoint(HyderServer& server) {
-  if (server.assembler_pending() != 0) {
+  if (server.assembler().pending() != 0) {
     return Status::Busy(
         "cannot checkpoint with partially assembled intentions in flight; "
         "poll to quiescence first");
@@ -132,7 +132,6 @@ Result<CheckpointInfo> WriteCheckpoint(HyderServer& server) {
   PutVarint64(&payload, directory.size());
   for (const auto& entry : directory) {
     PutVarint64(&payload, entry.seq);
-    PutVarint64(&payload, entry.txn_id);
     PutVarint64(&payload, entry.positions.size());
     for (uint64_t pos : entry.positions) PutVarint64(&payload, pos);
   }
@@ -156,20 +155,17 @@ Result<CheckpointInfo> WriteCheckpoint(HyderServer& server) {
   const std::vector<uint64_t> counters = server.pipeline().EphemeralCounters();
   PutVarint64(&payload, counters.size());
   for (uint64_t c : counters) PutVarint64(&payload, c);
-  // Per-origin txn-id floors. The directory above only names intentions the
-  // checkpoint state still references; ids of fully superseded intentions
-  // and of orphaned partial appends live only in log block headers — which
-  // truncation at this checkpoint may reclaim. The writer is at the tail
-  // (quiescence checks above), so its observed floors cover every header in
-  // the log; a bootstrapping server seeds from them and can never re-issue
-  // a (server id, local seq) pair that still has blocks anywhere.
-  std::map<uint64_t, uint64_t> floors = server.txn_floors();
-  uint64_t& own = floors[uint64_t(server.options().server_id) + 1];
-  own = std::max(own, server.next_local_txn());
-  PutVarint64(&payload, floors.size());
-  for (const auto& [origin, floor] : floors) {
+  // Per-origin txn-id records (IntentionAssembler::OriginRecord). The
+  // writer is at the tail with no partial assembly (the checks above), so
+  // each `floor` covers every block header in the log, truncated prefix
+  // included, and each `last` names the one intention of its origin whose
+  // retried copy can still land after resume_position.
+  const auto& origins = server.assembler().origins();
+  PutVarint64(&payload, origins.size());
+  for (const auto& [origin, record] : origins) {
     PutVarint64(&payload, origin);
-    PutVarint64(&payload, floor);
+    PutVarint64(&payload, record.floor);
+    PutVarint64(&payload, record.last);
   }
 
   // Chop into checkpoint-tagged blocks.
@@ -327,7 +323,6 @@ Result<std::unique_ptr<HyderServer>> BootstrapFromCheckpoint(
     ServerResolver::DirectoryExport entry;
     uint64_t npos = 0;
     if ((p = GetVarint64(p, limit, &entry.seq)) == nullptr ||
-        (p = GetVarint64(p, limit, &entry.txn_id)) == nullptr ||
         (p = GetVarint64(p, limit, &npos)) == nullptr) {
       return Status::Corruption("truncated checkpoint directory");
     }
@@ -351,53 +346,38 @@ Result<std::unique_ptr<HyderServer>> BootstrapFromCheckpoint(
   HYDER_ASSIGN_OR_RETURN(
       Ref root,
       DeserializeState(p, limit, node_count, &server->resolver(), &pinned));
-  // Ephemeral allocator counters (absent in older checkpoints, which predate
-  // ephemeral-bearing states and thus implicitly carry all-zero counters).
-  std::vector<uint64_t> counters;
-  if (p != limit) {
-    uint64_t counter_count = 0;
-    if ((p = GetVarint64(p, limit, &counter_count)) == nullptr) {
-      return Status::Corruption("truncated checkpoint allocator counters");
-    }
-    counters.reserve(counter_count);
-    for (uint64_t i = 0; i < counter_count; ++i) {
-      uint64_t c = 0;
-      if ((p = GetVarint64(p, limit, &c)) == nullptr) {
-        return Status::Corruption("truncated checkpoint allocator counter");
-      }
-      counters.push_back(c);
-    }
+  uint64_t counter_count = 0;
+  if ((p = GetVarint64(p, limit, &counter_count)) == nullptr) {
+    return Status::Corruption("truncated checkpoint allocator counters");
   }
-  // Per-origin txn-id floors (absent in older checkpoints; the directory
-  // loop below then provides best-effort coverage).
-  std::map<uint64_t, uint64_t> floors;
-  if (p != limit) {
-    uint64_t floor_count = 0;
-    if ((p = GetVarint64(p, limit, &floor_count)) == nullptr) {
-      return Status::Corruption("truncated checkpoint txn floors");
+  std::vector<uint64_t> counters;
+  for (uint64_t i = 0; i < counter_count; ++i) {
+    uint64_t c = 0;
+    if ((p = GetVarint64(p, limit, &c)) == nullptr) {
+      return Status::Corruption("truncated checkpoint allocator counter");
     }
-    for (uint64_t i = 0; i < floor_count; ++i) {
-      uint64_t origin = 0, floor = 0;
-      if ((p = GetVarint64(p, limit, &origin)) == nullptr ||
-          (p = GetVarint64(p, limit, &floor)) == nullptr) {
-        return Status::Corruption("truncated checkpoint txn floor entry");
-      }
-      floors[origin] = floor;
+    counters.push_back(c);
+  }
+  uint64_t origin_count = 0;
+  if ((p = GetVarint64(p, limit, &origin_count)) == nullptr) {
+    return Status::Corruption("truncated checkpoint origins");
+  }
+  std::map<uint64_t, IntentionAssembler::OriginRecord> origins;
+  for (uint64_t i = 0; i < origin_count; ++i) {
+    uint64_t origin = 0;
+    IntentionAssembler::OriginRecord record;
+    if ((p = GetVarint64(p, limit, &origin)) == nullptr ||
+        (p = GetVarint64(p, limit, &record.floor)) == nullptr ||
+        (p = GetVarint64(p, limit, &record.last)) == nullptr) {
+      return Status::Corruption("truncated checkpoint origin record");
     }
+    origins[origin] = record;
   }
   if (p != limit) {
     return Status::Corruption("trailing bytes after checkpoint");
   }
   server->pipeline().RestoreEphemeralCounters(counters);
-  // Id-space recovery: the directory names every pre-checkpoint intention,
-  // so a server restarting under its old id advances its local sequence
-  // counter past everything it issued in previous incarnations (the log
-  // replay from resume_position covers the rest).
-  for (const auto& entry : directory) server->ObserveTxnId(entry.txn_id);
-  // ...and the explicit floors cover what the directory cannot: superseded
-  // intentions and orphaned partial appends whose only trace was a block
-  // header in the (possibly truncated) prefix.
-  server->SeedTxnFloors(floors);
+  server->assembler().SeedOrigins(origins);
   server->resolver().ImportDirectory(directory);
   // The reconstructed state is this server's resolution floor: directory
   // refetches that hit a truncated prefix fall back to it (the checkpoint

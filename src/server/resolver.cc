@@ -196,7 +196,7 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
                               std::to_string(vn.intention_seq()));
   };
   Status miss = Status::OK();
-  DirectoryEntry dir;
+  std::vector<uint64_t> positions;
   bool have_dir = false;
   {
     CountedLock lock(shard.mu);
@@ -213,12 +213,12 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
                               std::to_string(seq));
     } else {
       // Copy the entry so the fetch + decode can run without the lock.
-      dir = d->second;
+      positions = d->second;
       have_dir = true;
     }
   }
   if (have_dir) {
-    auto decoded = RefetchIntention(seq, dir);
+    auto decoded = RefetchIntention(seq, positions);
     if (decoded.ok()) {
       CountedLock lock(shard.mu);
       auto [it, inserted] = shard.intentions.try_emplace(seq);
@@ -250,13 +250,13 @@ Result<NodePtr> ServerResolver::ResolveLogged(VersionId vn) {
 }
 
 Result<std::shared_ptr<FlatIntentionView>> ServerResolver::RefetchIntention(
-    uint64_t seq, const DirectoryEntry& dir) {
+    uint64_t seq, const std::vector<uint64_t>& positions) {
   // Refetch from the log: the paper's "random access to the log" path
   // (§1) taken when data is not in this server's partial cached copy.
   // Relaxed: stats only; cache mutations are ordered by the shard lock.
   refetches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::string> chunks(dir.positions.size());
-  for (uint64_t pos : dir.positions) {
+  std::vector<std::string> chunks(positions.size());
+  for (uint64_t pos : positions) {
     // Transient read errors retry; DataLoss and the like surface — the
     // refetch has no other copy to fall back on.
     HYDER_ASSIGN_OR_RETURN(
@@ -293,11 +293,10 @@ void ServerResolver::EvictLocked(Shard& shard) {
 }
 
 void ServerResolver::RecordIntentionBlocks(uint64_t seq,
-                                           std::vector<uint64_t> positions,
-                                           uint64_t txn_id) {
+                                           std::vector<uint64_t> positions) {
   Shard& shard = ShardFor(seq);
   CountedLock lock(shard.mu);
-  shard.directory[seq] = DirectoryEntry{std::move(positions), txn_id};
+  shard.directory[seq] = std::move(positions);
 }
 
 void ServerResolver::CacheIntention(uint64_t seq,
@@ -357,8 +356,8 @@ std::vector<ServerResolver::DirectoryExport> ServerResolver::ExportDirectory()
   for (const auto& shard : shards_) {
     CountedLock lock(shard->mu);
     out.reserve(out.size() + shard->directory.size());
-    for (const auto& [seq, entry] : shard->directory) {
-      out.push_back(DirectoryExport{seq, entry.txn_id, entry.positions});
+    for (const auto& [seq, positions] : shard->directory) {
+      out.push_back(DirectoryExport{seq, positions});
     }
   }
   // Gathered shard by shard (never holding two shard locks), then sorted so
@@ -377,7 +376,7 @@ void ServerResolver::ImportDirectory(
   for (const DirectoryExport& e : entries) {
     Shard& shard = ShardFor(e.seq);
     CountedLock lock(shard.mu);
-    shard.directory[e.seq] = DirectoryEntry{e.positions, e.txn_id};
+    shard.directory[e.seq] = e.positions;
   }
 }
 

@@ -72,8 +72,7 @@ class ServerResolver : public NodeResolver {
 
   /// Records that intention `seq` lives in the given log block positions
   /// (called by the log reader as intentions complete).
-  void RecordIntentionBlocks(uint64_t seq, std::vector<uint64_t> positions,
-                             uint64_t txn_id);
+  void RecordIntentionBlocks(uint64_t seq, std::vector<uint64_t> positions);
 
   /// Caches a freshly deserialized intention's view. Cached lookups
   /// materialize nodes lazily through `FlatIntentionView::NodeAt`, which
@@ -110,7 +109,6 @@ class ServerResolver : public NodeResolver {
 
   struct DirectoryExport {
     uint64_t seq;
-    uint64_t txn_id;
     std::vector<uint64_t> positions;
   };
   /// Snapshot of the intention directory (for checkpoints), sorted by
@@ -136,17 +134,15 @@ class ServerResolver : public NodeResolver {
     std::shared_ptr<FlatIntentionView> view;
     std::list<uint64_t>::iterator lru_pos;
   };
-  struct DirectoryEntry {
-    std::vector<uint64_t> positions;
-    uint64_t txn_id = 0;
-  };
   /// One lock stripe of the intention cache: the cache entries, LRU order
-  /// and directory entries of the sequences mapping to this shard.
+  /// and directory entries (the log positions of each intention's blocks)
+  /// of the sequences mapping to this shard.
   struct Shard {
     mutable Mutex mu;
     std::unordered_map<uint64_t, CachedIntention> intentions GUARDED_BY(mu);
     std::list<uint64_t> lru GUARDED_BY(mu);  // Front = most recently used.
-    std::unordered_map<uint64_t, DirectoryEntry> directory GUARDED_BY(mu);
+    std::unordered_map<uint64_t, std::vector<uint64_t>> directory
+        GUARDED_BY(mu);
     /// This shard's slice of intention_cache_capacity (set once at
     /// construction, read-only afterwards).
     // hyder-check: allow(guard-completeness): set at construction, read-only
@@ -195,7 +191,7 @@ class ServerResolver : public NodeResolver {
   /// The random log read path (§1): fetches `seq`'s blocks and parses
   /// them into a view, with no shard lock held.
   Result<std::shared_ptr<FlatIntentionView>> RefetchIntention(
-      uint64_t seq, const DirectoryEntry& dir);
+      uint64_t seq, const std::vector<uint64_t>& positions);
   void TouchLocked(Shard& shard, uint64_t seq) REQUIRES(shard.mu);
   void EvictLocked(Shard& shard) REQUIRES(shard.mu);
 

@@ -1,7 +1,7 @@
 #include "server/server.h"
 
-
 #include <algorithm>
+
 #include "common/stopwatch.h"
 #include "common/trace.h"
 
@@ -60,9 +60,15 @@ HyderServer::HyderServer(SharedLog* log, ServerOptions options,
 
 Transaction HyderServer::Begin() { return Begin(options_.default_isolation); }
 
+uint64_t HyderServer::NextTxnId() {
+  const auto& origins = assembler_.origins();
+  auto own = origins.find(TxnOrigin(MakeTxnId(options_.server_id, 0)));
+  if (own != origins.end()) next_txn_ = std::max(next_txn_, own->second.floor);
+  return MakeTxnId(options_.server_id, next_txn_++);
+}
+
 Transaction HyderServer::Begin(IsolationLevel isolation) {
-  const uint64_t txn_id =
-      (uint64_t(options_.server_id + 1) << 40) | next_txn_++;
+  const uint64_t txn_id = NextTxnId();
   DatabaseState snapshot = pipeline_.states().Latest();
   IntentionBuilder builder(kWorkspaceTagBit | txn_id, snapshot.seq,
                            snapshot.root, isolation, &resolver_);
@@ -71,8 +77,7 @@ Transaction HyderServer::Begin(IsolationLevel isolation) {
 
 Result<Transaction> HyderServer::BeginAt(uint64_t seq,
                                           IsolationLevel isolation) {
-  const uint64_t txn_id =
-      (uint64_t(options_.server_id + 1) << 40) | next_txn_++;
+  const uint64_t txn_id = NextTxnId();
   HYDER_ASSIGN_OR_RETURN(DatabaseState snapshot,
                          pipeline_.states().Get(seq));
   IntentionBuilder builder(kWorkspaceTagBit | txn_id, snapshot.seq,
@@ -155,23 +160,6 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
       // server skips it identically, preserving sequence determinism.
       continue;
     }
-    ObserveTxnId(header.txn_id);
-    if (!bootstrap_txn_floors_.empty()) {
-      // A retried-append copy of a pre-checkpoint intention can land above
-      // the checkpoint's resume position. Veterans drop it through their
-      // assembler's seen-state; a bootstrapped server has no such memory,
-      // so it filters by the checkpoint's per-origin floors instead (every
-      // id below the floor was decided — or orphaned and abandoned —
-      // before the checkpoint; per-origin append order guarantees no NEW
-      // id below the floor can first appear above resume).
-      const uint64_t origin = header.txn_id >> 40;
-      auto floor = bootstrap_txn_floors_.find(origin);
-      if (floor != bootstrap_txn_floors_.end() &&
-          (header.txn_id & ((1ull << 40) - 1)) < floor->second) {
-        duplicate_blocks_++;
-        continue;
-      }
-    }
     HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(block));
     if (fed.duplicate) {
       // Retried-append copy; the original already accounted this block.
@@ -187,8 +175,7 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
 
     auto positions = std::move(partial_positions_[header.txn_id]);
     partial_positions_.erase(header.txn_id);
-    resolver_.RecordIntentionBlocks(done->seq, std::move(positions),
-                                    done->txn_id);
+    resolver_.RecordIntentionBlocks(done->seq, std::move(positions));
 
     // All of the intention's blocks are durable and assembled: stamp for
     // the durable->decision histogram (consumed below once meld decides).
@@ -275,34 +262,6 @@ Status HyderServer::PinStateForTruncation(uint64_t state_seq) {
   // contract as the retention window).
   pipeline_.states().RetireBelow(state_seq);
   return Status::OK();
-}
-
-void HyderServer::ObserveTxnId(uint64_t txn_id) {
-  if (txn_id & (1ull << 63)) return;  // Checkpoint marker, not a txn id.
-  const uint64_t origin = txn_id >> 40;
-  const uint64_t local_seq = txn_id & ((1ull << 40) - 1);
-  // Track every origin, not just our own: a checkpoint written by this
-  // server must carry floors other servers can restart from once the log
-  // prefix holding their ids is truncated (see txn_floors()).
-  uint64_t& floor = txn_floors_[origin];
-  if (local_seq >= floor) floor = local_seq + 1;
-  if (origin != uint64_t(options_.server_id) + 1) return;
-  if (local_seq >= next_txn_) next_txn_ = local_seq + 1;
-}
-
-void HyderServer::SeedTxnFloors(const std::map<uint64_t, uint64_t>& floors) {
-  for (const auto& [origin, floor] : floors) {
-    uint64_t& mine = txn_floors_[origin];
-    mine = std::max(mine, floor);
-    // The bootstrap-time snapshot stays frozen: it gates only late copies
-    // of PRE-checkpoint intentions (see Poll); post-bootstrap duplicates
-    // are the assembler's job, exactly as on a veteran.
-    uint64_t& boot = bootstrap_txn_floors_[origin];
-    boot = std::max(boot, floor);
-    if (origin == uint64_t(options_.server_id) + 1 && floor > next_txn_) {
-      next_txn_ = floor;
-    }
-  }
 }
 
 std::optional<bool> HyderServer::Outcome(uint64_t txn_id) const {

@@ -1,7 +1,6 @@
 #ifndef HYDER2_SERVER_SERVER_H_
 #define HYDER2_SERVER_SERVER_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -136,9 +135,10 @@ class HyderServer {
   ServerResolver& resolver() { return resolver_; }
   const ServerOptions& options() const { return options_; }
   SharedLog* log() { return log_; }
-  /// Intentions whose blocks are only partially seen (checkpoint quiescence
-  /// check).
-  size_t assembler_pending() const { return assembler_.pending(); }
+  /// The block reassembler, owner of the per-origin txn-id records that
+  /// checkpoints export and bootstrap seeds; its `pending()` is the
+  /// checkpoint quiescence check.
+  IntentionAssembler& assembler() { return assembler_; }
   /// The next log position this server will read.
   uint64_t next_read_position() const { return next_read_pos_; }
   /// Blocks dropped while tailing: torn/garbage blocks that fail header
@@ -146,34 +146,6 @@ class HyderServer {
   uint64_t skipped_blocks() const { return skipped_blocks_; }
   /// Retried-append duplicate blocks filtered by the assembler.
   uint64_t duplicate_blocks() const { return duplicate_blocks_; }
-
-  /// Crash-recovery id-space repair: notes a transaction id observed in the
-  /// log (or a checkpoint directory) and, when it belongs to this server's
-  /// id, advances the local sequence counter past it. A restarted server
-  /// replaying the log therefore never re-issues a (server id, local seq)
-  /// pair from a previous incarnation — the invariant the duplicate-append
-  /// filter rests on. Called internally by `Poll`; checkpoint bootstrap
-  /// calls it for every directory entry.
-  void ObserveTxnId(uint64_t txn_id);
-
-  /// Next-unissued local sequence per origin (`txn_id >> 40`), covering
-  /// every block header this server has read plus everything seeded from a
-  /// checkpoint. A checkpoint writer — at the tail by the quiescence
-  /// checks — exports this map so bootstrapping servers recover their id
-  /// floor even for intentions the checkpoint directory no longer names
-  /// (fully superseded ones, and orphaned partial appends) whose log
-  /// blocks truncation may since have reclaimed. Without it a restarted
-  /// server could re-issue such an id, and the duplicate-append filter
-  /// would weld chunks of two different intentions together.
-  const std::map<uint64_t, uint64_t>& txn_floors() const {
-    return txn_floors_;
-  }
-  /// Raises the per-origin floors (and this server's own sequence counter)
-  /// to at least `floors`. Checkpoint bootstrap only.
-  void SeedTxnFloors(const std::map<uint64_t, uint64_t>& floors);
-  /// This server's own next local sequence (the floor it would need after
-  /// a restart).
-  uint64_t next_local_txn() const { return next_txn_; }
 
   ServeState serve_state() const { return serve_state_; }
   /// Transitions the degradation state machine (catch-up driver only).
@@ -191,19 +163,17 @@ class HyderServer {
   Status PinStateForTruncation(uint64_t state_seq);
 
  private:
+  uint64_t NextTxnId();
+
   SharedLog* const log_;
   const ServerOptions options_;
   ServerResolver resolver_;
   SequentialPipeline pipeline_;
   IntentionAssembler assembler_;
+  /// This server's next local sequence; `NextTxnId` raises it to the
+  /// assembler's floor for this origin, so a restarted server never
+  /// re-issues an id an earlier incarnation left in the log.
   uint64_t next_txn_ = 1;
-  /// See txn_floors(). Ordered so checkpoint serialization is canonical.
-  std::map<uint64_t, uint64_t> txn_floors_;
-  /// Frozen copy of the floors seeded at checkpoint bootstrap; Poll drops
-  /// blocks below them (late retried-append copies of pre-checkpoint
-  /// intentions a fresh assembler would otherwise re-meld). Empty on
-  /// servers that replayed from the log's start.
-  std::map<uint64_t, uint64_t> bootstrap_txn_floors_;
   uint64_t next_read_pos_;
   ServeState serve_state_ = ServeState::kServing;
   uint64_t melds_since_sweep_ = 0;

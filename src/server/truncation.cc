@@ -53,7 +53,7 @@ Result<TruncationReport> TruncationCoordinator::TruncateToCheckpoint(
                           std::to_string(server->options().server_id) +
                           " has not rolled forward to the tail");
     }
-    if (server->assembler_pending() != 0) {
+    if (server->assembler().pending() != 0) {
       failures_++;
       return Status::Busy("server " +
                           std::to_string(server->options().server_id) +

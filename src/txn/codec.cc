@@ -1,5 +1,7 @@
 #include "txn/codec.h"
 
+#include <algorithm>
+
 #include "common/varint.h"
 #include "txn/flat_view.h"
 #include "txn/wire_format.h"
@@ -200,6 +202,8 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
 Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
     std::string_view block) {
   HYDER_ASSIGN_OR_RETURN(BlockHeader h, DecodeBlockHeader(block));
+  OriginRecord& origin = origins_[TxnOrigin(h.txn_id)];
+  origin.floor = std::max(origin.floor, TxnLocalSeq(h.txn_id) + 1);
   FeedOutcome out;
   if (completed_.count(h.txn_id) != 0) {
     // A retried append landed a second copy of a block whose intention has
@@ -245,8 +249,17 @@ Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
   }
   partial_.erase(h.txn_id);
   completed_.insert(h.txn_id);
+  origin.last = h.txn_id;
   out.completed = std::move(done);
   return out;
+}
+
+void IntentionAssembler::SeedOrigins(
+    const std::map<uint64_t, OriginRecord>& origins) {
+  origins_ = origins;
+  for (const auto& [origin, record] : origins_) {
+    if (record.last != 0) completed_.insert(record.last);
+  }
 }
 
 }  // namespace hyder

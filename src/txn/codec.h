@@ -1,6 +1,7 @@
 #ifndef HYDER2_TXN_CODEC_H_
 #define HYDER2_TXN_CODEC_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,6 +50,19 @@ struct BlockHeader {
 void EncodeBlockHeader(const BlockHeader& h, std::string* out);
 Result<BlockHeader> DecodeBlockHeader(std::string_view block);
 
+/// Transaction ids: the origin — the issuing server's id + 1, so no real id
+/// is 0 — above a 40-bit local sequence the origin never reuses.
+constexpr int kTxnLocalSeqBits = 40;
+constexpr uint64_t MakeTxnId(int server_id, uint64_t local_seq) {
+  return ((uint64_t(server_id) + 1) << kTxnLocalSeqBits) | local_seq;
+}
+constexpr uint64_t TxnOrigin(uint64_t txn_id) {
+  return txn_id >> kTxnLocalSeqBits;
+}
+constexpr uint64_t TxnLocalSeq(uint64_t txn_id) {
+  return txn_id & ((uint64_t(1) << kTxnLocalSeqBits) - 1);
+}
+
 /// Serializes the transaction accumulated in `builder` into intention
 /// blocks of at most `block_size` bytes, first annotating its deferred
 /// serializable reads (`IntentionBuilder::AnnotateDeferredReads`). Fails if
@@ -77,14 +91,19 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
 /// cannot know whether its block landed, so it retries — and may land the
 /// same block twice (the ambiguous-append problem). The transaction id in
 /// every block header encodes the intention's (server id, local sequence)
-/// pair, which the server never reuses (crash recovery re-derives the local
-/// sequence floor from the log / checkpoint directory), so the assembler can
-/// recognize a second copy — of a block already held, or of a whole
-/// intention already completed — and drop it. The decision is a pure
-/// function of the block stream, so every tailing server filters
-/// identically and sequence numbering stays deterministic. A "duplicate"
-/// whose bytes *differ* from the original is not a retry but corruption and
-/// fails loudly.
+/// pair, which the server never reuses (it issues no id below its origin's
+/// `OriginRecord::floor`), so the assembler can recognize a second copy —
+/// of a block already held, or of a whole intention already completed —
+/// and drop it. The decision is a pure function of the block stream, so every
+/// tailing server filters identically and sequence numbering stays
+/// deterministic. A "duplicate" whose bytes *differ* from the original is
+/// not a retry but corruption and fails loudly.
+///
+/// The assembler is also the one owner of per-origin state
+/// (`OriginRecord`): a checkpoint exports it and a bootstrapping server
+/// seeds it (`SeedOrigins`), which is all a server started mid-log needs to
+/// filter exactly as the servers that read the whole log (DESIGN.md
+/// "Log truncation & catch-up").
 class IntentionAssembler {
  public:
   /// `first_seq` is the sequence the next completed intention receives
@@ -114,6 +133,25 @@ class IntentionAssembler {
   /// Number of intentions still awaiting blocks.
   size_t pending() const { return partial_.size(); }
 
+  /// What the block stream has shown of one origin (`TxnOrigin`).
+  struct OriginRecord {
+    /// One past the highest local sequence any block header showed; the
+    /// origin's server issues no id below it.
+    uint64_t floor = 0;
+    /// Id of the origin's most recently completed intention.
+    uint64_t last = 0;
+  };
+  /// Every origin seen or seeded, ordered so checkpoints are canonical.
+  const std::map<uint64_t, OriginRecord>& origins() const { return origins_; }
+
+  /// Bootstrap: installs the records a checkpoint writer exported and marks
+  /// each `last` completed. A server appends one block at a time and
+  /// retries a block before it appends the next, and a checkpoint is cut
+  /// with no partial assembly, so the only pre-checkpoint copy that can
+  /// land after it is a copy of some origin's `last`: this assembler then
+  /// drops exactly the copies one that read the whole log drops.
+  void SeedOrigins(const std::map<uint64_t, OriginRecord>& origins);
+
  private:
   struct Partial {
     std::vector<std::string> chunks;
@@ -125,6 +163,7 @@ class IntentionAssembler {
   /// Txn ids whose intentions already completed — one word per intention,
   /// the price of exactly-once assembly over an ambiguous append channel.
   std::unordered_set<uint64_t> completed_;
+  std::map<uint64_t, OriginRecord> origins_;
 };
 
 }  // namespace hyder

@@ -134,6 +134,75 @@ TEST(CheckpointTest, BootstrappedServerExecutesTransactions) {
   EXPECT_EQ(**v, "from the rookie");
 }
 
+/// Polls `rookie` to the tail and expects it at `veteran`'s state,
+/// physically identical.
+void ExpectConverged(HyderServer& veteran, HyderServer& rookie) {
+  ASSERT_TRUE(rookie.Poll().ok());
+  ASSERT_EQ(rookie.LatestState().seq, veteran.LatestState().seq);
+  std::string diff;
+  auto same = PhysicallyEqual(&veteran.resolver(), veteran.LatestState().root,
+                              &rookie.resolver(), rookie.LatestState().root,
+                              &diff);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(*same) << diff;
+}
+
+TEST(CheckpointTest, TransactionBegunBeforeCheckpointCommittedAfter) {
+  // A server issues ids at Begin and appends at Submit, so an origin's ids
+  // do not reach the log in id order: x's id is below y's, but x lands
+  // after the checkpoint. The rookie must meld x as the veteran does.
+  StripedLog log(TestLog());
+  HyderServer veteran(&log, ServerOptions{});
+  Transaction seed = veteran.Begin();
+  for (Key k = 1; k <= 3; ++k) ASSERT_TRUE(seed.Put(k, "seed").ok());
+  ASSERT_TRUE(veteran.Commit(std::move(seed)).ok());
+  Transaction x = veteran.Begin();
+  ASSERT_TRUE(x.Put(2, "x").ok());
+  Transaction y = veteran.Begin();
+  ASSERT_TRUE(y.Put(1, "y").ok());
+  auto committed = veteran.Commit(std::move(y));
+  ASSERT_TRUE(committed.ok() && *committed);
+  auto info = WriteCheckpoint(veteran);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto rookie = BootstrapFromCheckpoint(&log, *info, ServerOptions{});
+  ASSERT_TRUE(rookie.ok()) << rookie.status().ToString();
+
+  committed = veteran.Commit(std::move(x));
+  ASSERT_TRUE(committed.ok() && *committed);
+  ExpectConverged(veteran, **rookie);
+}
+
+TEST(CheckpointTest, RetriedCopyOfLastIntentionAfterCheckpointIsDropped) {
+  // A lost-ack retry lands a second copy of x's block after the
+  // checkpoint. The veteran's assembler knows x completed; the rookie's
+  // must too, from the checkpoint, or it melds x twice. y is begun first,
+  // so its id is below x's: the rookie must drop exactly the copy, not
+  // every id below x's.
+  StripedLog log(TestLog());
+  HyderServer veteran(&log, ServerOptions{});
+  Transaction y = veteran.Begin();
+  ASSERT_TRUE(y.Put(2, "y").ok());
+  Transaction x = veteran.Begin();
+  ASSERT_TRUE(x.Put(1, "x").ok());
+  auto committed = veteran.Commit(std::move(x));
+  ASSERT_TRUE(committed.ok() && *committed);
+  auto x_block = log.Read(log.Tail() - 1);
+  ASSERT_TRUE(x_block.ok());
+  auto header = DecodeBlockHeader(*x_block);
+  ASSERT_TRUE(header.ok());
+  ASSERT_EQ(header->total, 1u) << "x must be one block: its last";
+  auto info = WriteCheckpoint(veteran);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_TRUE(log.Append(*x_block).ok());
+  committed = veteran.Commit(std::move(y));
+  ASSERT_TRUE(committed.ok() && *committed);
+
+  auto rookie = BootstrapFromCheckpoint(&log, *info, ServerOptions{});
+  ASSERT_TRUE(rookie.ok()) << rookie.status().ToString();
+  ExpectConverged(veteran, **rookie);
+  EXPECT_EQ((*rookie)->duplicate_blocks(), 1u);
+}
+
 TEST(CheckpointTest, CheckpointWithPremeldConfiguration) {
   ServerOptions options;
   options.pipeline.premeld_threads = 2;
@@ -297,7 +366,6 @@ TEST(CheckpointTest, ReservedRecordFlagBitsAreRefused) {
   const uint64_t dir_count = next();
   for (uint64_t i = 0; i < dir_count; ++i) {
     next();  // Intention seq.
-    next();  // Txn id.
     const uint64_t positions = next();
     for (uint64_t j = 0; j < positions; ++j) next();
   }
@@ -319,6 +387,58 @@ TEST(CheckpointTest, ReservedRecordFlagBitsAreRefused) {
     ASSERT_FALSE(rookie.ok()) << "bit " << bit;
     EXPECT_TRUE(rookie.status().IsCorruption())
         << "bit " << bit << ": " << rookie.status().ToString();
+  }
+}
+
+TEST(CheckpointTest, PayloadEndingBeforeCountersOrOriginsIsCorruption) {
+  // The allocator counters and the per-origin records close every
+  // checkpoint payload; a payload cut before either is Corruption.
+  StripedLog log(TestLog());
+  HyderServer server(&log, ServerOptions{});
+  Transaction t = server.Begin();
+  ASSERT_TRUE(t.Put(7, "x").ok());
+  auto committed = server.Commit(std::move(t));
+  ASSERT_TRUE(committed.ok() && *committed);
+  auto info = WriteCheckpoint(server);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(info->block_count, 1u);
+  auto block = log.Read(info->first_block);
+  ASSERT_TRUE(block.ok());
+  auto header = DecodeBlockHeader(*block);
+  ASSERT_TRUE(header.ok());
+  const std::string payload =
+      block->substr(kBlockHeaderSize, header->chunk_len);
+
+  std::string counters;
+  const std::vector<uint64_t> c = server.pipeline().EphemeralCounters();
+  PutVarint64(&counters, c.size());
+  for (uint64_t v : c) PutVarint64(&counters, v);
+  std::string origins;
+  PutVarint64(&origins, server.assembler().origins().size());
+  for (const auto& [origin, record] : server.assembler().origins()) {
+    PutVarint64(&origins, origin);
+    PutVarint64(&origins, record.floor);
+    PutVarint64(&origins, record.last);
+  }
+  const std::string tail = counters + origins;
+  ASSERT_GT(payload.size(), tail.size());
+  ASSERT_EQ(payload.substr(payload.size() - tail.size()), tail);
+
+  for (size_t cut : {payload.size() - tail.size(),
+                     payload.size() - origins.size()}) {
+    BlockHeader h = *header;
+    h.chunk_len = static_cast<uint32_t>(cut);
+    std::string forged;
+    EncodeBlockHeader(h, &forged);
+    forged.append(payload, 0, cut);
+    auto pos = log.Append(forged);
+    ASSERT_TRUE(pos.ok());
+    CheckpointInfo at = *info;
+    at.first_block = *pos;
+    auto rookie = BootstrapFromCheckpoint(&log, at, ServerOptions{});
+    ASSERT_FALSE(rookie.ok()) << "cut at " << cut;
+    EXPECT_TRUE(rookie.status().IsCorruption())
+        << "cut at " << cut << ": " << rookie.status().ToString();
   }
 }
 

@@ -222,15 +222,6 @@ TEST(QueueTest, FifoOrder) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(*q.Pop(), i);
 }
 
-TEST(QueueTest, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  q.Pop();
-  EXPECT_TRUE(q.TryPush(3));
-}
-
 TEST(QueueTest, CloseDrainsThenEnds) {
   BoundedQueue<int> q(4);
   q.Push(1);

@@ -116,8 +116,8 @@ Result<std::vector<MeldDecision>> FeedTxn(TestServer& server, uint64_t seq,
 
 TEST(PipelineTest, RepeatedTxnIdIsInternal) {
   TestServer server;
-  const uint64_t origin1 = uint64_t(1) << 40;
-  const uint64_t origin2 = uint64_t(2) << 40;
+  const uint64_t origin1 = MakeTxnId(0, 0);
+  const uint64_t origin2 = MakeTxnId(1, 0);
   ASSERT_TRUE(FeedTxn(server, 1, origin1 | 1).ok());
   ASSERT_TRUE(FeedTxn(server, 2, origin1 | 3).ok());
   // A transaction begun earlier may commit later: a lower id is fine.

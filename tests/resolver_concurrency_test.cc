@@ -30,7 +30,6 @@ class PopulatedLog {
     expected_.resize(kIntentions + 1);
     views_.resize(kIntentions + 1);
     positions_.resize(kIntentions + 1);
-    txn_ids_.resize(kIntentions + 1);
     IntentionAssembler assembler;
     for (uint64_t seq = 1; seq <= kIntentions; ++seq) {
       const uint64_t txn_id = kWorkspaceTagBit | (1000 + seq);
@@ -61,14 +60,13 @@ class PopulatedLog {
         }
         views_[seq] = view;
       }
-      txn_ids_[seq] = 1000 + seq;
       ASSERT_FALSE(expected_[seq].empty());
     }
   }
 
   void RecordDirectory(ServerResolver* resolver) const {
     for (uint64_t seq = 1; seq <= kIntentions; ++seq) {
-      resolver->RecordIntentionBlocks(seq, positions_[seq], txn_ids_[seq]);
+      resolver->RecordIntentionBlocks(seq, positions_[seq]);
     }
   }
 
@@ -90,7 +88,6 @@ class PopulatedLog {
   std::vector<std::vector<std::pair<Key, std::string>>> expected_;
   std::vector<std::shared_ptr<FlatIntentionView>> views_;
   std::vector<std::vector<uint64_t>> positions_;
-  std::vector<uint64_t> txn_ids_;
 };
 
 /// Readers refetching across shards under a cache far smaller than the

@@ -70,20 +70,30 @@ TEST(StressTest, ConcurrentSnapshotReadersDuringMeld) {
     });
   }
 
+  // At least 300 writes, then more until the readers have done over 100
+  // reads while melds run: on a loaded host the writer can finish 300
+  // before any reader is scheduled. The cap fails the test (on the read
+  // count) instead of hanging it.
+  constexpr int kMinWrites = 300;
+  constexpr int kMaxWrites = 20000;
   Rng rng(7);
-  for (int i = 0; i < 300; ++i) {
+  Status status;
+  for (int i = 0; i < kMaxWrites && status.ok(); ++i) {
+    if (i >= kMinWrites && reads.load() > 100) break;
     Transaction txn = server.Begin();
-    ASSERT_TRUE(txn.Put(rng.Uniform(kSpace), "w" + std::to_string(i)).ok());
-    ASSERT_TRUE(server.Submit(std::move(txn)).ok());
-    if (i % 4 == 0) {
-      ASSERT_TRUE(server.Poll().ok());
+    status = txn.Put(rng.Uniform(kSpace), "w" + std::to_string(i));
+    if (status.ok()) status = server.Submit(std::move(txn)).status();
+    if (status.ok() && i % 4 == 0) {
+      status = server.Poll().status();
       MutexLock lock(snap_mu);
       snap = server.LatestState();
     }
   }
-  ASSERT_TRUE(server.Poll().ok());
+  if (status.ok()) status = server.Poll().status();
+  // Join before asserting: a fatal failure must not leave readers running.
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_GT(reads.load(), 100u);
 }
