@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,28 +81,16 @@ uint64_t GenerateLog(StripedLog* log, uint64_t txns,
   return submitted;
 }
 
-/// One completed intention recovered from the log, ready to feed, with the
-/// log positions of its blocks.
-struct LogIntention : IntentionAssembler::Completed {
-  std::vector<uint64_t> positions;
-};
-
-std::vector<LogIntention> ReadBack(StripedLog* log) {
-  std::vector<LogIntention> out;
+/// The completed intentions in `log`, each with its blocks' positions.
+std::vector<IntentionAssembler::Completed> ReadBack(StripedLog* log) {
+  std::vector<IntentionAssembler::Completed> out;
   IntentionAssembler assembler;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> partial;
   for (uint64_t pos = 1; pos < log->Tail(); ++pos) {
     auto block = log->Read(pos);
     HYDER_BENCH_CHECK_OK(block);
-    auto header = DecodeBlockHeader(*block);
-    HYDER_BENCH_CHECK_OK(header);
-    auto fed = assembler.AddBlock(*block);
+    auto fed = assembler.AddBlock(pos, *block);
     HYDER_BENCH_CHECK_OK(fed);
-    partial[header->txn_id].push_back(pos);
-    if (!fed->completed.has_value()) continue;
-    out.push_back({std::move(*fed->completed),
-                   std::move(partial[header->txn_id])});
-    partial.erase(header->txn_id);
+    if (fed->completed.has_value()) out.push_back(std::move(*fed->completed));
   }
   return out;
 }
@@ -132,9 +119,9 @@ PipelineConfig MeldConfig(int threads) {
 /// poll loop does: Decode on the feed thread, then Process, sweeping the
 /// ephemeral registry every `ServerOptions::sweep_interval` intentions. The
 /// reported wall time excludes the sweeps.
-RunResult RunSequential(StripedLog* log,
-                        const std::vector<LogIntention>& stream,
-                        int threads) {
+RunResult RunSequential(
+    StripedLog* log, const std::vector<IntentionAssembler::Completed>& stream,
+    int threads) {
   ServerResolver resolver(log, ResolverOptions{});
   PipelineConfig config = MeldConfig(threads);
   SequentialPipeline pipeline(
@@ -145,7 +132,7 @@ RunResult RunSequential(StripedLog* log,
   uint64_t sweep_nanos = 0;
   const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
-  for (const LogIntention& li : stream) {
+  for (const IntentionAssembler::Completed& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions);
     auto intent = pipeline.Decode(li, pipeline.mutable_stats());
     HYDER_BENCH_CHECK_OK(intent);
@@ -180,8 +167,9 @@ RunResult RunSequential(StripedLog* log,
 /// sequential one), so there is no sweep cadence to reproduce, and a sweep
 /// from the feed thread would run while premeld workers are mid-meld, a
 /// schedule no server produces.
-RunResult RunThreaded(StripedLog* log,
-                      const std::vector<LogIntention>& stream, int threads) {
+RunResult RunThreaded(
+    StripedLog* log, const std::vector<IntentionAssembler::Completed>& stream,
+    int threads) {
   ServerResolver resolver(log, ResolverOptions{});
   ProviderHandle resolver_metrics = MetricsRegistry::Global().RegisterProvider(
       "resolver.threaded", [&resolver](const MetricsRegistry::Emit& emit) {
@@ -197,7 +185,7 @@ RunResult RunThreaded(StripedLog* log,
   std::vector<MeldDecision> decisions;
   const uint64_t reads_before = log->stats().reads;
   Stopwatch wall;
-  for (const LogIntention& li : stream) {
+  for (const IntentionAssembler::Completed& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions);
     // Feeds a copy of the payload, as the log-poll thread hands it over.
     HYDER_BENCH_CHECK_OK(pipeline.Feed(li, &decisions));
@@ -242,12 +230,12 @@ void Report(const std::string& engine, int threads, size_t intentions,
 /// Times DeserializeIntention alone for every intention in `stream`, in
 /// log order with the resolver cache warm (the decode stage's real
 /// operating point). Returns per-intention latencies in microseconds.
-std::vector<double> DecodeLatencies(StripedLog* log,
-                                    const std::vector<LogIntention>& stream) {
+std::vector<double> DecodeLatencies(
+    StripedLog* log, const std::vector<IntentionAssembler::Completed>& stream) {
   ServerResolver resolver(log, ResolverOptions{});
   std::vector<double> us;
   us.reserve(stream.size());
-  for (const LogIntention& li : stream) {
+  for (const IntentionAssembler::Completed& li : stream) {
     resolver.RecordIntentionBlocks(li.seq, li.positions);
     Stopwatch sw;
     auto intent =
@@ -279,7 +267,7 @@ void Run() {
     // (see GenerateLog), so sequential-vs-threaded is compared per t.
     StripedLog log(StripedLogOptions{});
     const uint64_t appended = GenerateLog(&log, txns, MeldConfig(t));
-    std::vector<LogIntention> stream = ReadBack(&log);
+    std::vector<IntentionAssembler::Completed> stream = ReadBack(&log);
     if (stream.size() != appended) {
       std::fprintf(stderr, "read-back lost intentions: %zu of %llu\n",
                    stream.size(), (unsigned long long)appended);
@@ -308,7 +296,7 @@ void Run() {
       "decode_total_ms");
   StripedLog log(StripedLogOptions{});
   const uint64_t appended = GenerateLog(&log, txns, MeldConfig(5));
-  std::vector<LogIntention> stream = ReadBack(&log);
+  std::vector<IntentionAssembler::Completed> stream = ReadBack(&log);
   if (stream.size() != appended) {
     std::fprintf(stderr, "read-back lost intentions: %zu of %llu\n",
                  stream.size(), (unsigned long long)appended);

@@ -195,13 +195,15 @@ class SequentialPipeline {
   uint64_t published_seq_ = 0;
   /// Backstop against the duplicate-append ambiguity: the assembler filters
   /// retried copies before they reach the pipeline, so a transaction id
-  /// arriving twice here means a layering bug that would decide (and could
-  /// commit) one transaction twice — fail loudly instead. A retried copy
-  /// lands right behind its original, so the check keeps, per origin
-  /// (`TxnOrigin`, the issuing server), only the ids fed among the
-  /// `kFedTxnWindow` below its highest: memory stays O(origins) however
-  /// long the log. Ids are not appended in id order (a transaction begun
-  /// earlier may commit later), so an id below the window passes unchecked.
+  /// arriving twice here means a layering bug, or a copy of an earlier
+  /// intention that no appender writes and the assembler does not drop,
+  /// either of which would decide (and could commit) one transaction
+  /// twice — fail loudly instead. A retried copy lands right behind its
+  /// original, so the check keeps, per origin (`TxnOrigin`, the issuing
+  /// server), only the ids fed among the `kFedTxnWindow` below its highest:
+  /// memory stays O(origins) however long the log. Ids are not appended in
+  /// id order (a transaction begun earlier may commit later), so an id
+  /// below the window passes unchecked.
   static constexpr uint64_t kFedTxnWindow = 4096;
   struct FedTxns {
     uint64_t mark = 0;  ///< Highest id fed from this origin.

@@ -428,7 +428,9 @@ Status ChaosDriver::Epilogue() {
   // and truncation-raced replays.
   std::vector<std::unique_ptr<HyderServer>> servers;
   for (Replica& r : replicas_) {
-    if (r.server) servers.push_back(std::move(r.server));
+    if (!r.server) continue;
+    report_.duplicate_blocks += r.server->duplicate_blocks();
+    servers.push_back(std::move(r.server));
   }
   Cluster cluster(&log_, std::move(servers));
   std::string diff;

@@ -87,6 +87,8 @@ struct ChaosReport {
   uint64_t final_low_water = 0;
   uint64_t final_tail = 0;
   uint64_t retained_bytes = 0;      ///< StripedLog payload bytes at the end.
+  /// Retried-append copies the final servers' assemblers dropped.
+  uint64_t duplicate_blocks = 0;
   bool converged = false;           ///< All servers byte-identical (§3.4).
   std::string diff;                 ///< First divergence, when !converged.
 };

@@ -168,33 +168,21 @@ Result<CheckpointInfo> WriteCheckpoint(HyderServer& server) {
     PutVarint64(&payload, record.last);
   }
 
-  // Chop into checkpoint-tagged blocks.
-  const size_t capacity = server.log()->block_size() - kBlockHeaderSize;
-  const uint32_t total =
-      static_cast<uint32_t>((payload.size() + capacity - 1) / capacity);
+  const std::vector<std::string> blocks = ChopIntoBlocks(
+      kCheckpointTxnBit | state.seq, payload, server.log()->block_size());
   CheckpointInfo info;
   info.state_seq = state.seq;
   info.resume_position = server.next_read_position();
-  info.block_count = total;
+  info.block_count = blocks.size();
   info.node_count = node_count;
-  size_t off = 0;
-  for (uint32_t i = 0; i < total; ++i) {
-    const size_t len = std::min(capacity, payload.size() - off);
-    BlockHeader h;
-    h.txn_id = kCheckpointTxnBit | state.seq;
-    h.index = i;
-    h.total = total;
-    h.chunk_len = static_cast<uint32_t>(len);
-    std::string block;
-    EncodeBlockHeader(h, &block);
-    block.append(payload, off, len);
-    off += len;
+  for (size_t i = 0; i < blocks.size(); ++i) {
     // Duplicate copies from retried appends are harmless: scanners count
     // checkpoint blocks per index, not per copy.
     HYDER_ASSIGN_OR_RETURN(
         uint64_t pos,
         RetryTransient(
-            server.options().log_retry, [&] { return server.log()->Append(block); },
+            server.options().log_retry,
+            [&] { return server.log()->Append(blocks[i]); },
             [&server](const Status&) { server.log()->RecordRetry(); }));
     if (i == 0) info.first_block = pos;
   }

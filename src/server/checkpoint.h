@@ -22,11 +22,10 @@ namespace hyder {
 ///   * the intention directory (sequence -> log block positions) so lazy
 ///     references from later grafted intentions remain refetchable.
 ///
-/// Checkpoint blocks are tagged with kCheckpointTxnBit in the block header
-/// and are skipped identically by every tailing server, so interleaving
-/// them with intention blocks does not disturb the deterministic intention
-/// sequence numbering.
-constexpr uint64_t kCheckpointTxnBit = 1ull << 63;
+/// Checkpoint blocks are tagged with kCheckpointTxnBit (txn/codec.h) in the
+/// block header and are skipped identically by every tailing server, so
+/// interleaving them with intention blocks does not disturb the
+/// deterministic intention sequence numbering.
 
 struct CheckpointInfo {
   uint64_t state_seq = 0;        ///< The captured state (intention seq).

@@ -114,10 +114,11 @@ Result<HyderServer::Submitted> HyderServer::Submit(Transaction&& txn) {
     TraceSpan append_span(TraceStage::kAppend, txn.txn_id());
     for (const std::string& block : blocks) {
       // Transient append failures are ambiguous: the block may or may not
-      // have landed. Retrying is safe because the assembler drops duplicate
-      // copies by (txn id, block index); positions are re-discovered while
-      // tailing the log, which keeps remote and local intentions on one
-      // code path.
+      // have landed. Retrying is safe because this loop retries a block
+      // before it appends the next, which is what lets the assembler
+      // recognize every copy (IntentionAssembler); positions are
+      // re-discovered while tailing the log, which keeps remote and local
+      // intentions on one code path.
       HYDER_ASSIGN_OR_RETURN(
           uint64_t pos,
           RetryTransient(
@@ -154,28 +155,19 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
       skipped_blocks_++;
       continue;
     }
-    const BlockHeader& header = *header_or;
-    if (header.txn_id & (1ull << 63)) {
+    if (header_or->txn_id & kCheckpointTxnBit) {
       // Checkpoint block (server/checkpoint.h): not an intention; every
       // server skips it identically, preserving sequence determinism.
       continue;
     }
-    HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(block));
+    HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(pos, block));
     if (fed.duplicate) {
-      // Retried-append copy; the original already accounted this block.
       duplicate_blocks_++;
       continue;
     }
-    if (!fed.completed.has_value()) {
-      partial_positions_[header.txn_id].push_back(pos);
-      continue;
-    }
+    if (!fed.completed.has_value()) continue;
     auto& done = fed.completed;
-    partial_positions_[header.txn_id].push_back(pos);
-
-    auto positions = std::move(partial_positions_[header.txn_id]);
-    partial_positions_.erase(header.txn_id);
-    resolver_.RecordIntentionBlocks(done->seq, std::move(positions));
+    resolver_.RecordIntentionBlocks(done->seq, std::move(done->positions));
 
     // All of the intention's blocks are durable and assembled: stamp for
     // the durable->decision histogram (consumed below once meld decides).

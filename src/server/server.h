@@ -179,9 +179,6 @@ class HyderServer {
   uint64_t melds_since_sweep_ = 0;
   uint64_t skipped_blocks_ = 0;
   uint64_t duplicate_blocks_ = 0;
-  /// Positions of blocks per not-yet-completed intention (for the
-  /// directory), keyed by txn id.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> partial_positions_;
   std::unordered_set<uint64_t> pending_;           ///< Local undecided txns.
   std::unordered_map<uint64_t, bool> outcomes_;    ///< Local decided txns.
 

@@ -117,6 +117,27 @@ Result<BlockHeader> DecodeBlockHeader(std::string_view block) {
   return h;
 }
 
+std::vector<std::string> ChopIntoBlocks(uint64_t txn_id,
+                                        std::string_view payload,
+                                        size_t block_size) {
+  const size_t capacity = block_size - kBlockHeaderSize;
+  const uint32_t total = static_cast<uint32_t>(
+      std::max<size_t>(1, (payload.size() + capacity - 1) / capacity));
+  std::vector<std::string> blocks;
+  blocks.reserve(total);
+  for (uint32_t i = 0; i < total; ++i) {
+    const std::string_view chunk = payload.substr(i * capacity, capacity);
+    std::string block;
+    block.reserve(kBlockHeaderSize + chunk.size());
+    EncodeBlockHeader(
+        BlockHeader{txn_id, i, total, static_cast<uint32_t>(chunk.size())},
+        &block);
+    block.append(chunk);
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
 Result<std::vector<std::string>> SerializeIntention(
     IntentionBuilder& builder, uint64_t txn_id, size_t block_size) {
   if (block_size <= kBlockHeaderSize + 16) {
@@ -153,28 +174,7 @@ Result<std::vector<std::string>> SerializeIntention(
   payload.append(nodes);
   for (uint32_t off : offsets) PutFixed32(&payload, off);
 
-  const size_t capacity = block_size - kBlockHeaderSize;
-  const uint32_t total =
-      static_cast<uint32_t>((payload.size() + capacity - 1) / capacity);
-  std::vector<std::string> blocks;
-  blocks.reserve(total == 0 ? 1 : total);
-  size_t off = 0;
-  const uint32_t nblocks = total == 0 ? 1 : total;
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    const size_t len = std::min(capacity, payload.size() - off);
-    BlockHeader h;
-    h.txn_id = txn_id;
-    h.index = i;
-    h.total = nblocks;
-    h.chunk_len = static_cast<uint32_t>(len);
-    std::string block;
-    block.reserve(kBlockHeaderSize + len);
-    EncodeBlockHeader(h, &block);
-    block.append(payload, off, len);
-    off += len;
-    blocks.push_back(std::move(block));
-  }
-  return blocks;
+  return ChopIntoBlocks(txn_id, payload, block_size);
 }
 
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
@@ -200,16 +200,15 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
 }
 
 Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
-    std::string_view block) {
+    uint64_t pos, std::string_view block) {
   HYDER_ASSIGN_OR_RETURN(BlockHeader h, DecodeBlockHeader(block));
   OriginRecord& origin = origins_[TxnOrigin(h.txn_id)];
   origin.floor = std::max(origin.floor, TxnLocalSeq(h.txn_id) + 1);
   FeedOutcome out;
-  if (completed_.count(h.txn_id) != 0) {
-    // A retried append landed a second copy of a block whose intention has
-    // already completed. (Server id, local seq) pairs are never reused, so
-    // this cannot be a fresh intention — drop it, identically on every
-    // server.
+  if (origin.last != 0 && h.txn_id == origin.last) {
+    // A retried append landed a second copy of a block of the origin's
+    // most recently completed intention; (server id, local seq) pairs are
+    // never reused, so this cannot be a fresh intention.
     out.duplicate = true;
     return out;
   }
@@ -217,14 +216,12 @@ Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
   if (part.total == 0) {
     part.total = h.total;
     part.chunks.resize(h.total);
+    part.positions.resize(h.total);
   } else if (part.total != h.total) {
     return Status::Corruption("inconsistent block_count within intention");
   }
-  if (h.index >= part.total) {
-    return Status::Corruption("out-of-range intention block index");
-  }
   const std::string_view chunk = block.substr(kBlockHeaderSize, h.chunk_len);
-  if (!part.chunks[h.index].empty() || part.received == part.total) {
+  if (!part.chunks[h.index].empty()) {
     // Second copy of a block still being assembled. A true retry carries
     // identical bytes; anything else is corruption, not a duplicate.
     if (part.chunks[h.index] == chunk) {
@@ -236,6 +233,7 @@ Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
         "different bytes)");
   }
   part.chunks[h.index].assign(chunk.data(), chunk.size());
+  part.positions[h.index] = pos;
   part.received++;
   // An intention completes at the log position of its final missing block;
   // sequence numbers are assigned in that (deterministic) order.
@@ -247,19 +245,11 @@ Result<IntentionAssembler::FeedOutcome> IntentionAssembler::AddBlock(
   for (std::string& chunk_piece : part.chunks) {
     done.payload.append(chunk_piece);
   }
+  done.positions = std::move(part.positions);
   partial_.erase(h.txn_id);
-  completed_.insert(h.txn_id);
   origin.last = h.txn_id;
   out.completed = std::move(done);
   return out;
-}
-
-void IntentionAssembler::SeedOrigins(
-    const std::map<uint64_t, OriginRecord>& origins) {
-  origins_ = origins;
-  for (const auto& [origin, record] : origins_) {
-    if (record.last != 0) completed_.insert(record.last);
-  }
 }
 
 }  // namespace hyder

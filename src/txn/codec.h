@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -62,6 +61,17 @@ constexpr uint64_t TxnOrigin(uint64_t txn_id) {
 constexpr uint64_t TxnLocalSeq(uint64_t txn_id) {
   return txn_id & ((uint64_t(1) << kTxnLocalSeqBits) - 1);
 }
+/// Set in the header txn id of checkpoint blocks (server/checkpoint.h),
+/// which tailing servers skip, so they never reach an assembler.
+constexpr uint64_t kCheckpointTxnBit = 1ull << 63;
+
+/// Cuts `payload` into blocks of at most `block_size` bytes, each a header
+/// {txn_id, index, count, chunk length} followed by its chunk; an empty
+/// payload still takes one block. `block_size` must exceed
+/// kBlockHeaderSize. Intentions and checkpoints are both framed this way.
+std::vector<std::string> ChopIntoBlocks(uint64_t txn_id,
+                                        std::string_view payload,
+                                        size_t block_size);
 
 /// Serializes the transaction accumulated in `builder` into intention
 /// blocks of at most `block_size` bytes, first annotating its deferred
@@ -89,15 +99,18 @@ Result<IntentionPtr> DeserializeIntention(std::string_view payload,
 ///
 /// Duplicate-append filtering: an appender whose log reported `Unavailable`
 /// cannot know whether its block landed, so it retries — and may land the
-/// same block twice (the ambiguous-append problem). The transaction id in
-/// every block header encodes the intention's (server id, local sequence)
-/// pair, which the server never reuses (it issues no id below its origin's
-/// `OriginRecord::floor`), so the assembler can recognize a second copy —
-/// of a block already held, or of a whole intention already completed —
-/// and drop it. The decision is a pure function of the block stream, so every
-/// tailing server filters identically and sequence numbering stays
-/// deterministic. A "duplicate" whose bytes *differ* from the original is
-/// not a retry but corruption and fails loudly.
+/// same block twice (the ambiguous-append problem). A server retries a
+/// block before it appends the next, so a copy repeats a block of an
+/// intention still being assembled or of its origin's most recently
+/// completed one (`OriginRecord::last`), and txn ids, (server id, local
+/// sequence) pairs the server never reuses, name both exactly. So the
+/// assembler keeps nothing of a completed intention: its memory is bounded
+/// by the origins plus the partial intentions. The decision is a pure
+/// function of the block stream, so every tailing server filters
+/// identically and sequence numbering stays deterministic. A "duplicate"
+/// whose bytes *differ* from the original is corruption and fails loudly;
+/// a copy of an earlier intention, which no appender writes, assembles
+/// again and fails `SequentialPipeline`'s fed-txn backstop.
 ///
 /// The assembler is also the one owner of per-origin state
 /// (`OriginRecord`): a checkpoint exports it and a bootstrapping server
@@ -116,19 +129,20 @@ class IntentionAssembler {
     uint64_t txn_id = 0;
     uint32_t block_count = 0;
     std::string payload;
+    /// Log position of each block, in block-index order (the resolver's
+    /// directory entry for `seq`).
+    std::vector<uint64_t> positions;
   };
 
   struct FeedOutcome {
     /// Set when this block was the final piece of an intention.
     std::optional<Completed> completed;
-    /// The block was a retried-append duplicate and was ignored; callers
-    /// must not account the block against the intention (e.g. in the
-    /// position directory).
+    /// The block was a retried-append duplicate and was ignored.
     bool duplicate = false;
   };
 
-  /// Feeds the block at the next log position.
-  Result<FeedOutcome> AddBlock(std::string_view block);
+  /// Feeds the block at log position `pos`.
+  Result<FeedOutcome> AddBlock(uint64_t pos, std::string_view block);
 
   /// Number of intentions still awaiting blocks.
   size_t pending() const { return partial_.size(); }
@@ -138,31 +152,29 @@ class IntentionAssembler {
     /// One past the highest local sequence any block header showed; the
     /// origin's server issues no id below it.
     uint64_t floor = 0;
-    /// Id of the origin's most recently completed intention.
+    /// Id of the origin's most recently completed intention; 0 for none.
     uint64_t last = 0;
   };
   /// Every origin seen or seeded, ordered so checkpoints are canonical.
   const std::map<uint64_t, OriginRecord>& origins() const { return origins_; }
 
-  /// Bootstrap: installs the records a checkpoint writer exported and marks
-  /// each `last` completed. A server appends one block at a time and
-  /// retries a block before it appends the next, and a checkpoint is cut
-  /// with no partial assembly, so the only pre-checkpoint copy that can
-  /// land after it is a copy of some origin's `last`: this assembler then
-  /// drops exactly the copies one that read the whole log drops.
-  void SeedOrigins(const std::map<uint64_t, OriginRecord>& origins);
+  /// Bootstrap: installs the records a checkpoint writer exported. A
+  /// checkpoint is cut with no partial assembly, so they are all the state
+  /// the filter needs to drop exactly the copies an assembler that read
+  /// the whole log drops.
+  void SeedOrigins(const std::map<uint64_t, OriginRecord>& origins) {
+    origins_ = origins;
+  }
 
  private:
   struct Partial {
     std::vector<std::string> chunks;
+    std::vector<uint64_t> positions;
     uint32_t received = 0;
     uint32_t total = 0;
   };
   uint64_t next_seq_;
   std::unordered_map<uint64_t, Partial> partial_;
-  /// Txn ids whose intentions already completed — one word per intention,
-  /// the price of exactly-once assembly over an ambiguous append channel.
-  std::unordered_set<uint64_t> completed_;
   std::map<uint64_t, OriginRecord> origins_;
 };
 

@@ -71,6 +71,7 @@ void CheckSeed(uint64_t seed, ChaosReport* aggregate) {
   aggregate->truncations += r.truncations;
   aggregate->truncation_busy += r.truncation_busy;
   aggregate->catching_up_rejections += r.catching_up_rejections;
+  aggregate->duplicate_blocks += r.duplicate_blocks;
 }
 
 TEST(ChaosTest, SingleSeedSmoke) {
@@ -107,6 +108,8 @@ TEST(ChaosTest, ConvergesAcross100Seeds) {
   EXPECT_GT(aggregate.truncations, count);  // Epilogue alone: one per seed.
   EXPECT_GT(aggregate.catching_up_rejections, 0u)
       << "no catching-up server was ever offered a transaction";
+  EXPECT_GT(aggregate.duplicate_blocks, 0u)
+      << "no retried-append copy ever reached a final server's assembler";
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ Assembled Assemble(IntentionBuilder& b, uint64_t txn_id) {
   IntentionAssembler assembler;
   std::optional<IntentionAssembler::Completed> done;
   for (const std::string& blk : *blocks) {
-    auto fed = assembler.AddBlock(blk);
+    auto fed = assembler.AddBlock(/*pos=*/0, blk);
     EXPECT_TRUE(fed.ok()) << fed.status().ToString();
     done = std::move(fed->completed);
   }

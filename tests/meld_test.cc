@@ -1182,7 +1182,7 @@ std::string PayloadOf(IntentionBuilder& b, uint64_t txn_id) {
   EXPECT_TRUE(blocks.ok());
   IntentionAssembler assembler;
   for (const std::string& block : *blocks) {
-    auto fed = assembler.AddBlock(block);
+    auto fed = assembler.AddBlock(/*pos=*/0, block);
     EXPECT_TRUE(fed.ok());
     if (fed->completed.has_value()) return fed->completed->payload;
   }

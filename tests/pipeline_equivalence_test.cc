@@ -114,9 +114,10 @@ TEST_P(PipelineEquivalenceTest, RawFedThreadedMatchesSequential) {
         registry.RegisterIntention(intent);
       });
   IntentionAssembler assembler;
+  uint64_t pos = 0;
   for (const auto& blocks : w.blocks) {
     for (const std::string& block : blocks) {
-      auto fed = assembler.AddBlock(block);
+      auto fed = assembler.AddBlock(++pos, block);
       ASSERT_TRUE(fed.ok());
       if (!fed->completed.has_value()) continue;
       ASSERT_TRUE(pipeline.Feed(std::move(*fed->completed), &decisions).ok());

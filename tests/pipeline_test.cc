@@ -102,7 +102,7 @@ Result<std::vector<MeldDecision>> FeedTxn(TestServer& server, uint64_t seq,
                          SerializeIntention(b, txn_id, kBlockSize));
   IntentionAssembler assembler(seq);
   for (const std::string& block : blocks) {
-    HYDER_ASSIGN_OR_RETURN(auto fed, assembler.AddBlock(block));
+    HYDER_ASSIGN_OR_RETURN(auto fed, assembler.AddBlock(/*pos=*/0, block));
     if (!fed.completed.has_value()) continue;
     HYDER_ASSIGN_OR_RETURN(
         IntentionPtr intent,

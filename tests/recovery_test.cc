@@ -292,6 +292,42 @@ TEST_F(RecoveryTest, DuplicateAppendBlocksNeverCommitTwice) {
   EXPECT_TRUE(*r2);
 }
 
+TEST_F(RecoveryTest, CopyOfAnEarlierIntentionFailsTheBackstop) {
+  // A server retries a block before it appends the next, so no appender
+  // lands a copy of its intention x after its next intention y completed.
+  // The assembler drops only copies of a partial intention or of the
+  // origin's last (y), so it assembles this copy of x again, and on every
+  // server sharing the log the pipeline's fed-txn backstop must fail the
+  // Poll rather than decide x twice.
+  StripedLogOptions lo;
+  lo.block_size = kBlockSize;
+  StripedLog log(lo);
+  HyderServer s0(&log, HarnessOptions(0));
+  HyderServer s1(&log, HarnessOptions(1));
+  const uint64_t x_pos = log.Tail();
+  Transaction x = s0.Begin();
+  ASSERT_TRUE(x.Put(1, "x").ok());
+  ASSERT_TRUE(s0.Submit(std::move(x)).ok());
+  ASSERT_EQ(log.Tail(), x_pos + 1) << "x must be one block";
+  Transaction y = s0.Begin();
+  ASSERT_TRUE(y.Put(2, "y").ok());
+  ASSERT_TRUE(s0.Submit(std::move(y)).ok());
+
+  for (HyderServer* s : {&s0, &s1}) {
+    auto polled = s->Poll();
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    ASSERT_EQ(polled->size(), 2u);
+    EXPECT_NE((*polled)[0].txn_id, (*polled)[1].txn_id);
+  }
+  auto x_copy = log.Read(x_pos);
+  ASSERT_TRUE(x_copy.ok());
+  ASSERT_TRUE(log.Append(std::move(*x_copy)).ok());
+  for (HyderServer* s : {&s0, &s1}) {
+    auto polled = s->Poll();
+    EXPECT_TRUE(polled.status().IsInternal()) << polled.status().ToString();
+  }
+}
+
 TEST_F(RecoveryTest, TransientReadFailuresRetriedInsidePoll) {
   StripedLogOptions lo;
   lo.block_size = kBlockSize;

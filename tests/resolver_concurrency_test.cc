@@ -45,10 +45,10 @@ class PopulatedLog {
       for (const std::string& block : *blocks) {
         auto pos = log_.Append(block);
         ASSERT_TRUE(pos.ok());
-        positions_[seq].push_back(*pos);
-        auto fed = assembler.AddBlock(block);
+        auto fed = assembler.AddBlock(*pos, block);
         ASSERT_TRUE(fed.ok());
         if (!fed->completed.has_value()) continue;
+        positions_[seq] = fed->completed->positions;
         auto intent = DeserializeIntention(
             fed->completed->payload, seq, fed->completed->block_count,
             1000 + seq);

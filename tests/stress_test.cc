@@ -192,7 +192,8 @@ TEST(FaultInjectionTest, TruncatedBlocksRejected) {
   for (size_t len : {size_t(0), size_t(5), kBlockHeaderSize - 1,
                      kBlockHeaderSize, block.size() - 1}) {
     IntentionAssembler assembler;
-    auto r = assembler.AddBlock(std::string_view(block).substr(0, len));
+    auto r =
+        assembler.AddBlock(/*pos=*/0, std::string_view(block).substr(0, len));
     // Either a clean decode error, or (only for the full-length prefix
     // minus payload bytes) a chunk-length mismatch.
     if (r.ok()) {
@@ -215,8 +216,8 @@ TEST(FaultInjectionTest, DuplicateBlocksFiltered) {
   ASSERT_TRUE(blocks.ok());
   ASSERT_GT(blocks->size(), 2u);
   IntentionAssembler assembler;
-  ASSERT_TRUE(assembler.AddBlock(blocks->front()).ok());
-  auto dup = assembler.AddBlock(blocks->front());
+  ASSERT_TRUE(assembler.AddBlock(/*pos=*/0, blocks->front()).ok());
+  auto dup = assembler.AddBlock(/*pos=*/0, blocks->front());
   ASSERT_TRUE(dup.ok()) << dup.status().ToString();
   EXPECT_TRUE(dup->duplicate);
   EXPECT_FALSE(dup->completed.has_value());
@@ -224,18 +225,18 @@ TEST(FaultInjectionTest, DuplicateBlocksFiltered) {
   // Same txn id and block index but different payload bytes: fail loudly.
   std::string tampered = blocks->front();
   tampered.back() = char(tampered.back() ^ 0x01);
-  auto conflict = assembler.AddBlock(tampered);
+  auto conflict = assembler.AddBlock(/*pos=*/0, tampered);
   EXPECT_TRUE(conflict.status().IsCorruption());
 
   // Complete the intention, then replay every block: all duplicates, no
   // second completion.
   for (size_t i = 1; i < blocks->size(); ++i) {
-    auto r = assembler.AddBlock((*blocks)[i]);
+    auto r = assembler.AddBlock(/*pos=*/0, (*blocks)[i]);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->completed.has_value(), i + 1 == blocks->size());
   }
   for (const std::string& blk : *blocks) {
-    auto replay = assembler.AddBlock(blk);
+    auto replay = assembler.AddBlock(/*pos=*/0, blk);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_TRUE(replay->duplicate);
     EXPECT_FALSE(replay->completed.has_value());

@@ -84,7 +84,7 @@ class TestServer {
 
   /// Feeds the block at the next log position.
   Result<std::vector<MeldDecision>> FeedBlock(const std::string& block) {
-    HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(block));
+    HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(next_pos_++, block));
     auto& done = fed.completed;
     if (!done.has_value()) return std::vector<MeldDecision>{};
     HYDER_ASSIGN_OR_RETURN(IntentionPtr intent,
@@ -117,6 +117,7 @@ class TestServer {
  private:
   MapRegistry registry_;
   IntentionAssembler assembler_;
+  uint64_t next_pos_ = 1;  ///< Log position of the next fed block.
   SequentialPipeline pipeline_;
   IntentionPtr last_deserialized_;
 };

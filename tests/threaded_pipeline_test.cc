@@ -41,7 +41,7 @@ class ThreadedHarness {
 
   Status FeedBlocks(const std::vector<std::string>& blocks) {
     for (const std::string& b : blocks) {
-      HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(b));
+      HYDER_ASSIGN_OR_RETURN(auto fed, assembler_.AddBlock(next_pos_++, b));
       auto& done = fed.completed;
       if (!done.has_value()) continue;
       HYDER_RETURN_IF_ERROR(pipeline_.Feed(std::move(*done), &decisions_));
@@ -59,6 +59,7 @@ class ThreadedHarness {
  private:
   MapRegistry registry_;
   IntentionAssembler assembler_;
+  uint64_t next_pos_ = 1;  ///< Log position of the next fed block.
   std::vector<MeldDecision> decisions_;
   ThreadedPipeline pipeline_;
 };

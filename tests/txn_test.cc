@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <map>
 #include <string>
 #include <string_view>
@@ -29,7 +31,7 @@ Result<IntentionPtr> RoundTrip(IntentionBuilder& b, uint64_t txn_id,
                          SerializeIntention(b, txn_id, block_size));
   std::optional<IntentionAssembler::Completed> done;
   for (const std::string& blk : blocks) {
-    HYDER_ASSIGN_OR_RETURN(auto fed, assembler.AddBlock(blk));
+    HYDER_ASSIGN_OR_RETURN(auto fed, assembler.AddBlock(/*pos=*/0, blk));
     done = std::move(fed.completed);
   }
   if (!done.has_value()) return Status::Internal("intention never completed");
@@ -180,7 +182,7 @@ TEST(CodecTest, MultiBlockIntentionReassembles) {
   for (const auto& blk : *blocks) EXPECT_LE(blk.size(), kBlock);
   std::optional<IntentionAssembler::Completed> done;
   for (const auto& blk : *blocks) {
-    auto r = assembler.AddBlock(blk);
+    auto r = assembler.AddBlock(/*pos=*/0, blk);
     ASSERT_TRUE(r.ok());
     done = r->completed;
   }
@@ -197,46 +199,111 @@ TEST(CodecTest, MultiBlockIntentionReassembles) {
 }
 
 TEST(CodecTest, InterleavedIntentionsSequencedByCompletion) {
-  // Two multi-block intentions whose blocks interleave in the log: the one
-  // whose *last* block lands first gets the earlier sequence (§5.1).
-  IntentionBuilder a(kWorkspaceTagBit | 1, 0, Ref::Null(),
+  // Two multi-block intentions from two servers whose blocks interleave in
+  // the log: the one whose *last* block lands first gets the earlier
+  // sequence (§5.1).
+  const uint64_t id_a = MakeTxnId(/*server_id=*/0, 1);
+  const uint64_t id_b = MakeTxnId(/*server_id=*/1, 1);
+  IntentionBuilder a(kWorkspaceTagBit | id_a, 0, Ref::Null(),
                      IsolationLevel::kSerializable, nullptr);
-  IntentionBuilder b(kWorkspaceTagBit | 2, 0, Ref::Null(),
+  IntentionBuilder b(kWorkspaceTagBit | id_b, 0, Ref::Null(),
                      IsolationLevel::kSerializable, nullptr);
   for (Key k = 0; k < 60; ++k) {
     ASSERT_TRUE(a.Put(k, std::string(30, 'a')).ok());
     ASSERT_TRUE(b.Put(k + 100, std::string(30, 'b')).ok());
   }
-  auto blocks_a = SerializeIntention(a, 11, kBlock);
-  auto blocks_b = SerializeIntention(b, 22, kBlock);
+  auto blocks_a = SerializeIntention(a, id_a, kBlock);
+  auto blocks_b = SerializeIntention(b, id_b, kBlock);
   ASSERT_TRUE(blocks_a.ok());
   ASSERT_TRUE(blocks_b.ok());
   ASSERT_GT(blocks_a->size(), 1u);
 
   IntentionAssembler assembler;
+  uint64_t pos = 0;
   std::vector<std::pair<uint64_t, uint64_t>> completions;  // (txn, seq)
   // Feed: all of B except its last block, then all of A, then B's last.
   for (size_t i = 0; i + 1 < blocks_b->size(); ++i) {
-    auto r = assembler.AddBlock((*blocks_b)[i]);
+    auto r = assembler.AddBlock(++pos, (*blocks_b)[i]);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r->completed.has_value());
   }
   for (const auto& blk : *blocks_a) {
-    auto r = assembler.AddBlock(blk);
+    auto r = assembler.AddBlock(++pos, blk);
     ASSERT_TRUE(r.ok());
     if (r->completed.has_value()) {
-      completions.emplace_back(11, r->completed->seq);
+      completions.emplace_back(id_a, r->completed->seq);
     }
   }
-  auto r = assembler.AddBlock(blocks_b->back());
+  auto r = assembler.AddBlock(++pos, blocks_b->back());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->completed.has_value());
-  completions.emplace_back(22, r->completed->seq);
+  completions.emplace_back(id_b, r->completed->seq);
 
   ASSERT_EQ(completions.size(), 2u);
-  EXPECT_EQ(completions[0], (std::pair<uint64_t, uint64_t>{11, 1}));
-  EXPECT_EQ(completions[1], (std::pair<uint64_t, uint64_t>{22, 2}));
+  EXPECT_EQ(completions[0], (std::pair<uint64_t, uint64_t>{id_a, 1}));
+  EXPECT_EQ(completions[1], (std::pair<uint64_t, uint64_t>{id_b, 2}));
   EXPECT_EQ(assembler.pending(), 0u);
+}
+
+TEST(CodecTest, CompletedPositionsListTheBlocksTaken) {
+  // Two servers' intentions interleave, and lost-ack retries land a copy
+  // of a block of A while A is still assembling and a copy of B's last
+  // block once B is its origin's last: each completion lists exactly the
+  // log positions of the blocks the assembler took.
+  const size_t capacity = kBlock - kBlockHeaderSize;
+  const uint64_t id_a = MakeTxnId(/*server_id=*/0, 1);
+  const uint64_t id_b = MakeTxnId(/*server_id=*/1, 1);
+  const std::vector<std::string> a =
+      ChopIntoBlocks(id_a, std::string(2 * capacity + 1, 'a'), kBlock);
+  const std::vector<std::string> b =
+      ChopIntoBlocks(id_b, std::string(capacity + 1, 'b'), kBlock);
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 2u);
+  // Log positions 1..8; 3, 6 and 8 hold the copies.
+  const std::vector<const std::string*> log = {&a[0], &b[0], &a[0], &a[1],
+                                               &b[1], &b[1], &a[2], &a[2]};
+  IntentionAssembler assembler;
+  std::map<uint64_t, std::vector<uint64_t>> positions;  // By txn id.
+  std::vector<uint64_t> dropped;
+  for (uint64_t pos = 1; pos <= log.size(); ++pos) {
+    auto fed = assembler.AddBlock(pos, *log[pos - 1]);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    if (fed->duplicate) dropped.push_back(pos);
+    if (fed->completed.has_value()) {
+      positions[fed->completed->txn_id] = fed->completed->positions;
+    }
+  }
+  EXPECT_EQ(dropped, (std::vector<uint64_t>{3, 6, 8}));
+  EXPECT_EQ(positions[id_a], (std::vector<uint64_t>{1, 4, 7}));
+  EXPECT_EQ(positions[id_b], (std::vector<uint64_t>{2, 5}));
+  EXPECT_EQ(assembler.pending(), 0u);
+}
+
+TEST(CodecTest, AssemblerKeepsNothingOfCompletedIntentions) {
+  // A long run at a fixed key space: 200k single-block intentions from one
+  // origin, every 100th followed by its retried copy. Once an intention
+  // completes the assembler keeps only its origin's record, so its heap
+  // stays flat.
+  constexpr uint64_t kIntentions = 200'000;
+  IntentionAssembler assembler;
+  uint64_t pos = 0;
+  uint64_t completed = 0;
+  uint64_t dropped = 0;
+  const size_t before = mallinfo2().uordblks;
+  for (uint64_t seq = 1; seq <= kIntentions; ++seq) {
+    const std::string block =
+        ChopIntoBlocks(MakeTxnId(/*server_id=*/0, seq), "v", kBlock).front();
+    for (int copy = 0; copy < (seq % 100 == 0 ? 2 : 1); ++copy) {
+      auto fed = assembler.AddBlock(++pos, block);
+      ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+      completed += fed->completed.has_value();
+      dropped += fed->duplicate;
+    }
+  }
+  const int64_t grown = int64_t(mallinfo2().uordblks) - int64_t(before);
+  EXPECT_EQ(completed, kIntentions);
+  EXPECT_EQ(dropped, kIntentions / 100);
+  EXPECT_LT(grown, 1 << 20) << "heap grew " << grown << " bytes";
 }
 
 TEST(CodecTest, TombstonesSurviveRoundTrip) {
@@ -429,7 +496,7 @@ TEST(CodecTest, CorruptPayloadRejected) {
   ASSERT_TRUE(b.Put(1, "x").ok());
   auto blocks = SerializeIntention(b, 5, kBlock);
   ASSERT_TRUE(blocks.ok());
-  auto done = assembler.AddBlock(blocks->front());
+  auto done = assembler.AddBlock(/*pos=*/0, blocks->front());
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->completed.has_value());
   std::string payload = done->completed->payload;
@@ -474,7 +541,7 @@ TEST(CodecTest, RetiredEphemeralReferenceFailsCleanly) {
   auto blocks = SerializeIntention(b, 77, kBlock);
   ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
   IntentionAssembler assembler;
-  auto done = assembler.AddBlock(blocks->front());
+  auto done = assembler.AddBlock(/*pos=*/0, blocks->front());
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->completed.has_value());
   FailingResolver failing;
