@@ -189,8 +189,8 @@ class Melder {
         e->set_base_cv(l->cv());
       }
     }
-    e->left().Reset(std::move(left));
-    e->right().Reset(std::move(right));
+    e->left().Rewire(std::move(left));
+    e->right().Rewire(std::move(right));
     return Ref::To(e);
   }
 
@@ -256,8 +256,8 @@ class Melder {
     e->set_cv(src->cv());
     // ssv/base_cv stay null: this is an insert.
     e->set_color(black_levels > 1 ? Color::kBlack : Color::kRed);
-    e->left().Reset(BuildBalanced(items, lo, mid, black_levels - 1));
-    e->right().Reset(BuildBalanced(items, mid + 1, hi, black_levels - 1));
+    e->left().Rewire(BuildBalanced(items, lo, mid, black_levels - 1));
+    e->right().Rewire(BuildBalanced(items, mid + 1, hi, black_levels - 1));
     return Ref::To(e);
   }
 
@@ -286,14 +286,14 @@ class Melder {
     if (k < n->key()) {
       HYDER_ASSIGN_OR_RETURN(SplitOut inner, Split(n->left().GetLocal(), k));
       NodePtr e = CopyForSplit(edge.node);
-      e->left().Reset(std::move(inner.greater));
+      e->left().Rewire(std::move(inner.greater));
       out.less = std::move(inner.less);
       out.eq = std::move(inner.eq);
       out.greater = Ref::To(e);
     } else {
       HYDER_ASSIGN_OR_RETURN(SplitOut inner, Split(n->right().GetLocal(), k));
       NodePtr e = CopyForSplit(edge.node);
-      e->right().Reset(std::move(inner.less));
+      e->right().Rewire(std::move(inner.less));
       out.less = Ref::To(e);
       out.eq = std::move(inner.eq);
       out.greater = std::move(inner.greater);
@@ -314,8 +314,8 @@ class Melder {
     e->set_cv(n->cv());
     e->set_flags(n->flags());
     e->set_color(n->color());
-    e->left().Reset(n->left().GetLocal());
-    e->right().Reset(n->right().GetLocal());
+    e->left().Rewire(n->left().GetLocal());
+    e->right().Rewire(n->right().GetLocal());
     return e;
   }
 
@@ -386,24 +386,24 @@ class Melder {
     if (ctx_.mode == MeldMode::kGroup && BaseInside(l.get())) {
       e->set_flags(l->flags());
     }
-    e->left().Reset(std::move(left));
-    e->right().Reset(std::move(right));
+    e->left().Rewire(std::move(left));
+    e->right().Rewire(std::move(right));
     return Ref::To(e);
   }
 
   /// Links the edges of grafted intention node `i` into the new state, so
   /// that it shares the base's nodes instead of naming them by id: every
   /// intra-intention edge to the node the intention's view decodes, and
-  /// every edge inherited from the snapshot to the base's own node. `l` is the base node that
-  /// `i` was copied from (`i->ssv() == l->vn()`), or null when there is
-  /// none; an inherited edge of `i` is `l`'s child on the same side when
-  /// their ids match. An edge with no such pair that names an ephemeral
-  /// node is resolved from the registry: ephemerals cannot be refetched,
-  /// so a state must hold them (the graft guarantees the base still holds
-  /// the snapshot's nodes under `l`). Other unpaired edges stay lazy.
-  /// Only materializes edges, never rewires one, so no decision or id
-  /// depends on it. Raw pointers: `grafts_` holds both roots, and a
-  /// published slot is never cleared.
+  /// every edge inherited from the snapshot to the base's own node. `l` is the
+  /// base node that `i` was copied from (`i->ssv() == l->vn()`), or null when
+  /// there is none; an inherited edge of `i` is `l`'s child on the same side
+  /// when their ids match. An edge with no such pair that names an ephemeral
+  /// node is resolved from the registry: ephemerals cannot be refetched, so a
+  /// state must hold them (the graft guarantees the base still holds the
+  /// snapshot's nodes under `l`). Other unpaired edges stay lazy. Only
+  /// materializes edges, never rewires one, so no decision or id depends on it.
+  /// Raw pointers: `grafts_` holds both roots, and a published slot is never
+  /// cleared.
   Status Link(const Node* i, const Node* l) {
     for (bool right : {false, true}) {
       const ChildSlot& slot = i->child(right);

@@ -65,11 +65,12 @@ SequentialPipeline::SequentialPipeline(
         kPremeldThreadIdBase + uint32_t(t)));
     pm_allocs_.back()->registrar = registrar;
   }
-  // Prefixes for seqs 0..initial.seq (zero history when bootstrapping from
-  // a checkpoint: pre-checkpoint conflict-zone block counts are unknown and
+  // Zero blocks up to initial.seq (no history when bootstrapping from a
+  // checkpoint: pre-checkpoint conflict-zone block counts are unknown and
   // irrelevant — premeld targets beyond retention fail with SnapshotTooOld
   // as they would on any server).
-  block_prefix_.assign(states_.Latest().seq + 1, 0);
+  block_prefix_.push_back(0);
+  next_seq_ = states_.Latest().seq + 1;
   published_seq_ = states_.Latest().seq;
   // Config echo (see ConfigEcho): each knob is stamped where it is
   // consumed. Retention is consumed right here, at state-table
@@ -80,8 +81,9 @@ SequentialPipeline::SequentialPipeline(
 }
 
 uint64_t SequentialPipeline::BlocksUpTo(uint64_t seq) const {
-  if (seq >= block_prefix_.size()) return block_prefix_.back();
-  return block_prefix_[seq];
+  if (seq >= next_seq_) return block_prefix_.back();
+  const uint64_t oldest = next_seq_ - block_prefix_.size();
+  return block_prefix_[seq > oldest ? seq - oldest : 0];
 }
 
 std::vector<uint64_t> SequentialPipeline::EphemeralCounters() const {
@@ -160,7 +162,7 @@ Result<IntentionPtr> SequentialPipeline::Premeld(IntentionPtr intent,
 }
 
 Status SequentialPipeline::CheckNextSeq(uint64_t seq) const {
-  if (seq == block_prefix_.size()) return Status::OK();
+  if (seq == next_seq_) return Status::OK();
   return Status::InvalidArgument(
       "pipeline requires consecutive sequences; got " + std::to_string(seq));
 }
@@ -197,6 +199,8 @@ Result<std::vector<MeldDecision>> SequentialPipeline::Meld(
   // real servers always stamp a nonzero (server id, local seq) id.)
   if (intent->txn_id != 0) HYDER_RETURN_IF_ERROR(NoteFed(intent->txn_id));
   block_prefix_.push_back(block_prefix_.back() + intent->block_count);
+  if (block_prefix_.size() > config_.state_retention) block_prefix_.pop_front();
+  ++next_seq_;
   stats_.intentions++;
   if (config_.stage_probe) {
     HYDER_RETURN_IF_ERROR(

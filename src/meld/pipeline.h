@@ -2,6 +2,7 @@
 #define HYDER2_MELD_PIPELINE_H_
 
 #include <bitset>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -157,7 +158,9 @@ class SequentialPipeline {
   const TopKSketch& contention() const { return contention_; }
 
   /// Cumulative serialized blocks up to (and including) sequence `seq`;
-  /// used to express conflict zones in blocks (Fig. 12).
+  /// used to express conflict zones in blocks (Fig. 12). Only the last
+  /// `state_retention` sequences are kept: an older `seq` counts from the
+  /// oldest kept one, so a zone reaching past the window is undercounted.
   uint64_t BlocksUpTo(uint64_t seq) const;
 
   /// Ephemeral id-space snapshot, in stage order [final, group, premeld...].
@@ -191,7 +194,10 @@ class SequentialPipeline {
   EphemeralAllocator gm_alloc_;
   std::vector<std::unique_ptr<EphemeralAllocator>> pm_allocs_;
   IntentionPtr pending_group_;  ///< Odd member awaiting its pair.
-  std::vector<uint64_t> block_prefix_;  ///< block_prefix_[seq] = cumulative.
+  /// Cumulative block counts of the last `state_retention` sequences,
+  /// oldest first; the last entry is sequence `next_seq_ - 1`'s.
+  std::deque<uint64_t> block_prefix_;
+  uint64_t next_seq_ = 0;  ///< The sequence `Meld` expects next.
   uint64_t published_seq_ = 0;
   /// Backstop against the duplicate-append ambiguity: the assembler filters
   /// retried copies before they reach the pipeline, so a transaction id

@@ -87,7 +87,7 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
       if ((p = GetVarint64(p, limit, &child)) == nullptr || child >= i) {
         return Status::Corruption("bad checkpoint child index");
       }
-      (side == 0 ? n->left() : n->right()).Reset(Ref::To(nodes[child]));
+      (side == 0 ? n->left() : n->right()).Rewire(Ref::To(nodes[child]));
     }
     // Ephemeral identities must stay resolvable for intentions that
     // reference them (§3.4); register into the bootstrapping resolver.

@@ -47,7 +47,12 @@ void DestroyNode(Node* n) {
       d = dead[--top];
     }
     for (ChildSlot* slot : {&d->left_, &d->right_}) {
-      Node* c = slot->node_.exchange(nullptr, std::memory_order_acq_rel);
+      // relaxed: `d` is exclusive. Its count reached zero through an
+      // acq_rel decrement, which every earlier holder's release (and any
+      // memoization CAS into its slots) happened-before, and no reference
+      // is left through which another thread could reach it.
+      Node* c = slot->node_.load(std::memory_order_relaxed);
+      slot->node_.store(nullptr, std::memory_order_relaxed);
       if (c != nullptr &&
           c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         if (top < kInline) {

@@ -163,7 +163,7 @@ class NodeResolver {
 /// After a node is published (logged or melded into a state), the only legal
 /// mutation is the lazy→materialized memoization, which is a CAS and safe
 /// under concurrent readers. Before publication (executor- or meld-private
-/// nodes), `Reset` may rewire the edge freely.
+/// nodes), `Rewire` may change the edge freely.
 class ChildSlot {
  public:
   ChildSlot() = default;
@@ -209,10 +209,16 @@ class ChildSlot {
     return expected;
   }
 
-  /// Rewires the edge. Only for unpublished nodes.
-  void Reset(Ref r) {
-    Node* neu = r.node.Release();
-    Node* old = node_.exchange(neu, std::memory_order_acq_rel);
+  /// Rewires the edge. Only for private (unpublished) nodes: no other
+  /// thread can reach this slot, so no `Memoize` can race the store, and
+  /// whatever later publishes the node (a state table's lock, a hand-off
+  /// queue, a memoization CAS on a published parent) orders it for readers.
+  /// hyder-check's `cow-discipline` rule confines callers to the files that
+  /// own private nodes.
+  void Rewire(Ref r) {
+    // relaxed: the slot is private to the calling thread (see above).
+    Node* old = node_.load(std::memory_order_relaxed);
+    node_.store(r.node.Release(), std::memory_order_relaxed);
     NodeUnref(old);
     vn_ = r.vn;
   }

@@ -36,7 +36,7 @@ void Attach(const std::vector<PathEntry>& path, const NodePtr& n,
   if (path.empty()) {
     *newroot = Ref::To(n);
   } else {
-    path.back().node->child(path.back().right).Reset(Ref::To(n));
+    path.back().node->child(path.back().right).Rewire(Ref::To(n));
   }
 }
 
@@ -55,7 +55,7 @@ void AttachAt(const std::vector<PathEntry>& path, size_t idx,
   if (idx == 0) {
     *newroot = Ref::To(n);
   } else {
-    path[idx - 1].node->child(path[idx - 1].right).Reset(Ref::To(n));
+    path[idx - 1].node->child(path[idx - 1].right).Rewire(Ref::To(n));
   }
 }
 
@@ -65,7 +65,7 @@ void AttachRefAt(const std::vector<PathEntry>& path, size_t idx, Ref r,
   if (idx == 0) {
     *newroot = std::move(r);
   } else {
-    path[idx - 1].node->child(path[idx - 1].right).Reset(std::move(r));
+    path[idx - 1].node->child(path[idx - 1].right).Rewire(std::move(r));
   }
 }
 
@@ -94,26 +94,26 @@ Status InsertFixup(const CowContext& ctx, std::vector<PathEntry>& path,
       p->set_color(Color::kBlack);
       HYDER_ASSIGN_OR_RETURN(NodePtr uc, CloneForWrite(ctx, u));
       uc->set_color(Color::kBlack);
-      g->child(!p_side).Reset(Ref::To(uc));
+      g->child(!p_side).Rewire(Ref::To(uc));
       g->set_color(Color::kRed);
       i -= 2;
       continue;
     }
     if (z_side != p_side) {
       // Inner (zig-zag): rotate p so the chain g -> z -> p is outer.
-      p->child(z_side).Reset(z->child(p_side).GetLocal());
-      z->child(p_side).Reset(Ref::To(p));
-      g->child(p_side).Reset(Ref::To(z));
+      p->child(z_side).Rewire(z->child(p_side).GetLocal());
+      z->child(p_side).Rewire(Ref::To(p));
+      g->child(p_side).Rewire(Ref::To(z));
       // Outer rotation around g with z as the middle node.
-      g->child(p_side).Reset(z->child(!p_side).GetLocal());
-      z->child(!p_side).Reset(Ref::To(g));
+      g->child(p_side).Rewire(z->child(!p_side).GetLocal());
+      z->child(!p_side).Rewire(Ref::To(g));
       z->set_color(Color::kBlack);
       g->set_color(Color::kRed);
       AttachAt(path, i - 2, z, newroot);
     } else {
       // Outer (zig-zig): single rotation around g.
-      g->child(p_side).Reset(p->child(!p_side).GetLocal());
-      p->child(!p_side).Reset(Ref::To(g));
+      g->child(p_side).Rewire(p->child(!p_side).GetLocal());
+      p->child(!p_side).Rewire(Ref::To(g));
       p->set_color(Color::kBlack);
       g->set_color(Color::kRed);
       AttachAt(path, i - 2, p, newroot);
@@ -142,12 +142,12 @@ Status DeleteFixup(const CowContext& ctx, std::vector<PathEntry>& path,
       break;
     }
     HYDER_ASSIGN_OR_RETURN(NodePtr s, CloneForWrite(ctx, s0));
-    p->child(!x_side).Reset(Ref::To(s));
+    p->child(!x_side).Rewire(Ref::To(s));
     if (s->color() == Color::kRed) {
       // Case A: red sibling. Rotate p toward the deficit so the new sibling
       // is black, then retry.
-      p->child(!x_side).Reset(s->child(x_side).GetLocal());
-      s->child(x_side).Reset(Ref::To(p));
+      p->child(!x_side).Rewire(s->child(x_side).GetLocal());
+      s->child(x_side).Rewire(Ref::To(p));
       s->set_color(Color::kBlack);
       p->set_color(Color::kRed);
       AttachAt(path, path.size() - 1, s, newroot);
@@ -176,19 +176,19 @@ Status DeleteFixup(const CowContext& ctx, std::vector<PathEntry>& path,
       // Case C: near child red, far child black. Rotate the sibling away
       // from the deficit so the far child becomes red.
       HYDER_ASSIGN_OR_RETURN(NodePtr snc, CloneForWrite(ctx, sn));
-      s->child(x_side).Reset(snc->child(!x_side).GetLocal());
-      snc->child(!x_side).Reset(Ref::To(s));
+      s->child(x_side).Rewire(snc->child(!x_side).GetLocal());
+      snc->child(!x_side).Rewire(Ref::To(s));
       snc->set_color(Color::kBlack);
       s->set_color(Color::kRed);
-      p->child(!x_side).Reset(Ref::To(snc));
+      p->child(!x_side).Rewire(Ref::To(snc));
       s = snc;
       HYDER_ASSIGN_OR_RETURN(sf, s->child(!x_side).Get(ctx.resolver));
     }
     // Case D: far child red. Rotate p toward the deficit; done.
     HYDER_ASSIGN_OR_RETURN(NodePtr sfc, CloneForWrite(ctx, sf));
-    s->child(!x_side).Reset(Ref::To(sfc));
-    p->child(!x_side).Reset(s->child(x_side).GetLocal());
-    s->child(x_side).Reset(Ref::To(p));
+    s->child(!x_side).Rewire(Ref::To(sfc));
+    p->child(!x_side).Rewire(s->child(x_side).GetLocal());
+    s->child(x_side).Rewire(Ref::To(p));
     s->set_color(p->color());
     p->set_color(Color::kBlack);
     sfc->set_color(Color::kBlack);
@@ -228,8 +228,8 @@ Result<NodePtr> CloneForWrite(const CowContext& ctx, const NodePtr& n) {
     m->set_cv(n->cv());
     m->set_flags(0);
   }
-  m->left().Reset(n->left().GetLocal());
-  m->right().Reset(n->right().GetLocal());
+  m->left().Rewire(n->left().GetLocal());
+  m->right().Rewire(n->right().GetLocal());
   if (ctx.vn_alloc != nullptr) ctx.vn_alloc->Assign(m);
   BumpCreated(ctx);
   return m;
@@ -388,15 +388,29 @@ Result<Ref> TreeLookup(const CowContext& ctx, const Ref& root, Key key,
                        std::optional<std::string>* payload) {
   *payload = std::nullopt;
   if (!ctx.annotate_reads) {
-    HYDER_ASSIGN_OR_RETURN(NodePtr cur, ResolveRefValue(root, ctx.resolver));
-    while (cur) {
+    // The caller's root owns the tree for the whole walk, and a slot of a
+    // node it reaches is never cleared, only memoized, so the descent
+    // borrows each node instead of counting a reference to it. Only a lazy
+    // root, which no slot holds, is owned here; `Get` at a lazy edge
+    // memoizes into the slot, which then owns the fetched node.
+    NodePtr lazy_root;
+    const Node* cur = root.node.get();
+    if (cur == nullptr) {
+      HYDER_ASSIGN_OR_RETURN(lazy_root, ResolveRefValue(root, ctx.resolver));
+      cur = lazy_root.get();
+    }
+    while (cur != nullptr) {
       BumpVisited(ctx);
       if (key == cur->key()) {
         *payload = cur->payload();
         return root;
       }
-      HYDER_ASSIGN_OR_RETURN(cur,
-                             cur->child(key > cur->key()).Get(ctx.resolver));
+      const ChildSlot& slot = cur->child(key > cur->key());
+      cur = slot.Peek();
+      if (cur == nullptr && !slot.vn().IsNull()) {
+        HYDER_ASSIGN_OR_RETURN(NodePtr fetched, slot.Get(ctx.resolver));
+        cur = fetched.get();
+      }
     }
     return root;
   }
@@ -406,27 +420,35 @@ Result<Ref> TreeLookup(const CowContext& ctx, const Ref& root, Key key,
   // phantom. (Reads against a completely empty tree have no node to
   // annotate; that corner is inherently covered only once the transaction
   // also writes, because its insert then roots the whole tree.)
-  std::vector<PathEntry> path;
   Ref newroot = root;
   HYDER_ASSIGN_OR_RETURN(NodePtr cur, ResolveRefValue(root, ctx.resolver));
   if (!cur) return newroot;
+  // The copied path hangs from `newroot`, which owns every node on it, so
+  // only the current parent is kept, borrowed, with the side taken from it.
+  Node* parent = nullptr;
+  bool dir = false;
   while (true) {
     BumpVisited(ctx);
     HYDER_ASSIGN_OR_RETURN(NodePtr c, CloneForWrite(ctx, cur));
-    AttachIfCloned(path, cur, c, &newroot);
+    if (parent == nullptr) {
+      newroot = Ref::To(c);
+    } else if (c.get() != cur.get()) {
+      // A node already private to `ctx` sits in its parent's slot.
+      parent->child(dir).Rewire(Ref::To(c));
+    }
     if (key == c->key()) {
       c->set_flags(c->flags() | kFlagRead);
       *payload = c->payload();
       return newroot;
     }
-    const bool dir = key > c->key();
+    dir = key > c->key();
     HYDER_ASSIGN_OR_RETURN(NodePtr nxt, c->child(dir).Get(ctx.resolver));
     if (!nxt) {
       c->set_flags(c->flags() | kFlagSubtreeRead);
       return newroot;
     }
-    path.push_back(PathEntry{c, dir});
-    cur = nxt;
+    parent = c.get();
+    cur = std::move(nxt);
   }
 }
 
@@ -486,7 +508,7 @@ Result<NodePtr> ScanRec(const CowContext& ctx, const NodePtr& n, Key lo,
     } else {
       HYDER_ASSIGN_OR_RETURN(NodePtr cl,
                              ScanRec(ctx, l, lo, hi, lb, n->key(), out));
-      if (c) c->left().Reset(Ref::To(cl));
+      if (c) c->left().Rewire(Ref::To(cl));
     }
   }
   // Self.
@@ -502,7 +524,7 @@ Result<NodePtr> ScanRec(const CowContext& ctx, const NodePtr& n, Key lo,
     } else {
       HYDER_ASSIGN_OR_RETURN(NodePtr cr,
                              ScanRec(ctx, r, lo, hi, n->key(), ub, out));
-      if (c) c->right().Reset(Ref::To(cr));
+      if (c) c->right().Rewire(Ref::To(cr));
     }
   }
   return c;

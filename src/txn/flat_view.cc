@@ -205,10 +205,10 @@ NodePtr FlatIntentionView::DecodeRecord(uint32_t index) const {
     uint64_t ev = 0;
     p = GetVarint64(p, end, &ev);
     ChildSlot& slot = side == 0 ? n->left() : n->right();
-    slot.Reset(Ref::Lazy(internal
-                             ? VersionId::Logged(seq_,
-                                                 static_cast<uint32_t>(ev))
-                             : VersionId::FromRaw(ev)));
+    slot.Rewire(Ref::Lazy(internal
+                              ? VersionId::Logged(seq_,
+                                                  static_cast<uint32_t>(ev))
+                              : VersionId::FromRaw(ev)));
   }
   return n;
 }

@@ -10,7 +10,9 @@
 //    live, in the shared free list, or parked in a thread cache — so after
 //    the churn threads exit (their caches drain on thread exit) and the
 //    main thread drains its own, `carved == live + free_shared`;
-//  * payload heap allocations balance their frees.
+//  * payload heap allocations balance their frees;
+//  * the per-thread node counters sum exactly, both over a thread that is
+//    still alive and over one that has exited.
 //
 // Runs under ENABLE_SANITIZERS to catch cross-thread use-after-free or
 // leaks in the slab recycling itself.
@@ -90,7 +92,7 @@ TEST(ArenaStressTest, CrossThreadChurnReconciles) {
                                  : rng.Uniform(kNodeInlinePayloadCap + 1);
           NodePtr n = MakeNode(rng.Next(), std::string(len, 'p'));
           if (!local.empty() && rng.Bernoulli(0.3)) {
-            n->left().Reset(Ref::To(local.back()));
+            n->left().Rewire(Ref::To(local.back()));
             local.pop_back();
           }
           local.push_back(std::move(n));
@@ -166,6 +168,67 @@ TEST(ArenaStressTest, LiveCountExactUnderParallelBursts) {
   release.store(true);
   for (auto& t : threads) t.join();
   EXPECT_EQ(LiveNodeCount(), live_before);
+}
+
+// Parks a worker thread between building nodes and exiting.
+struct Parking {
+  Mutex mu;
+  CondVar cv;
+  bool built GUARDED_BY(mu) = false;
+  bool leave GUARDED_BY(mu) = false;
+  std::vector<NodePtr> handed GUARDED_BY(mu);
+};
+
+TEST(ArenaStressTest, CountsReconcileOverParkedAndExitedThreads) {
+  const ArenaStats before = NodeArenaStats();
+  constexpr uint64_t kBuilt = 3000;
+  constexpr uint64_t kHanded = 1000;
+  Parking park;
+  std::thread worker([&] {
+    std::vector<NodePtr> kept;
+    std::vector<NodePtr> handed;
+    for (uint64_t i = 0; i < kBuilt; ++i) {
+      (i < kHanded ? handed : kept).push_back(MakeNode(i, "v"));
+    }
+    MutexLock lock(park.mu);
+    park.handed = std::move(handed);
+    park.built = true;
+    park.cv.SignalAll();
+    while (!park.leave) park.cv.Wait(park.mu);
+    kept.clear();  // The rest die on the thread that built them.
+  });
+  std::vector<NodePtr> handed;
+  {
+    MutexLock lock(park.mu);
+    while (!park.built) park.cv.Wait(park.mu);
+    handed = std::move(park.handed);
+  }
+  // The worker is parked alive: its counts come from its registered cache.
+  ArenaStats s = NodeArenaStats();
+  EXPECT_EQ(s.allocated, before.allocated + kBuilt);
+  EXPECT_EQ(s.live, before.live + kBuilt);
+  EXPECT_EQ(LiveNodeCount(), s.live);
+  // Nodes the worker built die here, so this thread's own count drops
+  // below what it allocated.
+  handed.clear();
+  s = NodeArenaStats();
+  EXPECT_EQ(s.allocated, before.allocated + kBuilt);
+  EXPECT_EQ(s.live, before.live + kBuilt - kHanded);
+  EXPECT_EQ(LiveNodeCount(), s.live);
+  {
+    MutexLock lock(park.mu);
+    park.leave = true;
+    park.cv.SignalAll();
+  }
+  worker.join();
+  // The worker's cache is gone; the pool folded its counts in at exit.
+  s = NodeArenaStats();
+  EXPECT_EQ(s.allocated, before.allocated + kBuilt);
+  EXPECT_EQ(s.live, before.live);
+  EXPECT_EQ(LiveNodeCount(), before.live);
+  DrainNodeArenaThreadCache();
+  s = NodeArenaStats();
+  EXPECT_EQ(s.carved, s.live + s.free_shared);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "meld/pipeline.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <thread>
 
@@ -148,6 +149,148 @@ TEST(PipelineTest, BlockPrefixTracksCumulativeBlocks) {
   ASSERT_TRUE(blocks.ok());
   ASSERT_TRUE(server.FeedBlocks(*blocks).ok());
   EXPECT_EQ(server.pipeline().BlocksUpTo(2), genesis_blocks + blocks->size());
+}
+
+TEST(PipelineTest, BlockPrefixKeepsOnlyTheRetentionWindow) {
+  // A long run: 100k one-block intentions that premeld already aborted, so
+  // no state changes and only the engine's per-sequence bookkeeping could
+  // grow. It keeps the block counts of the last `state_retention`
+  // sequences, so its heap stays flat.
+  constexpr uint64_t kIntentions = 100'000;
+  constexpr uint64_t kRetention = 64;
+  PipelineConfig config;
+  config.state_retention = kRetention;
+  SequentialPipeline pipeline(config, DatabaseState{0, Ref::Null()},
+                              /*resolver=*/nullptr, /*eph_registrar=*/nullptr);
+  // Large blocks are mmapped and counted apart from the arena's.
+  auto heap_in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return int64_t(mi.uordblks + mi.hblkhd);
+  };
+  const int64_t before = heap_in_use();
+  for (uint64_t seq = 1; seq <= kIntentions; ++seq) {
+    auto intent = std::make_shared<Intention>();
+    intent->seq = seq;
+    intent->txn_id = MakeTxnId(/*server_id=*/0, seq);
+    intent->known_aborted = true;
+    intent->abort_info.cause = AbortCause::kAbortPremeldKill;
+    intent->members = {{seq, intent->txn_id}};
+    auto decided = pipeline.Process(intent);
+    ASSERT_TRUE(decided.ok()) << decided.status().ToString();
+    ASSERT_EQ(decided->size(), 1u);
+  }
+  const int64_t grown = heap_in_use() - before;
+  EXPECT_LT(grown, 256 << 10) << "heap grew " << grown << " bytes";
+  EXPECT_EQ(pipeline.BlocksUpTo(kIntentions), kIntentions);
+  EXPECT_EQ(pipeline.BlocksUpTo(kIntentions - 10), kIntentions - 10);
+  // A sequence older than the window counts from its oldest entry.
+  const uint64_t oldest = kIntentions - kRetention + 1;
+  EXPECT_EQ(pipeline.BlocksUpTo(oldest), oldest);
+  EXPECT_EQ(pipeline.BlocksUpTo(1), oldest);
+}
+
+/// Resolves `L[1,k]` to a fresh node with key k and keeps none, as a
+/// refetch from the log does once its view is evicted: the slot that
+/// memoizes the node is its only owner. The ids form a complete search
+/// tree over keys 1..127 rooted at 64; node k's children are k -/+ half
+/// its lowest set bit, and odd keys are leaves.
+class FreshResolver : public NodeResolver {
+ public:
+  static std::string PayloadOf(Key k) {
+    // Above the inline cap: a node read after its slot was freed also
+    // reads a freed heap buffer.
+    return std::string(kNodeInlinePayloadCap + 8, char('a' + k % 26));
+  }
+
+  Result<NodePtr> Resolve(VersionId vn) override {
+    ++calls;
+    const Key k = vn.node_index();
+    NodePtr n = MakeNode(k, PayloadOf(k));
+    n->set_vn(vn);
+    n->set_cv(vn);
+    n->set_color(Color::kBlack);
+    if (const Key half = (k & -k) / 2; half > 0) {
+      n->left().Rewire(Ref::Lazy(VersionId::Logged(1, uint32_t(k - half))));
+      n->right().Rewire(Ref::Lazy(VersionId::Logged(1, uint32_t(k + half))));
+    }
+    return n;
+  }
+
+  int calls = 0;
+};
+
+TEST(PipelineTest, BorrowedWalksNeedOnlyTheCallersRoot) {
+  // A tree whose only owner is the caller's root: the one state that
+  // shared it has been retired. Walks borrow every node below the root,
+  // and each lazy edge they cross is memoized into a slot of a node that
+  // root owns. The pool poisons free slots under ASan, so a walk that kept
+  // a node nothing owned fails there.
+  const uint64_t live_before = LiveNodeCount();
+  FreshResolver resolver;
+  Ref mine;
+  {
+    StateTable states(2, DatabaseState{0, Ref::Null()});
+    auto root = resolver.Resolve(VersionId::Logged(1, 64));
+    ASSERT_TRUE(root.ok());
+    states.Publish(DatabaseState{1, Ref::To(*root)});
+    mine = states.Get(1)->root;
+    states.Publish(DatabaseState{2, Ref::Null()});
+    states.Publish(DatabaseState{3, Ref::Null()});
+    ASSERT_TRUE(states.Get(1).status().IsSnapshotTooOld());
+  }
+  ASSERT_EQ(mine.node->RefCount(), 1u);
+  resolver.calls = 0;
+
+  // Unannotated: 64 -> 32 -> 16 -> 24 -> 20 -> 22 -> 21, six lazy edges.
+  CowContext read;
+  read.owner = kWorkspaceTagBit | 1;
+  read.resolver = &resolver;
+  std::optional<std::string> payload;
+  {
+    auto same = TreeLookup(read, mine, 21, &payload);
+    ASSERT_TRUE(same.ok()) << same.status().ToString();
+    EXPECT_EQ(same->node.get(), mine.node.get());
+  }
+  EXPECT_EQ(payload, FreshResolver::PayloadOf(21));
+  EXPECT_EQ(resolver.calls, 6);
+  // The slots kept what the walk fetched: a repeat resolves nothing.
+  ASSERT_TRUE(TreeLookup(read, mine, 21, &payload).ok());
+  EXPECT_EQ(payload, FreshResolver::PayloadOf(21));
+  EXPECT_EQ(resolver.calls, 6);
+
+  // Annotated, as the replay of a deferred read runs it: the path to 100
+  // (64 -> 96 -> 112 -> 104 -> 100) is copied, crossing four lazy edges.
+  CowContext annotate = read;
+  annotate.annotate_reads = true;
+  auto copied = TreeLookup(annotate, mine, 100, &payload);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(payload, FreshResolver::PayloadOf(100));
+  EXPECT_EQ(resolver.calls, 10);
+  ASSERT_NE(copied->node.get(), mine.node.get());
+  Node* n = copied->node.get();
+  for (Key step : {96, 112, 104, 100}) {
+    ASSERT_EQ(n->owner(), annotate.owner) << "copied path, at " << step;
+    n = n->child(step > n->key()).Peek();
+    ASSERT_NE(n, nullptr);
+  }
+  EXPECT_EQ(n->key(), 100u);
+  EXPECT_TRUE(n->read_dependent());
+
+  // A deferred read replayed at the first write, over the copy.
+  IntentionBuilder b(kWorkspaceTagBit | 2, 1, *copied,
+                     IsolationLevel::kSerializable, &resolver);
+  auto got = b.Get(3);  // 64 -> 32 -> 16 -> 8 -> 4 -> 2 -> 3.
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, FreshResolver::PayloadOf(3));
+  ASSERT_TRUE(b.Put(127, "w").ok());
+  EXPECT_EQ(resolver.calls, 10 + 4 + 4);  // 8, 4, 2, 3; 120, 124, 126, 127.
+
+  // Dropping the roots frees every node the walks fetched.
+  copied = Ref::Null();
+  b = IntentionBuilder(kWorkspaceTagBit | 3, 0, Ref::Null(),
+                       IsolationLevel::kSerializable, nullptr);
+  mine = Ref::Null();
+  EXPECT_EQ(LiveNodeCount(), live_before);
 }
 
 TEST(PipelineTest, StatePerAbortedIntentionIsUnchanged) {

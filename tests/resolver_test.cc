@@ -203,7 +203,7 @@ TEST_F(RegistryTest, SweepDropsOnlyUnheldNodesAndCountsStayExact) {
 TEST_F(RegistryTest, SweepFreesOneLevelOfADeadChainPerPass) {
   NodePtr child = Eph(0, 0);
   NodePtr parent = Eph(0, 1);
-  parent->left().Reset(Ref::To(child));
+  parent->left().Rewire(Ref::To(child));
   resolver_.RegisterEphemeral(child);
   resolver_.RegisterEphemeral(parent);
   child.Reset();

@@ -81,7 +81,7 @@ TEST(NodeTest, ChildSlotHoldsStrongRef) {
     NodePtr parent = MakeNode(2, "p");
     {
       NodePtr child = MakeNode(1, "c");
-      parent->left().Reset(Ref::To(child));
+      parent->left().Rewire(Ref::To(child));
     }
     EXPECT_EQ(LiveNodeCount(), before + 2);  // Child kept alive by slot.
     Ref r = parent->left().GetLocal();
@@ -99,7 +99,7 @@ TEST(NodeTest, DeepTreeDestructionIsIterative) {
     NodePtr cur = root;
     for (int i = 1; i < 200000; ++i) {
       NodePtr next = MakeNode(i, "");
-      cur->right().Reset(Ref::To(next));
+      cur->right().Rewire(Ref::To(next));
       cur = next;
     }
   }
@@ -108,7 +108,7 @@ TEST(NodeTest, DeepTreeDestructionIsIterative) {
 
 TEST(NodeTest, LazyRefWithoutResolverFails) {
   NodePtr n = MakeNode(5, "x");
-  n->left().Reset(Ref::Lazy(VersionId::Logged(3, 1)));
+  n->left().Rewire(Ref::Lazy(VersionId::Logged(3, 1)));
   auto r = n->left().Get(nullptr);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInternal());
@@ -133,7 +133,7 @@ TEST(NodeTest, LazyRefResolvesAndMemoizes) {
   resolver.nodes[target->vn()] = target;
 
   NodePtr n = MakeNode(5, "x");
-  n->left().Reset(Ref::Lazy(target->vn()));
+  n->left().Rewire(Ref::Lazy(target->vn()));
   auto r1 = n->left().Get(&resolver);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ((*r1)->key(), 9u);
@@ -233,7 +233,7 @@ TEST(NodeTest, ConcurrentGetMemoizesExactlyOneCopy) {
   {
     FreshCopyResolver resolver;
     NodePtr parent = MakeNode(5, "x");
-    parent->left().Reset(Ref::Lazy(VersionId::Logged(8, 1)));
+    parent->left().Rewire(Ref::Lazy(VersionId::Logged(8, 1)));
 
     constexpr int kThreads = 8;
     std::vector<NodePtr> results(kThreads);

@@ -531,7 +531,7 @@ TEST(CodecTest, RetiredEphemeralReferenceFailsCleanly) {
   root->set_cv(VersionId::Logged(2, 0));
   root->set_owner(0);
   root->set_color(Color::kBlack);
-  root->right().Reset(Ref::To(eph));
+  root->right().Rewire(Ref::To(eph));
 
   IntentionBuilder b(kWorkspaceTagBit | 3, 2, Ref::To(root),
                      IsolationLevel::kSnapshot, nullptr);

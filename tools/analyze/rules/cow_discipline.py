@@ -4,8 +4,11 @@ Hyder's states are persistent trees: after a node is published (logged or
 melded into a state) it is immutable, and every logical update copies the
 path from the root (COW). The one change a published node allows is the
 lazy-to-materialized memoization of a child slot (`ChildSlot::Get` /
-`Memoize`, a CAS). In-place mutation of `Node` content is therefore only
-legal in the files that operate on nodes their own context owns:
+`Memoize`, a CAS). In-place mutation of `Node` content, and rewiring a
+child slot (`ChildSlot::Rewire`, a plain store that a concurrent `Memoize`
+would race with no sanitizer report, since both sides are atomics), is
+therefore only legal in the files that operate on nodes their own context
+owns:
 
  * the COW/meld implementation files, which mutate only private clones
    (`CloneForWrite` returns a node in place only when its owner tag is
@@ -18,9 +21,9 @@ legal in the files that operate on nodes their own context owns:
    (`src/tree/node.cc`).
 
 See DESIGN.md "Node layout & concurrency contract". The check keys on the
-mutating method vocabulary of `Node` (all spellings are unique to it in
-this codebase), so the name-keyed match is exact because the names are
-not reused.
+mutating method vocabulary of `Node` and `ChildSlot` (all spellings are
+unique to them in this codebase), so the name-keyed match is exact because
+the names are not reused.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from structure import SourceFile, call_sites
 _MUTATORS = {
     "set_payload", "set_key_for_relocation", "set_vn", "set_ssv",
     "set_base_cv", "set_cv", "set_owner", "set_color", "set_flags",
+    "Rewire",
 }
 
 # COW/meld implementation files: every mutation here is on a private clone
