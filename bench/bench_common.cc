@@ -407,7 +407,6 @@ SloReport RunOpenLoopExperiment(const ExperimentConfig& config,
   olo.isolation = config.isolation;
   olo.label = label;
   OpenLoopDriver driver(&server, olo, [&gen](Transaction& txn) {
-    if (gen.NextIsReadOnly()) return gen.FillReadOnlyTransaction(txn);
     return gen.FillWriteTransaction(txn);
   });
   Result<SloReport> report = driver.Run(schedule);

@@ -34,12 +34,11 @@ int main() {
   log_options.storage_units = 6;
   StripedLog log(log_options);
 
-  ServerOptions options;
-  options.default_isolation = IsolationLevel::kSerializable;
-  HyderServer server(&log, options);
+  HyderServer server(&log, ServerOptions{});
 
   // --- 1. Basic transactional writes. -----------------------------------
   {
+    // Begin() starts a serializable transaction.
     Transaction txn = server.Begin();
     CHECK_OK(txn.Put(100, "alice"));
     CHECK_OK(txn.Put(200, "bob"));

@@ -63,14 +63,6 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Rng::Gaussian(double mean, double stddev) {
-  // Irwin–Hall with 4 uniforms: mean 2, variance 1/3. Normalize.
-  double sum = NextDouble() + NextDouble() + NextDouble() + NextDouble();
-  double z = (sum - 2.0) * 1.7320508075688772;  // * sqrt(3)
-  double v = mean + stddev * z;
-  return v < 0.0 ? 0.0 : v;
-}
-
 namespace {
 double Zeta(uint64_t n, double theta) {
   double sum = 0.0;

@@ -33,10 +33,6 @@ class Rng {
   /// True with probability `p` (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Approximately normal via sum of uniforms (Irwin–Hall, 4 terms), clamped
-  /// to >= 0. Cheap and deterministic; adequate for sizing distributions.
-  double Gaussian(double mean, double stddev);
-
  private:
   uint64_t s_[4];
 };

@@ -52,13 +52,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *global;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  MutexLock lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
 LatencyHistogram* MetricsRegistry::histogram(const std::string& name) {
   MutexLock lock(mu_);
   auto& slot = histograms_[name];
@@ -97,9 +90,6 @@ void MetricsRegistry::Unregister(uint64_t id) {
 MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   Snapshot snap;
   MutexLock lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snap.values.emplace_back(name, double(counter->value()));
-  }
   for (const ProviderEntry& entry : providers_) {
     const std::string& prefix = entry.prefix;
     entry.fn([&snap, &prefix](const std::string& field, double value) {

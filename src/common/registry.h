@@ -8,10 +8,10 @@
 //
 // Two kinds of instruments:
 //
-//  * Push-model `Counter` / `LatencyHistogram`: created once by name
-//    (stable pointers, process lifetime), updated on the hot path. The
-//    pipeline's per-stage latency histograms (append->durable,
-//    durable->decision, hand-off blocked time) live here.
+//  * Push-model `LatencyHistogram`s: created once by name (stable
+//    pointers, process lifetime), updated on the hot path. The pipeline's
+//    per-stage latency histograms (append->durable, durable->decision,
+//    hand-off blocked time) live here.
 //  * Pull-model *providers*: a subsystem registers a callback that emits
 //    `field -> value` pairs at snapshot time, so stats structs that are
 //    owned and mutated by one component (PipelineStats, LogStats,
@@ -25,12 +25,11 @@
 // --metrics-json= flag writes the latter; tools/check_trace.py validates
 // its schema in CI.
 //
-// Concurrency: counters/histograms are internally synchronized and safe
-// from any thread. snapshot()/DumpMetrics()/ToJson() hold the registry
+// Concurrency: histograms are internally synchronized and safe from any
+// thread. snapshot()/DumpMetrics()/ToJson() hold the registry
 // mutex while invoking providers, so a provider must emit plain values it
 // can read race-free and must never call back into the registry.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -42,19 +41,6 @@
 #include "common/thread_annotations.h"
 
 namespace hyder {
-
-/// Monotonic counter.
-class Counter {
- public:
-  // relaxed: a stats value with no ordering dependencies; dump readers
-  // tolerate an in-flight increment.
-  void Increment(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  // relaxed: see Increment.
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
 
 /// Thread-safe wrapper around the log-bucketed Histogram. Values are
 /// microseconds by convention (suffix names with `_us`).
@@ -109,7 +95,6 @@ class MetricsRegistry {
 
   /// Create-or-get by name. The returned pointer is stable for the
   /// registry's lifetime (process lifetime for Global()).
-  Counter* counter(const std::string& name) EXCLUDES(mu_);
   LatencyHistogram* histogram(const std::string& name) EXCLUDES(mu_);
 
   /// Emit callback handed to providers: `emit(field, value)` publishes one
@@ -126,7 +111,7 @@ class MetricsRegistry {
       EXCLUDES(mu_);
 
   struct Snapshot {
-    /// Counters + provider fields, sorted by name (deterministic output).
+    /// Provider fields, sorted by name (deterministic output).
     std::vector<std::pair<std::string, double>> values;
     /// Histogram copies, sorted by name.
     std::vector<std::pair<std::string, Histogram>> histograms;
@@ -152,7 +137,6 @@ class MetricsRegistry {
   void Unregister(uint64_t id) EXCLUDES(mu_);
 
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_
       GUARDED_BY(mu_);
   std::vector<ProviderEntry> providers_ GUARDED_BY(mu_);

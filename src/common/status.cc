@@ -14,8 +14,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kCorruption:
       return "Corruption";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kTimedOut:
       return "TimedOut";
     case StatusCode::kSnapshotTooOld:
@@ -24,8 +22,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Busy";
     case StatusCode::kNotSupported:
       return "NotSupported";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kUnavailable:

@@ -25,12 +25,10 @@ enum class StatusCode : int {
   kNotFound = 2,
   kInvalidArgument = 3,
   kCorruption = 4,
-  kResourceExhausted = 5,
   kTimedOut = 6,
   kSnapshotTooOld = 7,
   kBusy = 8,
   kNotSupported = 9,
-  kOutOfRange = 10,
   kInternal = 11,
   kUnavailable = 12,
   kDataLoss = 13,
@@ -70,9 +68,6 @@ class [[nodiscard]] Status {
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
   }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status TimedOut(std::string msg) {
     return Status(StatusCode::kTimedOut, std::move(msg));
   }
@@ -85,17 +80,13 @@ class [[nodiscard]] Status {
   static Status NotSupported(std::string msg) {
     return Status(StatusCode::kNotSupported, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
   /// A transient storage/service failure: the operation did not happen (or
   /// its acknowledgement was lost) and may be retried. The log fault model
   /// (log/fault_log.h) reports injected transient errors with this code, and
-  /// the retry helpers (common/retry.h) treat exactly this code as
-  /// retryable.
+  /// RetryingLog (log/retrying_log.h) retries exactly this code.
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
@@ -123,16 +114,12 @@ class [[nodiscard]] Status {
     return code_ == StatusCode::kInvalidArgument;
   }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
-  }
   bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
   bool IsSnapshotTooOld() const {
     return code_ == StatusCode::kSnapshotTooOld;
   }
   bool IsBusy() const { return code_ == StatusCode::kBusy; }
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsDataLoss() const { return code_ == StatusCode::kDataLoss; }

@@ -43,17 +43,6 @@ CorfuSimResult SimulateCorfuAppends(const CorfuSimOptions& options) {
     const uint64_t token_done =
         sequencer.Serve(at_sequencer, options.sequencer_service_ns);
     const uint64_t position = next_position++;
-    // Periodic trim: the coordinator's prefix-reclaim command enters every
-    // unit's FIFO queue, stealing service time from appends — the cost the
-    // chaos bench quantifies when tuning checkpoint/truncation cadence.
-    if (options.trim_every_appends > 0 && position > 0 &&
-        position % options.trim_every_appends == 0) {
-      for (FifoServer& u : units) {
-        (void)u.Serve(token_done + options.network_oneway_ns,
-                      options.trim_service_ns);
-      }
-      result.trims_issued++;
-    }
     FifoServer& unit = units[position % units.size()];
     // Block shipped to the owning storage unit; one-way from the client, so
     // the sequencer->client->unit path costs two one-way hops after grant.

@@ -26,21 +26,12 @@ struct CorfuSimOptions {
   int threads_per_client = 20;
   uint64_t duration_ns = 2'000'000'000;  ///< Simulated run length.
   uint64_t warmup_ns = 200'000'000;      ///< Excluded from statistics.
-
-  /// Log-trim modeling: every `trim_every_appends` appends the checkpoint
-  /// coordinator issues a trim (CORFU's prefix-reclaim command) that every
-  /// storage unit must service — trims share the same FIFO queues as
-  /// appends, so aggressive trim cadence shows up as append tail latency.
-  /// 0 disables trim traffic.
-  uint64_t trim_every_appends = 0;
-  uint64_t trim_service_ns = 250'000;  ///< Metadata update + batched erase.
 };
 
 /// Results of one simulated run.
 struct CorfuSimResult {
   double appends_per_sec = 0;
   Histogram latency_us;  ///< Per-append latency in microseconds.
-  uint64_t trims_issued = 0;  ///< Trim commands serviced per storage unit.
 };
 
 /// Runs the closed-loop append simulation to completion (virtual time).

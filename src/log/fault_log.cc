@@ -17,19 +17,11 @@ FaultInjectingLog::FaultInjectingLog(SharedLog* base,
         emit("torn_appends", double(c.torn_appends));
         emit("read_failures", double(c.read_failures));
         emit("dataloss_reads", double(c.dataloss_reads));
-        emit("latency_spikes", double(c.latency_spikes));
       });
-}
-
-void FaultInjectingLog::MaybeInjectLatencyLocked() {
-  if (options_.latency_p <= 0 || !rng_.Bernoulli(options_.latency_p)) return;
-  counts_.latency_spikes++;
-  if (options_.latency_hook) options_.latency_hook(options_.latency_nanos);
 }
 
 Result<uint64_t> FaultInjectingLog::Append(std::string block) {
   MutexLock lock(mu_);
-  MaybeInjectLatencyLocked();
   if (forced_append_skip_ > 0) {
     forced_append_skip_--;
   } else if (forced_append_failures_ > 0) {
@@ -81,7 +73,6 @@ Result<uint64_t> FaultInjectingLog::Append(std::string block) {
 
 Result<std::string> FaultInjectingLog::Read(uint64_t position) {
   MutexLock lock(mu_);
-  MaybeInjectLatencyLocked();
   if (decayed_.count(position) != 0) {
     counts_.dataloss_reads++;
     stats_.errors++;

@@ -1,7 +1,6 @@
 #ifndef HYDER2_LOG_FAULT_LOG_H_
 #define HYDER2_LOG_FAULT_LOG_H_
 
-#include <functional>
 #include <unordered_set>
 
 #include "common/random.h"
@@ -36,20 +35,15 @@ struct FaultInjectionOptions {
   /// read of the position fails with `DataLoss` (sticky, as a real medium
   /// error would be).
   double read_dataloss_p = 0;
-  /// A latency spike of `latency_nanos` is injected (both paths).
-  double latency_p = 0;
-  uint64_t latency_nanos = 2'000'000;
-  /// Receives injected delays; null = the spike is only counted. Wire a
-  /// `SimClock` advance in benches or a real sleep in soak tests.
-  std::function<void(uint64_t nanos)> latency_hook;
 };
 
 /// Deterministic fault-injecting decorator over any `SharedLog` (§2: the
 /// log is the database's only persistent representation, so log faults are
 /// *the* fault model that matters). Wrap the real log, point servers at the
 /// wrapper, and every append/read site in the system gets exercised against
-/// transient unavailability, lost acks, torn writes, decayed bytes and
-/// latency spikes — without touching the underlying implementation.
+/// transient unavailability, lost acks, torn writes and decayed bytes —
+/// without touching the underlying implementation. Transient faults reach
+/// the caller; compose a RetryingLog over this wrapper to retry them.
 class FaultInjectingLog : public SharedLog {
  public:
   /// `base` must outlive this wrapper; the wrapper takes no ownership.
@@ -85,13 +79,10 @@ class FaultInjectingLog : public SharedLog {
     uint64_t torn_appends = 0;
     uint64_t read_failures = 0;
     uint64_t dataloss_reads = 0;
-    uint64_t latency_spikes = 0;
   };
   FaultCounts fault_counts() const EXCLUDES(mu_);
 
  private:
-  void MaybeInjectLatencyLocked() REQUIRES(mu_);
-
   SharedLog* const base_;
   const FaultInjectionOptions options_;
   mutable Mutex mu_;

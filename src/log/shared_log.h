@@ -53,7 +53,7 @@ class SharedLog {
   /// The configured block size in bytes.
   virtual size_t block_size() const = 0;
 
-  /// Consumers report each retry of a transient (`Unavailable`) log error
+  /// `RetryingLog` reports each retry of a transient (`Unavailable`) error
   /// here, so a log's stats expose the retry burden its clients absorbed
   /// alongside the errors it produced. Default: not tracked.
   virtual void RecordRetry() {}
@@ -73,7 +73,7 @@ struct LogStats {
   /// Failed operations: I/O errors, detected corruption/data loss, and
   /// injected faults (log/fault_log.h).
   uint64_t errors = 0;
-  /// Client retries reported through `RecordRetry`.
+  /// Retries reported through `RecordRetry` (by `RetryingLog`).
   uint64_t retries = 0;
   /// Successful `Truncate` calls that advanced the low-water mark.
   uint64_t truncations = 0;

@@ -1,16 +1,9 @@
 #include "server/catchup.h"
 
-#include <algorithm>
-
-#include "common/random.h"
-
 namespace hyder {
 
 CatchUpSession::CatchUpSession(SharedLog* log, CatchUpOptions options)
-    : log_(log),
-      options_(std::move(options)),
-      backoff_nanos_(options_.fetch_retry.initial_backoff_nanos),
-      jitter_state_(options_.fetch_retry.jitter_seed) {
+    : log_(log), options_(std::move(options)) {
   metrics_ = MetricsRegistry::Global().RegisterProvider(
       "catchup", [this](const MetricsRegistry::Emit& emit) {
         emit("phase", double(int(phase_)));
@@ -41,16 +34,12 @@ Status CatchUpSession::StepFetch() {
                                std::to_string(options_.max_fetch_rounds) +
                                " fetch rounds");
   }
-  Result<std::optional<CheckpointInfo>> found =
-      FindLatestCheckpoint(*log_, options_.fetch_retry);
+  Result<std::optional<CheckpointInfo>> found = FindLatestCheckpoint(*log_);
   if (!found.ok()) {
-    // The scan's own per-read retry budget is already spent; if the log is
-    // still unavailable, back off and re-run the round. Deterministic
-    // errors (the scan skips damaged checkpoints itself) are terminal.
-    if (found.status().IsUnavailable()) {
-      Backoff();
-      return Status::OK();
-    }
+    // If the log is still unavailable, the next Step re-runs the round.
+    // Deterministic errors (the scan skips damaged checkpoints itself) are
+    // terminal.
+    if (found.status().IsUnavailable()) return Status::OK();
     return found.status();
   }
   if (!found->has_value()) {
@@ -62,7 +51,6 @@ Status CatchUpSession::StepFetch() {
       // A truncated log with no visible checkpoint: the truncation protocol
       // keeps its anchor readable, so this is a race with an in-flight
       // checkpoint write (or its blocks are still landing). Try again.
-      Backoff();
       return Status::OK();
     }
   } else {
@@ -75,7 +63,6 @@ Status CatchUpSession::StepFetch() {
       // re-scan. Unavailable: storage hiccup outlasting the read retries.
       if (s.IsTruncated() || s.IsNotFound() || s.IsUnavailable()) {
         report_.restarts++;
-        Backoff();
         return Status::OK();
       }
       return s;
@@ -85,7 +72,6 @@ Status CatchUpSession::StepFetch() {
     report_.checkpoint_state_seq = (*found)->state_seq;
   }
   server_->set_serve_state(HyderServer::ServeState::kCatchingUp);
-  backoff_nanos_ = options_.fetch_retry.initial_backoff_nanos;
   phase_ = Phase::kReplaying;
   return Status::OK();
 }
@@ -112,9 +98,8 @@ Status CatchUpSession::StepReplay() {
       return Status::OK();
     }
     if (polled.status().IsUnavailable()) {
-      // Storage hiccup outlasting Poll's own retry budget; the cursor has
-      // not advanced, so waiting and re-polling is safe.
-      Backoff();
+      // Storage hiccup outlasting the log's retries; the cursor has not
+      // advanced, so the next Step re-polls.
       return Status::OK();
     }
     return polled.status();
@@ -135,25 +120,6 @@ void CatchUpSession::RestartFromFetch() {
   server_.reset();
   anchor_first_block_ = 0;
   phase_ = Phase::kFetchingCheckpoint;
-  Backoff();
-}
-
-void CatchUpSession::Backoff() {
-  const RetryPolicy& p = options_.fetch_retry;
-  if (p.sleeper) {
-    uint64_t wait = backoff_nanos_;
-    const double jitter = std::clamp(p.jitter_fraction, 0.0, 1.0);
-    if (jitter > 0 && backoff_nanos_ > 0) {
-      const uint64_t span =
-          static_cast<uint64_t>(static_cast<double>(backoff_nanos_) * jitter);
-      if (span > 0) wait -= SplitMix64(jitter_state_) % (span + 1);
-    }
-    p.sleeper(wait);
-  }
-  backoff_nanos_ = std::min(
-      static_cast<uint64_t>(static_cast<double>(backoff_nanos_) *
-                            p.backoff_multiplier),
-      p.max_backoff_nanos);
 }
 
 Result<std::unique_ptr<HyderServer>> CatchUpServer(SharedLog* log,

@@ -15,11 +15,6 @@ struct CatchUpOptions {
   /// configuration (§3.4 — meld is deterministic only if every server runs
   /// the same pipeline).
   ServerOptions server;
-  /// Backoff schedule for checkpoint-fetch rounds: applied between failed
-  /// scan/bootstrap attempts and passed through to the log reads inside the
-  /// scan. Give it a jitter_fraction so a herd of rejoining servers
-  /// decorrelates, and a sleeper so waits use the caller's clock.
-  RetryPolicy fetch_retry;
   /// Intentions melded per `Step()` while replaying — the granularity at
   /// which a chaos driver can interleave truncation against the replay.
   size_t replay_batch = 256;
@@ -39,7 +34,7 @@ struct CatchUpOptions {
 ///
 ///   kFetchingCheckpoint --scan+bootstrap ok--> kReplaying --at tail--> kServing
 ///        ^    |                                    |
-///        |    +-- fetch failed: jittered backoff --+-- replay hit Truncated
+///        |    +-- fetch failed: retry next Step ---+-- replay hit Truncated
 ///        +------------- (re-scan for a newer anchor; restarts++) -------+
 ///
 /// Graceful degradation: from the moment the server object exists it
@@ -61,8 +56,9 @@ class CatchUpSession {
   CatchUpSession(SharedLog* log, CatchUpOptions options);
 
   /// Runs one bounded unit of work (one fetch round or one replay batch).
-  /// Returns OK while progressing (including recoverable setbacks, which
-  /// back off internally); a non-OK status is terminal for the session.
+  /// Returns OK while progressing, including after a recoverable setback,
+  /// which the next `Step` retries; a non-OK status is terminal for the
+  /// session.
   [[nodiscard]] Status Step();
 
   bool done() const { return phase_ == Phase::kServing; }
@@ -88,10 +84,8 @@ class CatchUpSession {
   Status StepFetch();
   Status StepReplay();
   /// Discards the half-built server and returns to checkpoint fetch (the
-  /// truncation-raced-replay edge). Backs off before the re-scan.
+  /// truncation-raced-replay edge).
   void RestartFromFetch();
-  /// Sleeps one jittered backoff (fetch_retry schedule) and advances it.
-  void Backoff();
 
   SharedLog* const log_;
   const CatchUpOptions options_;
@@ -104,8 +98,6 @@ class CatchUpSession {
   /// from the newer anchor even if its own reads never hit `Truncated`.
   uint64_t anchor_first_block_ = 0;
   Report report_;
-  uint64_t backoff_nanos_;
-  uint64_t jitter_state_;
   /// "catchup.*" in the global registry; single-threaded like the session.
   /// Declared last: unregisters first.
   ProviderHandle metrics_;

@@ -45,9 +45,6 @@ ChaosOptions MakeChaosOptions(uint64_t seed) {
   options.server.pipeline.premeld_threads = 2;
   options.server.pipeline.premeld_distance = 4;
   options.server.pipeline.group_meld = true;
-  options.server.log_retry.max_attempts = 8;
-  options.server.log_retry.jitter_fraction = 0.5;
-  options.server.log_retry.jitter_seed = Mix64(seed ^ kSchedulerSalt);
   return options;
 }
 
@@ -56,12 +53,13 @@ ChaosDriver::ChaosDriver(ChaosOptions options)
       rng_(Mix64(options_.seed ^ kSchedulerSalt)),
       base_log_(options_.log),
       log_(&base_log_, DeriveFaults(options_)),
-      truncator_(&log_) {
+      retrying_log_(&log_),
+      truncator_(&retrying_log_) {
   replicas_.resize(size_t(options_.num_servers));
   for (int i = 0; i < options_.num_servers; ++i) {
     replicas_[size_t(i)].id = i;
     replicas_[size_t(i)].server = std::make_unique<HyderServer>(
-        &log_, OptionsFor(replicas_[size_t(i)], /*benign=*/false));
+        &retrying_log_, OptionsFor(replicas_[size_t(i)], /*benign=*/false));
   }
   metrics_ = MetricsRegistry::Global().RegisterProvider(
       "chaos", [this](const MetricsRegistry::Emit& emit) {
@@ -135,10 +133,6 @@ CatchUpOptions ChaosDriver::CatchUpOptionsFor(const Replica& replica,
                                               bool benign) {
   CatchUpOptions opts;
   opts.server = OptionsFor(replica, benign);
-  opts.fetch_retry = options_.server.log_retry;
-  opts.fetch_retry.jitter_seed =
-      Mix64(options_.seed ^ (uint64_t(replica.id) << 16) ^
-            replica.incarnation);
   opts.replay_batch = 64;
   return opts;
 }
@@ -299,7 +293,7 @@ void ChaosDriver::StepCatchUps(bool benign) {
     if (!r.server && !r.session && rng_.Bernoulli(options_.restart_p)) {
       r.incarnation++;
       r.session = std::make_unique<CatchUpSession>(
-          &log_, CatchUpOptionsFor(r, benign));
+          &retrying_log_, CatchUpOptionsFor(r, benign));
       report_.restarts++;
     }
     if (!r.session) continue;
@@ -336,7 +330,7 @@ Status ChaosDriver::Epilogue() {
     }
     r.incarnation++;
     r.session = std::make_unique<CatchUpSession>(
-        &log_, CatchUpOptionsFor(r, /*benign=*/true));
+        &retrying_log_, CatchUpOptionsFor(r, /*benign=*/true));
     report_.restarts++;
   }
   for (uint64_t steps = 0;; ++steps) {
@@ -432,7 +426,7 @@ Status ChaosDriver::Epilogue() {
     report_.duplicate_blocks += r.server->duplicate_blocks();
     servers.push_back(std::move(r.server));
   }
-  Cluster cluster(&log_, std::move(servers));
+  Cluster cluster(&retrying_log_, std::move(servers));
   std::string diff;
   HYDER_ASSIGN_OR_RETURN(report_.converged, cluster.StatesConverged(&diff));
   report_.diff = diff;

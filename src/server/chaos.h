@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "common/registry.h"
 #include "log/fault_log.h"
+#include "log/retrying_log.h"
 #include "log/striped_log.h"
 #include "server/catchup.h"
 #include "server/truncation.h"
@@ -96,15 +97,16 @@ struct ChaosReport {
 /// Deterministic kill/restart chaos harness over the full pipeline
 /// (DESIGN.md "Log truncation & catch-up", chaos harness).
 ///
-/// One driver owns a StripedLog wrapped in a FaultInjectingLog, N replicas,
-/// and a TruncationCoordinator. Each round it drives random transactions,
-/// rolls every serving server forward, and then — from one seeded stream —
-/// may write a checkpoint (sometimes crashing partway through it), truncate
-/// at the latest durable anchor, kill a server, or step the catch-up
+/// One driver owns a StripedLog wrapped in a FaultInjectingLog, wrapped in a
+/// RetryingLog that every server, catch-up session and the
+/// TruncationCoordinator use, and N replicas. Each round it drives random
+/// transactions, rolls every serving server forward, and then — from one seeded
+/// stream — may write a checkpoint (sometimes crashing partway through it),
+/// truncate at the latest durable anchor, kill a server, or step the catch-up
 /// sessions of dead ones (which is how truncation races replay). After the
-/// configured rounds it revives everything, drains the pipeline, runs one
-/// final checkpoint + truncation, and checks that every server converged to
-/// a physically identical state (§3.4) over a log whose reclaimed prefix is
+/// configured rounds it revives everything, drains the pipeline, runs one final
+/// checkpoint + truncation, and checks that every server converged to a
+/// physically identical state (§3.4) over a log whose reclaimed prefix is
 /// actually gone.
 ///
 /// `Run()` returns the report; an `Internal` error means an invariant the
@@ -117,7 +119,7 @@ class ChaosDriver {
   /// Runs the whole schedule. Call once.
   Result<ChaosReport> Run();
 
-  /// The wrapped log (tests add extra assertions against it).
+  /// The fault-injecting log (tests add extra assertions against it).
   FaultInjectingLog& log() { return log_; }
   StripedLog& base_log() { return base_log_; }
 
@@ -151,6 +153,7 @@ class ChaosDriver {
   Rng rng_;
   StripedLog base_log_;
   FaultInjectingLog log_;
+  RetryingLog retrying_log_;
   TruncationCoordinator truncator_;
   std::vector<Replica> replicas_;
   /// Set when the epilogue begins: disarms the stage probes of surviving

@@ -178,19 +178,13 @@ Result<CheckpointInfo> WriteCheckpoint(HyderServer& server) {
   for (size_t i = 0; i < blocks.size(); ++i) {
     // Duplicate copies from retried appends are harmless: scanners count
     // checkpoint blocks per index, not per copy.
-    HYDER_ASSIGN_OR_RETURN(
-        uint64_t pos,
-        RetryTransient(
-            server.options().log_retry,
-            [&] { return server.log()->Append(blocks[i]); },
-            [&server](const Status&) { server.log()->RecordRetry(); }));
+    HYDER_ASSIGN_OR_RETURN(uint64_t pos, server.log()->Append(blocks[i]));
     if (i == 0) info.first_block = pos;
   }
   return info;
 }
 
-Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(
-    SharedLog& log, const RetryPolicy& retry) {
+Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(SharedLog& log) {
   struct Candidate {
     CheckpointInfo info;
     std::unordered_set<uint32_t> have;  ///< Distinct block indices seen.
@@ -201,11 +195,9 @@ Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(
   // checkpoint older than the truncation point can never be assembled —
   // the fallback order is structurally incapable of selecting one.
   for (uint64_t pos = log.LowWaterMark(); pos < log.Tail(); ++pos) {
-    Result<std::string> block = RetryTransient(
-        retry, [&] { return log.Read(pos); },
-        [&log](const Status&) { log.RecordRetry(); });
+    Result<std::string> block = log.Read(pos);
     if (!block.ok()) {
-      if (IsTransientError(block.status())) return block.status();
+      if (block.status().IsUnavailable()) return block.status();
       // Permanently unreadable position (e.g. checksum mismatch). If it held
       // a checkpoint block, that checkpoint simply never completes and an
       // older intact one is chosen instead.
@@ -238,11 +230,9 @@ Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(
     // Belt and braces for a truncation racing this scan: a candidate whose
     // first block slipped below the (monotone) mark is no longer viable.
     if (best.first_block < log.LowWaterMark()) continue;
-    Result<std::string> first = RetryTransient(
-        retry, [&] { return log.Read(best.first_block); },
-        [&log](const Status&) { log.RecordRetry(); });
+    Result<std::string> first = log.Read(best.first_block);
     if (!first.ok()) {
-      if (IsTransientError(first.status())) return first.status();
+      if (first.status().IsUnavailable()) return first.status();
       continue;
     }
     auto h = DecodeBlockHeader(*first);
@@ -273,11 +263,9 @@ Result<std::unique_ptr<HyderServer>> BootstrapFromCheckpoint(
   uint32_t collected = 0;
   for (uint64_t pos = info.first_block;
        pos < log->Tail() && collected < info.block_count; ++pos) {
-    Result<std::string> block = RetryTransient(
-        options.log_retry, [&] { return log->Read(pos); },
-        [log](const Status&) { log->RecordRetry(); });
+    Result<std::string> block = log->Read(pos);
     if (!block.ok()) {
-      if (IsTransientError(block.status())) return block.status();
+      if (block.status().IsUnavailable()) return block.status();
       continue;  // Unreadable position; hope a duplicate copy exists.
     }
     auto header = DecodeBlockHeader(*block);

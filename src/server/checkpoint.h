@@ -51,10 +51,9 @@ Result<CheckpointInfo> WriteCheckpoint(HyderServer& server);
 /// missing blocks (torn mid-write), containing an unreadable block
 /// (checksum mismatch → DataLoss), or whose header fails to parse is passed
 /// over in favor of the newest older checkpoint that is intact. Duplicate
-/// block copies (retried appends) are counted once. Transient read errors
-/// are retried per `retry`; only exhausting the retry budget fails the scan.
-Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(
-    SharedLog& log, const RetryPolicy& retry = RetryPolicy{});
+/// block copies (retried appends) are counted once. A read that fails with
+/// `Unavailable` fails the scan, so the caller can run it again.
+Result<std::optional<CheckpointInfo>> FindLatestCheckpoint(SharedLog& log);
 
 /// Builds a new server whose pipeline starts at the checkpointed state and
 /// whose log cursor starts at `info.resume_position`. The result is

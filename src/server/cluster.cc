@@ -29,9 +29,9 @@ Cluster::Cluster(SharedLog* log,
     : log_(log), servers_(std::move(servers)) {}
 
 Status Cluster::PollAll() {
-  // Transient log errors are retried inside Poll (ServerOptions::log_retry);
-  // what escapes here is permanent — DataLoss, Corruption — and must stop
-  // the rollforward rather than leave servers silently diverged.
+  // A log with transient faults sits behind a RetryingLog; what escapes
+  // here (DataLoss, Corruption, an outage outlasting the retries) must
+  // stop the rollforward rather than leave servers silently diverged.
   for (auto& server : servers_) {
     HYDER_ASSIGN_OR_RETURN(auto decisions, server->Poll());
     (void)decisions;

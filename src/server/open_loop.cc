@@ -105,8 +105,9 @@ Result<SloReport> OpenLoopDriver::Run(
   // Drain: decisions for the tail of the schedule. A trailing group-pair
   // member can be undecided forever, so give up after a bounded run of
   // empty polls.
+  constexpr uint64_t kMaxIdleDrainPolls = 64;
   uint64_t idle = 0;
-  while (!intended_.empty() && idle < options_.max_idle_drain_polls) {
+  while (!intended_.empty() && idle < kMaxIdleDrainPolls) {
     HYDER_ASSIGN_OR_RETURN(std::vector<MeldDecision> decisions,
                            server_->Poll(1));
     bool progressed = false;

@@ -32,10 +32,6 @@ struct OpenLoopOptions {
   /// "slo.decision_latency_us[.<label>]" — label sweeps (one run per zipf
   /// theta, say) so each run's distribution survives in --metrics-json.
   std::string label;
-  /// End-of-run drain: stop polling after this many consecutive polls
-  /// with no new decisions (a trailing group-pair member can stay
-  /// undecided forever without a partner).
-  uint64_t max_idle_drain_polls = 64;
 };
 
 /// Per-run SLO summary. Latencies are decision latencies in microseconds,

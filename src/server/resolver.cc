@@ -257,13 +257,9 @@ Result<std::shared_ptr<FlatIntentionView>> ServerResolver::RefetchIntention(
   refetches_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::string> chunks(positions.size());
   for (uint64_t pos : positions) {
-    // Transient read errors retry; DataLoss and the like surface — the
-    // refetch has no other copy to fall back on.
-    HYDER_ASSIGN_OR_RETURN(
-        std::string block,
-        RetryTransient(
-            options_.log_retry, [&] { return log_->Read(pos); },
-            [this](const Status&) { log_->RecordRetry(); }));
+    // DataLoss and the like surface: the refetch has no other copy to fall
+    // back on.
+    HYDER_ASSIGN_OR_RETURN(std::string block, log_->Read(pos));
     HYDER_ASSIGN_OR_RETURN(BlockHeader h, DecodeBlockHeader(block));
     if (h.index >= chunks.size()) {
       return Status::Corruption("block index out of range on refetch");
@@ -378,6 +374,18 @@ void ServerResolver::ImportDirectory(
     CountedLock lock(shard.mu);
     shard.directory[e.seq] = e.positions;
   }
+}
+
+size_t ServerResolver::DropDirectoryBelow(uint64_t low_water) {
+  size_t dropped = 0;
+  for (auto& shard : shards_) {
+    CountedLock lock(shard->mu);
+    dropped += std::erase_if(shard->directory, [low_water](const auto& entry) {
+      return std::all_of(entry.second.begin(), entry.second.end(),
+                         [low_water](uint64_t pos) { return pos < low_water; });
+    });
+  }
+  return dropped;
 }
 
 size_t ServerResolver::cached_intentions() const {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/retry.h"
 #include "common/thread_annotations.h"
 #include "log/shared_log.h"
 #include "tree/node.h"
@@ -27,8 +26,6 @@ struct ResolverOptions {
   /// demand — the paper's random log read path, §1/§5.2). Split across the
   /// resolver's shards; the total never exceeds this value.
   size_t intention_cache_capacity = 4096;
-  /// Retry policy for transient log errors on the refetch path.
-  RetryPolicy log_retry;
 };
 
 /// Resolves node references for one server: logged references through a
@@ -116,6 +113,14 @@ class ServerResolver : public NodeResolver {
   std::vector<DirectoryExport> ExportDirectory() const;
   /// Restores directory entries (bootstrap path).
   void ImportDirectory(const std::vector<DirectoryExport>& entries);
+  /// Drops every directory entry whose positions all lie below
+  /// `low_water`: the log answers such an entry only with `Truncated`, and
+  /// `Resolve` serves a missing entry from the pin exactly as it serves a
+  /// truncated one. Called by the TruncationCoordinator once it has
+  /// advanced the mark, so the directory (and every checkpoint, which
+  /// carries it whole) holds only intentions above the last mark. Returns
+  /// the number of entries dropped.
+  size_t DropDirectoryBelow(uint64_t low_water);
 
   size_t cached_intentions() const;
   size_t ephemeral_count() const;

@@ -58,7 +58,9 @@ HyderServer::HyderServer(SharedLog* log, ServerOptions options,
       });
 }
 
-Transaction HyderServer::Begin() { return Begin(options_.default_isolation); }
+Transaction HyderServer::Begin() {
+  return Begin(IsolationLevel::kSerializable);
+}
 
 uint64_t HyderServer::NextTxnId() {
   const auto& origins = assembler_.origins();
@@ -113,17 +115,12 @@ Result<HyderServer::Submitted> HyderServer::Submit(Transaction&& txn) {
   {
     TraceSpan append_span(TraceStage::kAppend, txn.txn_id());
     for (const std::string& block : blocks) {
-      // Transient append failures are ambiguous: the block may or may not
-      // have landed. Retrying is safe because this loop retries a block
-      // before it appends the next, which is what lets the assembler
-      // recognize every copy (IntentionAssembler); positions are
-      // re-discovered while tailing the log, which keeps remote and local
-      // intentions on one code path.
-      HYDER_ASSIGN_OR_RETURN(
-          uint64_t pos,
-          RetryTransient(
-              options_.log_retry, [&] { return log_->Append(block); },
-              [this](const Status&) { log_->RecordRetry(); }));
+      // One block at a time: a log that retries a lost-ack append
+      // (RetryingLog) lands the copy before this loop appends the next
+      // block, which is what lets the assembler recognize every copy
+      // (IntentionAssembler). Positions are re-discovered while tailing
+      // the log, which keeps remote and local intentions on one code path.
+      HYDER_ASSIGN_OR_RETURN(uint64_t pos, log_->Append(block));
       (void)pos;
     }
   }
@@ -137,14 +134,10 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
   std::vector<MeldDecision> all;
   size_t processed = 0;
   while (processed < max_intentions && next_read_pos_ < log_->Tail()) {
-    // Transient read errors retry in place (the cursor has not advanced);
-    // permanent ones — e.g. DataLoss from a checksum mismatch — surface to
+    // A failed read leaves the cursor where it is, so the next Poll reads
+    // the position again; DataLoss from a checksum mismatch surfaces to
     // the caller rather than silently melding damaged bytes.
-    HYDER_ASSIGN_OR_RETURN(
-        std::string block,
-        RetryTransient(
-            options_.log_retry, [&] { return log_->Read(next_read_pos_); },
-            [this](const Status&) { log_->RecordRetry(); }));
+    HYDER_ASSIGN_OR_RETURN(std::string block, log_->Read(next_read_pos_));
     const uint64_t pos = next_read_pos_++;
     Result<BlockHeader> header_or = DecodeBlockHeader(block);
     if (!header_or.ok()) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/registry.h"
-#include "common/retry.h"
 #include "meld/pipeline.h"
 #include "server/resolver.h"
 #include "txn/codec.h"
@@ -22,18 +21,12 @@ struct ServerOptions {
   int server_id = 0;
   PipelineConfig pipeline;
   ResolverOptions resolver;
-  IsolationLevel default_isolation = IsolationLevel::kSerializable;
   /// Admission control: maximum transactions appended but not yet decided
   /// (§5.2 — "the executer stops processing transactions if the number of
   /// transactions awaiting their outcome exceeds a configurable threshold").
   size_t max_inflight = 1600;
   /// Melds between ephemeral-registry sweeps.
   uint64_t sweep_interval = 1024;
-  /// Bounded retry-with-backoff for transient (`Unavailable`) log errors in
-  /// the append (Submit) and tail-read (Poll) paths. Retried appends may
-  /// duplicate blocks in the log (lost acks); the assembler's duplicate
-  /// filter keeps them from melding twice.
-  RetryPolicy log_retry;
 };
 
 /// One optimistically executing transaction (§1, steps 1–2). Obtained from
@@ -90,7 +83,8 @@ class HyderServer {
   HyderServer(SharedLog* log, ServerOptions options, DatabaseState initial,
               uint64_t start_position);
 
-  /// Starts a transaction against the latest locally-known committed state.
+  /// Starts a transaction against the latest locally-known committed state
+  /// (serializable unless `isolation` says otherwise).
   Transaction Begin();
   Transaction Begin(IsolationLevel isolation);
 

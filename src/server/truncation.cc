@@ -12,6 +12,8 @@ TruncationCoordinator::TruncationCoordinator(SharedLog* log) : log_(log) {
         emit("low_water", double(log_->LowWaterMark()));
         emit("last_blocks_reclaimed", double(last_.blocks_reclaimed));
         emit("last_states_retired", double(last_.states_retired));
+        emit("last_directory_entries_dropped",
+             double(last_.directory_entries_dropped));
       });
 }
 
@@ -87,6 +89,13 @@ Result<TruncationReport> TruncationCoordinator::TruncateToCheckpoint(
   report.low_water = log_->LowWaterMark();
   report.blocks_reclaimed = report.low_water - before;
   report.states_retired = states_retired;
+  // Only now can a directory entry below the mark answer nothing but
+  // Truncated; dropping it earlier would change behaviour on a pin without
+  // a truncation.
+  for (HyderServer* server : servers) {
+    report.directory_entries_dropped +=
+        server->resolver().DropDirectoryBelow(report.low_water);
+  }
   rounds_++;
   last_ = report;
   return report;

@@ -14,6 +14,8 @@ struct TruncationReport {
   uint64_t low_water = 0;             ///< New first readable log position.
   uint64_t blocks_reclaimed = 0;      ///< Log blocks discarded this round.
   uint64_t states_retired = 0;  ///< Retained states retired, summed over servers.
+  /// Resolver directory entries below the new mark, summed over servers.
+  uint64_t directory_entries_dropped = 0;
 };
 
 /// Cluster-wide checkpoint-anchored log truncation (DESIGN.md "Log
@@ -29,7 +31,8 @@ struct TruncationReport {
 /// argument). Only then does the coordinator advance the log's low-water
 /// mark — to `min(first_block, resume_position)`, so the checkpoint's own
 /// blocks and every position a bootstrapping server replays from stay
-/// readable for future catch-up.
+/// readable for future catch-up — and then drop, on every server, the
+/// resolver directory entries that lie wholly below the new mark.
 ///
 /// Failure atomicity: pinning is purely additive (a pin without a
 /// truncation changes no behaviour), so a crash between any two steps

@@ -12,12 +12,6 @@ std::vector<uint64_t> BuildArrivalSchedule(const ArrivalOptions& options) {
   if (options.count == 0 || options.rate_tps <= 0) return schedule;
   schedule.reserve(options.count);
   const double mean_gap_nanos = 1e9 / options.rate_tps;
-  if (options.paced) {
-    for (uint64_t i = 0; i < options.count; ++i) {
-      schedule.push_back(uint64_t(double(i) * mean_gap_nanos));
-    }
-    return schedule;
-  }
   Rng rng(options.seed);
   double t = 0;
   for (uint64_t i = 0; i < options.count; ++i) {

@@ -8,8 +8,10 @@ namespace hyder {
 
 /// Parameters of an open-loop arrival schedule (§6-style load generation,
 /// but paced by intended arrival times instead of a closed in-flight
-/// window). The schedule is precomputed so a run's offered load is a pure
-/// function of (rate, count, process, seed) — independent of how fast the
+/// window): a Poisson process, whose exponential inter-arrival gaps are the
+/// standard open-loop model (bursts happen, like real clients). The
+/// schedule is precomputed so a run's offered load is a pure
+/// function of (rate, count, seed) — independent of how fast the
 /// system under test happens to drain it. That independence is what makes
 /// the measured latencies coordinated-omission-safe: a slow decision delays
 /// the *measurement*, never the *workload*.
@@ -18,12 +20,7 @@ struct ArrivalOptions {
   double rate_tps = 1000.0;
   /// Number of arrivals in the schedule.
   uint64_t count = 1000;
-  /// false (default): Poisson process — exponential inter-arrival gaps,
-  /// the standard open-loop model (bursts happen, like real clients).
-  /// true: uniform pacing at exactly 1/rate — a deterministic metronome,
-  /// useful when a run must be replayable gap-for-gap without a seed.
-  bool paced = false;
-  /// Seed for the Poisson gaps (ignored when `paced`).
+  /// Seed for the exponential inter-arrival gaps.
   uint64_t seed = 42;
 };
 

@@ -29,14 +29,8 @@ Key WorkloadGenerator::NextKey() {
 
 std::string WorkloadGenerator::NextValue() {
   std::string v = "v" + std::to_string(value_counter_++) + "-";
-  if (v.size() < options_.payload_bytes) {
-    v.append(options_.payload_bytes - v.size(), 'x');
-  }
+  if (v.size() < kValueBytes) v.append(kValueBytes - v.size(), 'x');
   return v;
-}
-
-bool WorkloadGenerator::NextIsReadOnly() {
-  return rng_.Bernoulli(options_.read_only_fraction);
 }
 
 Status WorkloadGenerator::FillWriteTransaction(Transaction& txn) {
@@ -46,15 +40,8 @@ Status WorkloadGenerator::FillWriteTransaction(Transaction& txn) {
   updates = std::min(updates, options_.ops_per_txn);
   const int reads = options_.ops_per_txn - updates;
   for (int i = 0; i < reads; ++i) {
-    if (options_.scan_fraction > 0 && rng_.Bernoulli(options_.scan_fraction)) {
-      Key lo = NextKey();
-      HYDER_ASSIGN_OR_RETURN(auto items,
-                             txn.Scan(lo, lo + options_.scan_length - 1));
-      (void)items;
-    } else {
-      HYDER_ASSIGN_OR_RETURN(auto value, txn.Get(NextKey()));
-      (void)value;
-    }
+    HYDER_ASSIGN_OR_RETURN(auto value, txn.Get(NextKey()));
+    (void)value;
   }
   for (int i = 0; i < updates; ++i) {
     HYDER_RETURN_IF_ERROR(txn.Put(NextKey(), NextValue()));
@@ -64,15 +51,8 @@ Status WorkloadGenerator::FillWriteTransaction(Transaction& txn) {
 
 Status WorkloadGenerator::FillReadOnlyTransaction(Transaction& txn) {
   for (int i = 0; i < options_.ops_per_txn; ++i) {
-    if (options_.scan_fraction > 0 && rng_.Bernoulli(options_.scan_fraction)) {
-      Key lo = NextKey();
-      HYDER_ASSIGN_OR_RETURN(auto items,
-                             txn.Scan(lo, lo + options_.scan_length - 1));
-      (void)items;
-    } else {
-      HYDER_ASSIGN_OR_RETURN(auto value, txn.Get(NextKey()));
-      (void)value;
-    }
+    HYDER_ASSIGN_OR_RETURN(auto value, txn.Get(NextKey()));
+    (void)value;
   }
   return Status::OK();
 }

@@ -23,17 +23,10 @@ enum class AccessDistribution {
 /// 8 reads and 2 writes, keys selected uniformly.
 struct WorkloadOptions {
   uint64_t db_size = 100'000;
-  size_t payload_bytes = 16;
   int ops_per_txn = 10;
   /// Fraction of a write transaction's operations that are updates
   /// (0.2 -> the paper's default 8 reads + 2 writes); at least one update.
   double update_fraction = 0.2;
-  /// Fraction of transactions that are read-only (run on snapshots, never
-  /// logged or melded; §6.4.3).
-  double read_only_fraction = 0.0;
-  /// Fraction of read operations issued as short range scans.
-  double scan_fraction = 0.0;
-  int scan_length = 10;
   AccessDistribution distribution = AccessDistribution::kUniform;
   /// Hotspot parameter x (§6.4.5); 1.0 degenerates to uniform.
   double hotspot_fraction = 1.0;
@@ -44,16 +37,17 @@ struct WorkloadOptions {
 /// Deterministic multi-operation transaction generator.
 class WorkloadGenerator {
  public:
-  explicit WorkloadGenerator(WorkloadOptions options);
+  /// `NextValue` pads every value to at least this many bytes (the paper's
+  /// 16-byte payloads, §6.4.2).
+  static constexpr size_t kValueBytes = 16;
 
-  /// True when the next transaction should be read-only.
-  bool NextIsReadOnly();
+  explicit WorkloadGenerator(WorkloadOptions options);
 
   /// Fills `txn` with one write transaction's operations (reads first, then
   /// updates, matching the paper's read-then-write transactions).
   Status FillWriteTransaction(Transaction& txn);
 
-  /// Fills `txn` with read-only operations.
+  /// Fills `txn` with `ops_per_txn` reads.
   Status FillReadOnlyTransaction(Transaction& txn);
 
   /// Seeds the database with `db_size` items through chunked transactions

@@ -8,7 +8,6 @@
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "common/varint.h"
@@ -305,55 +304,6 @@ TEST(SimClockTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 1);
   clock.RunAll();
   EXPECT_EQ(fired, 2);
-}
-
-/// Captures the wait of every retry of an always-Unavailable op.
-std::vector<uint64_t> RetryWaits(RetryPolicy policy) {
-  std::vector<uint64_t> waits;
-  policy.sleeper = [&waits](uint64_t nanos) { waits.push_back(nanos); };
-  auto r = RetryTransient(policy, [] { return Status::Unavailable("down"); });
-  EXPECT_TRUE(r.IsUnavailable());
-  return waits;
-}
-
-TEST(RetryTest, JitteredBackoffBoundedAndSeedDeterministic) {
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.initial_backoff_nanos = 1'000'000;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_nanos = 1'000'000'000;
-  policy.jitter_fraction = 0.5;
-  policy.jitter_seed = 1234;
-
-  const std::vector<uint64_t> waits = RetryWaits(policy);
-  ASSERT_EQ(waits.size(), 5u);  // max_attempts - 1 retries.
-  uint64_t backoff = policy.initial_backoff_nanos;
-  for (size_t i = 0; i < waits.size(); ++i) {
-    // Each wait is drawn from [backoff * (1 - jitter), backoff]: jitter only
-    // ever shortens a wait, so the exponential schedule stays an upper bound.
-    EXPECT_GE(waits[i], backoff / 2) << "retry " << i;
-    EXPECT_LE(waits[i], backoff) << "retry " << i;
-    backoff = std::min(backoff * 2, policy.max_backoff_nanos);
-  }
-
-  // The schedule is a pure function of the policy: same seed, same waits —
-  // and a different seed decorrelates (the point of jitter).
-  EXPECT_EQ(RetryWaits(policy), waits);
-  RetryPolicy other = policy;
-  other.jitter_seed = 4321;
-  EXPECT_NE(RetryWaits(other), waits);
-}
-
-TEST(RetryTest, ZeroJitterFollowsExactExponentialSchedule) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff_nanos = 1'000'000;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_nanos = 3'000'000;
-  policy.jitter_fraction = 0;
-  EXPECT_EQ(RetryWaits(policy),
-            (std::vector<uint64_t>{1'000'000, 2'000'000, 3'000'000,
-                                   3'000'000}));
 }
 
 TEST(MixTest, Mix64Avalanches) {

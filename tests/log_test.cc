@@ -2,11 +2,14 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "log/corfu_sim.h"
 #include "log/fault_log.h"
+#include "log/retrying_log.h"
 #include "log/striped_log.h"
+#include "server/server.h"
 
 namespace hyder {
 namespace {
@@ -233,18 +236,155 @@ TEST(FaultLogTest, RecordRetryCountsInWrapperAndBase) {
   EXPECT_EQ(base.stats().retries, 2u);
 }
 
-TEST(FaultLogTest, LatencySpikesHitTheHook) {
+/// Fails every append and read with one status, counting the attempts.
+class FailingLog final : public SharedLog {
+ public:
+  explicit FailingLog(Status status) : status_(std::move(status)) {}
+  Result<uint64_t> Append(std::string) override {
+    attempts_++;
+    return status_;
+  }
+  Result<std::string> Read(uint64_t) override {
+    attempts_++;
+    return status_;
+  }
+  uint64_t Tail() const override { return 1; }
+  size_t block_size() const override { return 256; }
+  int attempts() const { return attempts_; }
+
+ private:
+  const Status status_;
+  int attempts_ = 0;
+};
+
+/// Lands every append in `base` but loses the acknowledgement of the first
+/// `lost` of them: the ambiguous append FaultInjectingLog's
+/// `append_duplicate_p` draws at random, here at a known position.
+class LostAckLog final : public SharedLog {
+ public:
+  LostAckLog(SharedLog* base, int lost) : base_(base), lost_(lost) {}
+  Result<uint64_t> Append(std::string block) override {
+    Result<uint64_t> landed = base_->Append(std::move(block));
+    if (!landed.ok() || lost_ == 0) return landed;
+    lost_--;
+    return Status::Unavailable("append acknowledgement lost");
+  }
+  Result<std::string> Read(uint64_t position) override {
+    return base_->Read(position);
+  }
+  uint64_t Tail() const override { return base_->Tail(); }
+  size_t block_size() const override { return base_->block_size(); }
+  void RecordRetry() override { base_->RecordRetry(); }
+
+ private:
+  SharedLog* const base_;
+  int lost_;
+};
+
+TEST(RetryingLogTest, TransientAppendFailureRetriedUntilTheBlockLands) {
   StripedLog base(SmallLog());
   FaultInjectionOptions o;
-  o.latency_p = 1.0;
-  o.latency_nanos = 777;
-  uint64_t total = 0;
-  o.latency_hook = [&total](uint64_t n) { total += n; };
-  FaultInjectingLog log(&base, o);
-  ASSERT_TRUE(log.Append("x").ok());
-  ASSERT_TRUE(log.Read(1).ok());
-  EXPECT_EQ(log.fault_counts().latency_spikes, 2u);
-  EXPECT_EQ(total, 2u * 777u);
+  o.seed = 7;
+  o.append_fail_p = 0.25;
+  FaultInjectingLog fault(&base, o);
+  RetryingLog log(&fault);
+  for (uint64_t i = 1; i <= 20; ++i) {
+    auto pos = log.Append("block-" + std::to_string(i));
+    ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+    EXPECT_EQ(*pos, i) << "a failed append lands nothing";
+  }
+  EXPECT_EQ(base.Tail(), 21u);
+  EXPECT_GT(fault.fault_counts().append_failures, 0u);
+  // Every failure was retried, and each retry reached the inner log.
+  EXPECT_EQ(fault.stats().retries, fault.fault_counts().append_failures);
+  EXPECT_EQ(log.stats().retries, fault.stats().retries);
+}
+
+TEST(RetryingLogTest, LostAckAppendReturnsTheSecondCopysPosition) {
+  StripedLog base(SmallLog());
+  LostAckLog lossy(&base, /*lost=*/1);
+  RetryingLog log(&lossy);
+  auto pos = log.Append("ghost");
+  ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+  EXPECT_EQ(*pos, 2u);
+  ASSERT_EQ(base.Tail(), 3u) << "the original and the retried copy";
+  EXPECT_EQ(*base.Read(1), "ghost");
+  EXPECT_EQ(*base.Read(2), "ghost");
+  EXPECT_EQ(base.stats().retries, 1u);
+}
+
+TEST(RetryingLogTest, LostAckCopyMeldsOnceOnATailingServer) {
+  StripedLogOptions lo;
+  lo.block_size = 1024;
+  StripedLog base(lo);
+  LostAckLog lossy(&base, /*lost=*/1);
+  RetryingLog log(&lossy);
+  HyderServer writer(&log, ServerOptions{});
+  Transaction t = writer.Begin();
+  ASSERT_TRUE(t.Put(1, "once").ok());
+  auto sub = writer.Submit(std::move(t));
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  ASSERT_EQ(base.Tail(), 3u) << "one block, landed twice";
+
+  ServerOptions reader_options;
+  reader_options.server_id = 1;
+  HyderServer reader(&base, reader_options);
+  auto decisions = reader.Poll();
+  ASSERT_TRUE(decisions.ok()) << decisions.status().ToString();
+  ASSERT_EQ(decisions->size(), 1u);
+  EXPECT_EQ((*decisions)[0].txn_id, sub->txn_id);
+  EXPECT_TRUE((*decisions)[0].committed);
+  EXPECT_EQ(reader.duplicate_blocks(), 1u);
+}
+
+TEST(RetryingLogTest, DeterministicErrorsReturnAfterOneAttempt) {
+  for (const Status& status :
+       {Status::DataLoss("decayed"), Status::Corruption("bad bytes"),
+        Status::NotFound("past the tail"), Status::Truncated("reclaimed")}) {
+    FailingLog failing(status);
+    RetryingLog log(&failing);
+    EXPECT_EQ(log.Append("b").status().code(), status.code());
+    EXPECT_EQ(log.Read(1).status().code(), status.code());
+    EXPECT_EQ(failing.attempts(), 2) << status.ToString();
+  }
+  // FailNextAppends' forced outage is Internal: had it been retried, the
+  // second attempt would have landed the block.
+  StripedLog base(SmallLog());
+  FaultInjectingLog fault(&base, FaultInjectionOptions{});
+  RetryingLog log(&fault);
+  fault.FailNextAppends(1);
+  EXPECT_TRUE(log.Append("b").status().IsInternal());
+  EXPECT_EQ(base.Tail(), 1u);
+  EXPECT_EQ(fault.stats().retries, 0u);
+}
+
+TEST(RetryingLogTest, UnavailableReadGivesUpAfterEightAttempts) {
+  StripedLog base(SmallLog());
+  ASSERT_TRUE(base.Append("x").ok());
+  FaultInjectionOptions o;
+  o.read_fail_p = 1.0;
+  FaultInjectingLog fault(&base, o);
+  RetryingLog log(&fault);
+  EXPECT_TRUE(log.Read(1).status().IsUnavailable());
+  EXPECT_EQ(fault.fault_counts().read_failures, 8u);
+  EXPECT_EQ(fault.stats().retries, 7u);
+  EXPECT_EQ(RetryingLog::kMaxAttempts, 8);
+}
+
+TEST(RetryingLogTest, ForwardsEveryOtherCall) {
+  StripedLog base(SmallLog());
+  RetryingLog log(&base);
+  ASSERT_TRUE(log.Append("a").ok());
+  ASSERT_TRUE(log.Append("b").ok());
+  EXPECT_EQ(log.Tail(), 3u);
+  EXPECT_EQ(log.block_size(), base.block_size());
+  ASSERT_TRUE(log.Truncate(2).ok());
+  EXPECT_EQ(base.LowWaterMark(), 2u);
+  EXPECT_EQ(log.LowWaterMark(), 2u);
+  EXPECT_TRUE(log.Read(1).status().IsTruncated());
+  log.RecordRetry();
+  EXPECT_EQ(base.stats().retries, 1u);
+  EXPECT_EQ(log.stats().appends, 2u);
 }
 
 TEST(CorfuSimTest, ThroughputScalesWithClientsUntilSaturation) {

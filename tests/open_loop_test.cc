@@ -23,18 +23,6 @@ StripedLogOptions TestLog() {
   return o;
 }
 
-TEST(ArrivalScheduleTest, PacedIsExactlyUniform) {
-  ArrivalOptions opt;
-  opt.rate_tps = 1000.0;  // 1ms gap.
-  opt.count = 10;
-  opt.paced = true;
-  auto s = BuildArrivalSchedule(opt);
-  ASSERT_EQ(s.size(), 10u);
-  for (size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(s[i], i * 1'000'000u);
-  }
-}
-
 TEST(ArrivalScheduleTest, PoissonIsDeterministicPerSeed) {
   ArrivalOptions opt;
   opt.rate_tps = 5000.0;

@@ -1,7 +1,8 @@
 // Crash-recovery and fault-injection harness.
 //
 // The scenarios here drive a two-server cluster over a durable FileLog
-// wrapped in a FaultInjectingLog, kill and reopen the log at injected fault
+// wrapped in a FaultInjectingLog and a RetryingLog (which retries the
+// transient faults), kill and reopen the log at injected fault
 // points (including torn and corrupt garbage at the tail), rebuild servers
 // via checkpoint bootstrap and via full replay, and assert that the cluster
 // still converges to a state *physically identical* (§3.4) to a fault-free
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "common/random.h"
 #include "log/fault_log.h"
 #include "log/file_log.h"
+#include "log/retrying_log.h"
 #include "log/striped_log.h"
 #include "server/catchup.h"
 #include "server/checkpoint.h"
@@ -39,12 +42,14 @@ constexpr size_t kBlockSize = 1024;
 ServerOptions HarnessOptions(int server_id) {
   ServerOptions o;
   o.server_id = server_id;
-  // Generous budget with immediate (sleeper-less) retries: per-op fault
-  // probabilities are well under 0.5, so exhausting 200 attempts has
-  // negligible probability and every intention eventually lands.
-  o.log_retry.max_attempts = 200;
-  o.resolver.log_retry = o.log_retry;
   return o;
+}
+
+// The convergence loop's seed window defaults to 1..100 and can be
+// re-based from the environment, as chaos_test's can (CI runs 101..1000).
+uint64_t EnvSeed(const char* name, uint64_t fallback) {
+  const char* value = std::getenv(name);
+  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
 struct Op {
@@ -112,15 +117,26 @@ class RecoveryTest : public ::testing::Test {
   std::string path_;
 };
 
+/// The logs of one faulty run, innermost first, and the cluster over them.
+struct FaultyRun {
+  std::unique_ptr<FileLog> file;
+  std::unique_ptr<FaultInjectingLog> fault;
+  std::unique_ptr<RetryingLog> retrying;
+  std::unique_ptr<Cluster> cluster;
+};
+
+/// Fault counts and retries summed over the faulty runs.
+struct FaultTotals {
+  FaultInjectingLog::FaultCounts counts;
+  uint64_t retries = 0;
+};
+
 /// One faulty run: crash/reopen every few ops, checkpoint occasionally,
 /// rebuild one server from the latest checkpoint and one by full replay.
 /// Returns the fault cluster for comparison; accumulates fault counts.
 void RunFaulty(const std::string& path, uint64_t seed,
-               const std::vector<Op>& ops,
-               std::unique_ptr<FileLog>* file_out,
-               std::unique_ptr<FaultInjectingLog>* fault_out,
-               std::unique_ptr<Cluster>* cluster_out,
-               FaultInjectingLog::FaultCounts* total_counts) {
+               const std::vector<Op>& ops, FaultyRun* out,
+               FaultTotals* totals) {
   FileLog::Options fo;
   fo.block_size = kBlockSize;
 
@@ -133,22 +149,24 @@ void RunFaulty(const std::string& path, uint64_t seed,
   // read_dataloss_p stays 0 in convergence runs: permanent medium loss is
   // *supposed* to halt rollforward (see DataLossSurfacesInsteadOfMelding).
 
-  auto accumulate = [total_counts](const FaultInjectingLog& log) {
+  auto accumulate = [totals](const FaultInjectingLog& log) {
     FaultInjectingLog::FaultCounts c = log.fault_counts();
-    total_counts->append_failures += c.append_failures;
-    total_counts->duplicate_appends += c.duplicate_appends;
-    total_counts->torn_appends += c.torn_appends;
-    total_counts->read_failures += c.read_failures;
+    totals->counts.append_failures += c.append_failures;
+    totals->counts.duplicate_appends += c.duplicate_appends;
+    totals->counts.torn_appends += c.torn_appends;
+    totals->counts.read_failures += c.read_failures;
+    totals->retries += log.stats().retries;
   };
 
   auto file = FileLog::Open(path, fo);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   auto fault = std::make_unique<FaultInjectingLog>(file->get(), fi);
+  auto retrying = std::make_unique<RetryingLog>(fault.get());
   std::vector<std::unique_ptr<HyderServer>> servers;
   servers.push_back(
-      std::make_unique<HyderServer>(fault.get(), HarnessOptions(0)));
+      std::make_unique<HyderServer>(retrying.get(), HarnessOptions(0)));
   servers.push_back(
-      std::make_unique<HyderServer>(fault.get(), HarnessOptions(1)));
+      std::make_unique<HyderServer>(retrying.get(), HarnessOptions(1)));
 
   Rng crash_rng(seed * 31 + 7);
   int crashes = 0;
@@ -157,6 +175,7 @@ void RunFaulty(const std::string& path, uint64_t seed,
       // --- Crash: drop every in-memory structure, damage the tail, reopen.
       accumulate(*fault);
       servers.clear();
+      retrying.reset();
       fault.reset();
       file->reset();
       AppendCrashGarbage(path, crashes % 2, crash_rng);
@@ -166,24 +185,24 @@ void RunFaulty(const std::string& path, uint64_t seed,
       ASSERT_TRUE(file.ok()) << file.status().ToString();
       fi.seed = seed * 7919 + 100 + uint64_t(crashes);
       fault = std::make_unique<FaultInjectingLog>(file->get(), fi);
+      retrying = std::make_unique<RetryingLog>(fault.get());
 
       // Server 0 restarts from the newest intact checkpoint when one
       // exists; server 1 always replays the whole log. Both paths must
       // land on identical states.
-      RetryPolicy scan_retry = HarnessOptions(0).log_retry;
-      auto cp = FindLatestCheckpoint(*fault, scan_retry);
+      auto cp = FindLatestCheckpoint(*retrying);
       ASSERT_TRUE(cp.ok()) << cp.status().ToString();
       if (cp->has_value()) {
         auto restored =
-            BootstrapFromCheckpoint(fault.get(), **cp, HarnessOptions(0));
+            BootstrapFromCheckpoint(retrying.get(), **cp, HarnessOptions(0));
         ASSERT_TRUE(restored.ok()) << restored.status().ToString();
         servers.push_back(std::move(*restored));
       } else {
         servers.push_back(
-            std::make_unique<HyderServer>(fault.get(), HarnessOptions(0)));
+            std::make_unique<HyderServer>(retrying.get(), HarnessOptions(0)));
       }
       servers.push_back(
-          std::make_unique<HyderServer>(fault.get(), HarnessOptions(1)));
+          std::make_unique<HyderServer>(retrying.get(), HarnessOptions(1)));
       for (auto& s : servers) {
         auto r = s->Poll();
         ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -206,25 +225,27 @@ void RunFaulty(const std::string& path, uint64_t seed,
   }
   accumulate(*fault);
 
-  *cluster_out = std::make_unique<Cluster>(fault.get(), std::move(servers));
-  *file_out = std::move(*file);
-  *fault_out = std::move(fault);
+  out->cluster = std::make_unique<Cluster>(retrying.get(), std::move(servers));
+  out->file = std::move(*file);
+  out->fault = std::move(fault);
+  out->retrying = std::move(retrying);
 }
 
-TEST_F(RecoveryTest, ConvergesUnderFaultsAndCrashesAcross100Seeds) {
-  FaultInjectingLog::FaultCounts totals;
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
+TEST_F(RecoveryTest, ConvergesUnderFaultsAndCrashesAcrossSeeds) {
+  const uint64_t base = EnvSeed("HYDER_RECOVERY_SEED_BASE", 1);
+  const uint64_t count = EnvSeed("HYDER_RECOVERY_SEED_COUNT", 100);
+  FaultTotals totals;
+  for (uint64_t seed = base; seed < base + count; ++seed) {
     std::remove(path_.c_str());
     const std::vector<Op> ops = MakeOps(seed, 40);
     std::unique_ptr<Cluster> reference = RunReference(ops);
 
-    std::unique_ptr<FileLog> file;
-    std::unique_ptr<FaultInjectingLog> fault;
-    std::unique_ptr<Cluster> faulty;
-    RunFaulty(path_, seed, ops, &file, &fault, &faulty, &totals);
+    FaultyRun run;
+    RunFaulty(path_, seed, ops, &run, &totals);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "seed " << seed;
     }
+    Cluster* faulty = run.cluster.get();
 
     // Both fault-run servers converged with each other...
     std::string diff;
@@ -245,11 +266,13 @@ TEST_F(RecoveryTest, ConvergesUnderFaultsAndCrashesAcross100Seeds) {
     ASSERT_TRUE(same.ok()) << "seed " << seed;
     EXPECT_TRUE(*same) << "seed " << seed << ": " << diff;
   }
-  // The schedule must actually have exercised every injected fault kind.
-  EXPECT_GT(totals.append_failures, 0u);
-  EXPECT_GT(totals.duplicate_appends, 0u);
-  EXPECT_GT(totals.torn_appends, 0u);
-  EXPECT_GT(totals.read_failures, 0u);
+  // The schedule must actually have exercised every injected fault kind,
+  // and the log must have retried the transient ones.
+  EXPECT_GT(totals.counts.append_failures, 0u);
+  EXPECT_GT(totals.counts.duplicate_appends, 0u);
+  EXPECT_GT(totals.counts.torn_appends, 0u);
+  EXPECT_GT(totals.counts.read_failures, 0u);
+  EXPECT_GT(totals.retries, 0u);
 }
 
 TEST_F(RecoveryTest, DuplicateAppendBlocksNeverCommitTwice) {
@@ -336,7 +359,8 @@ TEST_F(RecoveryTest, TransientReadFailuresRetriedInsidePoll) {
   fi.seed = 99;
   fi.read_fail_p = 0.5;
   FaultInjectingLog fault(&base, fi);
-  HyderServer server(&fault, HarnessOptions(0));
+  RetryingLog retrying(&fault);
+  HyderServer server(&retrying, HarnessOptions(0));
 
   for (int i = 0; i < 20; ++i) {
     Transaction t = server.Begin();

@@ -416,10 +416,10 @@ TEST(WorkloadTest, HotspotSkewsAccesses) {
 }
 
 TEST(WorkloadTest, PayloadSizeRespected) {
-  WorkloadOptions o;
-  o.payload_bytes = 64;
-  WorkloadGenerator gen(o);
-  for (int i = 0; i < 10; ++i) EXPECT_GE(gen.NextValue().size(), 64u);
+  WorkloadGenerator gen(WorkloadOptions{});
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_GE(gen.NextValue().size(), WorkloadGenerator::kValueBytes);
+  }
 }
 
 TEST(WorkloadTest, WriteTransactionHasWrites) {

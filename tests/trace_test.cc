@@ -326,15 +326,12 @@ TEST_F(TraceTest, ChromeTraceJsonFromLiveRunParses) {
   EXPECT_NE(json.find("\"final_meld"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, CountersAndProviders) {
+TEST(MetricsRegistryTest, ProvidersAndHistograms) {
   MetricsRegistry registry;
-  Counter* c = registry.counter("test.count");
-  c->Increment(41);
-  c->Increment();
-  EXPECT_EQ(registry.counter("test.count"), c);  // Create-or-get.
-
-  registry.histogram("test.lat_us")->Add(100);
-  registry.histogram("test.lat_us")->Add(300);
+  LatencyHistogram* h = registry.histogram("test.lat_us");
+  EXPECT_EQ(registry.histogram("test.lat_us"), h);  // Create-or-get.
+  h->Add(100);
+  h->Add(300);
 
   {
     ProviderHandle h = registry.RegisterProvider(
@@ -346,41 +343,39 @@ TEST(MetricsRegistryTest, CountersAndProviders) {
           emit("gauge", 1.0);
         });
     const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-    ASSERT_EQ(snap.values.size(), 3u);
+    ASSERT_EQ(snap.values.size(), 2u);
     // Sorted by name; '#' < '.' in ASCII, so the uniquified second
     // registration ("sub#2") sorts ahead of the first.
     EXPECT_EQ(snap.values[0].first, "sub#2.gauge");
     EXPECT_EQ(snap.values[1].first, "sub.gauge");
-    EXPECT_EQ(snap.values[2].first, "test.count");
-    EXPECT_EQ(snap.values[2].second, 42.0);
+    EXPECT_EQ(snap.values[1].second, 7.5);
     ASSERT_EQ(snap.histograms.size(), 1u);
     EXPECT_EQ(snap.histograms[0].second.count(), 2u);
 
     const std::string text = registry.DumpMetrics();
-    EXPECT_NE(text.find("test.count 42\n"), std::string::npos);
     EXPECT_NE(text.find("sub.gauge 7.5\n"), std::string::npos);
   }
   // Handles out of scope: providers must be gone.
-  EXPECT_EQ(registry.TakeSnapshot().values.size(), 1u);
+  EXPECT_TRUE(registry.TakeSnapshot().values.empty());
 
   const std::string json = registry.ToJson();
   EXPECT_TRUE(JsonValidator(json).Valid()) << json;
-  EXPECT_NE(json.find("\"test.count\": 42"), std::string::npos);
+  EXPECT_NE(json.find("\"test.lat_us\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, GlobalIsStableAndConcurrent) {
-  Counter* c = MetricsRegistry::Global().counter("trace_test.hits");
+  LatencyHistogram* h = MetricsRegistry::Global().histogram("trace_test.hits");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 1000; ++i) {
-        MetricsRegistry::Global().counter("trace_test.hits")->Increment();
+        MetricsRegistry::Global().histogram("trace_test.hits")->Add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_GE(c->value(), 4000u);
+  EXPECT_GE(h->snapshot().count(), 4000u);
 }
 
 }  // namespace

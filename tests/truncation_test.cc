@@ -222,6 +222,8 @@ TEST(TruncationCoordinatorTest, ClusterKeepsWorkingAfterTruncation) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->blocks_reclaimed, 0u);
   EXPECT_GT(report->states_retired, 0u);
+  // Every intention lies below the cut, on both servers.
+  EXPECT_EQ(report->directory_entries_dropped, 2u * 20);
   EXPECT_EQ(s0.resolver().pinned_state_seq(), ckpt->state_seq);
   EXPECT_EQ(s1.resolver().pinned_state_seq(), ckpt->state_seq);
 
@@ -242,6 +244,50 @@ TEST(TruncationCoordinatorTest, ClusterKeepsWorkingAfterTruncation) {
                                &s1.resolver(), s1.LatestState().root, &diff);
   ASSERT_TRUE(equal.ok());
   EXPECT_TRUE(*equal) << diff;
+}
+
+TEST(TruncationCoordinatorTest,
+     CheckpointDirectoryHoldsOnlyIntentionsAboveMark) {
+  // Each round drops the resolver directory entries wholly below the new
+  // mark, so the directory a later checkpoint carries starts after the last
+  // anchor instead of at the log's first intention.
+  StripedLogOptions lo;
+  lo.block_size = kBlockSize;
+  StripedLog log(lo);
+  HyderServer s0(&log, Opts(0));
+  HyderServer s1(&log, Opts(1));
+  TruncationCoordinator coordinator(&log);
+  uint64_t anchor_seq = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(CommitOne(i % 2 ? s1 : s0, Key(10 * round + i), "v").ok());
+      ASSERT_TRUE((i % 2 ? s0 : s1).Poll().ok());
+    }
+    auto ckpt = WriteCheckpoint(s0);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+    ASSERT_TRUE(s0.Poll().ok());
+    ASSERT_TRUE(s1.Poll().ok());
+    auto report = coordinator.TruncateToCheckpoint(*ckpt, {&s0, &s1});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_GT(report->blocks_reclaimed, 0u) << "round " << round;
+    anchor_seq = ckpt->state_seq;
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(CommitOne(s0, Key(100 + i), "tail").ok());
+  }
+  ASSERT_TRUE(s1.Poll().ok());
+  EXPECT_EQ(s1.resolver().ExportDirectory().size(), 5u);
+  auto latest = WriteCheckpoint(s0);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+
+  auto rookie = BootstrapFromCheckpoint(&log, *latest, Opts(2));
+  ASSERT_TRUE(rookie.ok()) << rookie.status().ToString();
+  const auto carried = (*rookie)->resolver().ExportDirectory();
+  ASSERT_EQ(carried.size(), 5u) << "the intentions melded since the anchor";
+  for (const auto& entry : carried) {
+    EXPECT_GT(entry.seq, anchor_seq);
+    for (uint64_t pos : entry.positions) EXPECT_GE(pos, log.LowWaterMark());
+  }
 }
 
 TEST(TruncationCoordinatorTest, FallbackNeverSelectsCheckpointBelowMark) {

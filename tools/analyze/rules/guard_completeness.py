@@ -36,7 +36,7 @@ from structure import SourceFile
 # them unguarded next to a Mutex is the normal pattern, not a gap.
 _SYNC_TYPES = {
     "Mutex", "CondVar", "MutexLock", "BoundedQueue", "Tracer",
-    "MetricsRegistry", "ProviderHandle", "LatencyHistogram", "Counter",
+    "MetricsRegistry", "ProviderHandle", "LatencyHistogram",
 }
 
 
